@@ -14,24 +14,19 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, modelio, pipeline, selection, solvers, synth
+from .atomic import write_csv, write_text
 from .config import ConfigError, RunConfig, load_config, set_option, write_effective_config
+from .ingest import write_canonical
 
 logger = logging.getLogger(__name__)
 
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    tmp.replace(path)
+# report method -> (fit method, expansion)
+REPORT_METHODS = {
+    "lasso-linear": ("lasso", "linear"),
+    "lasso-polynomial": ("lasso", "polynomial"),
+    "ridge": ("ridge", "linear"),
+    "mlr": ("mlr", "linear"),
+}
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -60,8 +55,6 @@ def _build_config(args) -> RunConfig:
 def cmd_ingest(config: RunConfig) -> int:
     out = _out_dir(config)
     days, _, stats = pipeline.load_day_blocks(config)
-    from .ingest import write_canonical
-
     write_canonical(days, out / "canonical.csv")
     report = "\n".join(
         [
@@ -73,7 +66,7 @@ def cmd_ingest(config: RunConfig) -> int:
             f"days with incomplete variables: {stats.incomplete_days}",
         ]
     )
-    _atomic_write(out / "ingest_report.txt", report + "\n")
+    write_text(out / "ingest_report.txt", report + "\n")
     print(report)
     return 0
 
@@ -85,7 +78,7 @@ def cmd_featurize(config: RunConfig) -> int:
     for d in schema:
         parents = "" if d.parents is None else f"{d.parents[0]},{d.parents[1]}"
         manifest_lines.append(f"{d.index}\t{d.name}\t{d.category}\t{parents}")
-    _atomic_write(out / "feature_manifest.txt", "\n".join(manifest_lines) + "\n")
+    write_text(out / "feature_manifest.txt", "\n".join(manifest_lines) + "\n")
 
     header = ["date"] + [d.name for d in schema] + ["target_raw", "current_anchor"]
     data_rows = [
@@ -94,7 +87,7 @@ def cmd_featurize(config: RunConfig) -> int:
         + [repr(float(r.target_raw)), repr(float(r.current_anchor))]
         for r in rows
     ]
-    _write_csv(out / "features.csv", header, data_rows)
+    write_csv(out / "features.csv", header, data_rows)
     print(f"featurized {len(rows)} modeling days, {len(schema)} base features")
     return 0
 
@@ -118,7 +111,7 @@ def cmd_cv(config: RunConfig) -> int:
     nonzero = pipeline.nonzero_counts_along_path(
         design, data.y, grid, config.tol, config.max_sweeps
     )
-    _write_csv(
+    write_csv(
         out / "cv_table.csv",
         ["lambda", "cv_mean", "cv_se", "nonzero"],
         [
@@ -135,7 +128,7 @@ def cmd_cv(config: RunConfig) -> int:
             f"chosen={chosen!r}",
         ]
     )
-    _atomic_write(out / "cv_summary.txt", summary + "\n")
+    write_text(out / "cv_summary.txt", summary + "\n")
     print(summary)
     return 0
 
@@ -146,7 +139,7 @@ def cmd_train(config: RunConfig) -> int:
     modelio.save_model(model, out / "model.json")
     write_effective_config(config, out / "effective_config.cfg")
     if cv is not None:
-        _write_csv(
+        write_csv(
             out / "cv_table.csv",
             ["lambda", "cv_mean", "cv_se"],
             [
@@ -166,7 +159,7 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
     rows, _, _ = pipeline.build_rows(config)
     _, test_rows = pipeline.split_rows(config, rows)
     dates, obs, pred = pipeline.predict_series(model, test_rows)
-    _write_csv(
+    write_csv(
         out / "predictions.csv",
         ["date", "observed", "predicted"],
         [
@@ -210,14 +203,14 @@ def cmd_evaluate(config: RunConfig, predictions_path: str) -> int:
     dates, obs, pred = _read_predictions(Path(predictions_path))
     metrics = evaluation.evaluate_predictions(pred, obs, dates)
     text = _metrics_text(metrics)
-    _atomic_write(out / "metrics.txt", text + "\n")
+    write_text(out / "metrics.txt", text + "\n")
     scatter_rows = []
     for label, idx in zip(
         evaluation.TRIMESTER_LABELS, evaluation.trimester_split(dates)
     ):
         for i in idx:
             scatter_rows.append([label, repr(float(obs[i])), repr(float(pred[i]))])
-    _write_csv(out / "scatter_pairs.csv", ["trimester", "observed", "predicted"], scatter_rows)
+    write_csv(out / "scatter_pairs.csv", ["trimester", "observed", "predicted"], scatter_rows)
     print(text)
     return 0
 
@@ -227,7 +220,6 @@ def cmd_report(config: RunConfig) -> int:
     rows, schema, _ = pipeline.build_rows(config)
     train_rows, test_rows = pipeline.split_rows(config, rows)
     data = pipeline.prepare_training(config, train_rows, schema)
-    n_candidates_base = len(data.kept_names)
     methods = [m.strip() for m in config.report_methods.split(",") if m.strip()]
 
     results = []
@@ -237,60 +229,42 @@ def cmd_report(config: RunConfig) -> int:
             metrics = evaluation.persistence_baseline(test_rows)
             results.append(evaluation.MethodResult("persistence", metrics, None, None))
             continue
-        label = method
+        if method not in REPORT_METHODS:
+            raise pipeline.PipelineError(f"unknown report method {method!r}")
+        kind, expansion = REPORT_METHODS[method]
         try:
-            if method == "lasso-linear":
-                model, _, fit = pipeline.fit_method(config, data, "lasso", "linear")
-                candidates = n_candidates_base
-            elif method == "lasso-polynomial":
-                model, _, fit = pipeline.fit_method(config, data, "lasso", "polynomial")
-                from .expansion import expansion_size
-
-                candidates = expansion_size(n_candidates_base)
-            elif method == "ridge":
-                model, _, fit = pipeline.fit_method(config, data, "ridge", "linear")
-                candidates = n_candidates_base
-            elif method == "mlr":
-                model, _, fit = pipeline.fit_method(config, data, "mlr", "linear")
-                candidates = n_candidates_base
-            else:
-                raise pipeline.PipelineError(f"unknown report method {method!r}")
+            model, _, fit = pipeline.fit_method(config, data, kind, expansion)
         except solvers.SingularDesignError:
             results.append(
-                evaluation.MethodResult(label, None, None, None, note="failed (singular design)")
+                evaluation.MethodResult(method, None, None, None, note="failed (singular design)")
             )
             continue
         metrics = pipeline.evaluate_method_on_test(model, test_rows)
         results.append(
-            evaluation.MethodResult(label, metrics, len(model["weights"]), candidates)
+            evaluation.MethodResult(method, metrics, len(model["weights"]), fit.beta.size)
         )
         weight_rows = [
             [w["index"], w["name"], repr(w["weight"])] for w in model["weights"]
         ]
-        _write_csv(
+        write_csv(
             out / f"weights_{method.replace('-', '_')}.csv",
             ["index", "name", "weight"],
             weight_rows,
         )
-        names = (
-            [w["name"] for w in model["weights"]]
-            if model["expansion"] == "polynomial"
-            else data.kept_names
-        )
-        if method.startswith("lasso"):
-            if model["expansion"] == "polynomial":
+        if kind == "lasso":
+            if expansion == "polynomial":
                 top = sorted(
                     ((w["weight"], w["name"]) for w in model["weights"]),
                     key=lambda t: (-abs(t[0]), t[1]),
                 )[:10]
             else:
-                top = evaluation.top_weights(fit, names, 10)
+                top = evaluation.top_weights(fit, data.kept_names, 10)
             top_dump.append(f"top weights ({method}):")
             top_dump.extend(f"  {w:+.4f}  {name}" for w, name in top)
 
     table = evaluation.comparison_report(results, n_test=len(test_rows))
     text = table + "\n" + "\n".join(top_dump) + ("\n" if top_dump else "")
-    _atomic_write(out / "comparison.txt", text)
+    write_text(out / "comparison.txt", text)
     print(text)
     return 0
 
@@ -330,14 +304,19 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--folds", dest="fold_mode", choices=["shuffled", "blocked"])
         p.add_argument("--out-dir", dest="out_dir")
 
-    for name in ("ingest", "featurize", "cv", "train", "report"):
+    handlers = {
+        "ingest": cmd_ingest,
+        "featurize": cmd_featurize,
+        "cv": cmd_cv,
+        "train": cmd_train,
+        "predict": lambda config: cmd_predict(config, args.model),
+        "evaluate": lambda config: cmd_evaluate(config, args.predictions),
+        "report": cmd_report,
+    }
+    for name in handlers:
         add_common(sub.add_parser(name))
-    p_predict = sub.add_parser("predict")
-    add_common(p_predict)
-    p_predict.add_argument("--model", required=True)
-    p_evaluate = sub.add_parser("evaluate")
-    add_common(p_evaluate)
-    p_evaluate.add_argument("--predictions", required=True)
+    sub.choices["predict"].add_argument("--model", required=True)
+    sub.choices["evaluate"].add_argument("--predictions", required=True)
 
     p_synth = sub.add_parser("synth")
     p_synth.add_argument("--out-dir", required=True)
@@ -354,29 +333,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        config = _build_config(args)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "featurize":
-            return cmd_featurize(config)
-        if args.command == "cv":
-            return cmd_cv(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "predict":
-            return cmd_predict(config, args.model)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.predictions)
-        if args.command == "report":
-            return cmd_report(config)
-        parser.error(f"unknown command {args.command}")
+        return handlers[args.command](_build_config(args))
     except (ConfigError, pipeline.PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # surface anything else with a nonzero status
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from datetime import date as Date
 from pathlib import Path
+
+from .atomic import write_text
 
 
 class ConfigError(Exception):
@@ -46,8 +49,8 @@ class RunConfig:
             value = float(self.lam)
         except ValueError:
             raise ConfigError(f"lambda must be 'cv' or a number, got {self.lam!r}")
-        if value < 0:
-            raise ConfigError("lambda must be >= 0")
+        if not math.isfinite(value) or value < 0:
+            raise ConfigError(f"lambda must be a finite number >= 0, got {self.lam!r}")
         return value
 
     def date_range(self, which: str) -> tuple[Date, Date]:
@@ -72,6 +75,7 @@ class RunConfig:
             raise ConfigError("blocked folds require the test range after the train range")
 
     def validate_choices(self) -> None:
+        """Reject unknown choices and out-of-range or non-finite numbers."""
         checks = {
             "variant": ("max", "max8h"),
             "target_mode": ("delta", "direct"),
@@ -83,6 +87,11 @@ class RunConfig:
         for name, allowed in checks.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")
+        for name in ("tol", "cv_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        self.lambda_value()
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -122,7 +131,4 @@ def write_effective_config(config: RunConfig, path: str | Path) -> None:
     for f in fields(RunConfig):
         value = getattr(config, f.name)
         lines.append(f"{f.name}={value!r}" if isinstance(value, float) else f"{f.name}={value}")
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    write_text(path, "\n".join(lines) + "\n")

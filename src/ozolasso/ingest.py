@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
+
 POLLUTANTS = ("o3", "so2", "no", "no2", "nox", "co", "pm25")
 METEO_VARS = (
     "temperature",
@@ -268,8 +270,7 @@ def day_blocks_to_records(days: list[DayBlock]) -> list[HourlyRecord]:
 
 def write_canonical(days: list[DayBlock], path: str | Path) -> None:
     """Emit the normalized hourly file with fixed column order."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
         for rec in day_blocks_to_records(days):

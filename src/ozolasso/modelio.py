@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .expansion import ExpandedDesign
 from .features import DailyFeatureRow, StandardizationParams, apply_standardizer
 from .solvers import LAMBDA_CONVENTION, ModelFit
@@ -103,10 +104,7 @@ def build_model_dict(
 
 
 def save_model(model: dict, path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(model, indent=1, sort_keys=True) + "\n")
-    tmp.replace(path)
+    write_text(path, json.dumps(model, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_model(path: str | Path) -> dict:

@@ -187,8 +187,7 @@ def train(config: RunConfig):
     rows, schema, _ = build_rows(config)
     train_rows, test_rows = split_rows(config, rows)
     data = prepare_training(config, train_rows, schema)
-    method = {"mlr": "mlr", "ridge": "ridge", "lasso": "lasso"}[config.method]
-    model, cv, _ = fit_method(config, data, method, config.expansion)
+    model, cv, _ = fit_method(config, data, config.method, config.expansion)
     return model, cv, test_rows
 
 

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import (
-    _CD_CHUNK,
     _center,
-    design_block,
+    _design_chunks,
+    design_block,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
     design_predict,
-    design_shape,
     design_take_rows,
     fit_ridge,
     lasso_path,
@@ -38,13 +37,12 @@ def column_scores(design, y: np.ndarray, fit_intercept: bool = True) -> np.ndarr
     would (same chunking, contiguous columns), so a fit at lambda_max is
     bitwise zero."""
     yc, _ = _center(np.asarray(y, dtype=float), fit_intercept)
-    n, p = design_shape(design)
+    n, p = design.shape
     scores = np.empty(p)
-    for j0 in range(0, p, _CD_CHUNK):
-        j1 = min(j0 + _CD_CHUNK, p)
-        block_t = np.ascontiguousarray(design_block(design, j0, j1).T)
-        for t in range(j1 - j0):
-            scores[j0 + t] = block_t[t] @ yc / n
+    for j0, block in _design_chunks(design):
+        block_t = np.ascontiguousarray(block.T)
+        for t, column in enumerate(block_t):
+            scores[j0 + t] = column @ yc / n
     return scores
 
 
@@ -95,7 +93,7 @@ def kfold_cv(
     """Per-fold fits over the whole grid (warm-started for the Lasso),
     squared error on the held-out fold, aggregated per lambda."""
     y = np.asarray(y, dtype=float)
-    n, _ = design_shape(design)
+    n = design.shape[0]
     grid = np.asarray(grid, dtype=float)
     assignment = make_folds(n, k, seed, fold_mode)
 

@@ -8,18 +8,12 @@ threshold lambda.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    _HAVE_NUMBA = False
 
 from .expansion import ExpandedDesign
 
@@ -49,10 +43,10 @@ class LassoConfig:
     kkt_tol_factor: float = 10.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise SolverError("lambda must be >= 0")
-        if self.tol <= 0 or self.max_sweeps < 1:
-            raise SolverError("tol must be > 0 and max_sweeps >= 1")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise SolverError(f"lambda must be finite and >= 0, got {self.lam!r}")
+        if not math.isfinite(self.tol) or self.tol <= 0 or self.max_sweeps < 1:
+            raise SolverError("tol must be finite and > 0, and max_sweeps >= 1")
         if self.strategy not in ("active-set", "full-sweep"):
             raise SolverError(f"unknown strategy {self.strategy!r}")
 
@@ -82,8 +76,7 @@ class ModelFit:
 
 # --- design adapters (plain ndarray or ExpandedDesign) ---
 
-def design_shape(design) -> tuple[int, int]:
-    return design.shape
+_CD_CHUNK = 2048
 
 
 def design_block(design, j0: int, j1: int) -> np.ndarray:
@@ -102,25 +95,30 @@ def design_column(design, j: int) -> np.ndarray:
     return design_block(design, j, j + 1)[:, 0]
 
 
-def design_diag(design, chunk: int = 4096) -> np.ndarray:
+def _design_chunks(design):
+    """(j0, columns [j0, j0 + _CD_CHUNK)) over the whole design, in order."""
+    p = design.shape[1]
+    for j0 in range(0, p, _CD_CHUNK):
+        yield j0, design_block(design, j0, min(j0 + _CD_CHUNK, p))
+
+
+def design_diag(design) -> np.ndarray:
     """Sigma_jj = X_j'X_j / n for every column.
 
     Blocks are forced contiguous so the result is bitwise independent of
     whether the design is streamed or materialized.
     """
-    n, p = design_shape(design)
+    n, p = design.shape
     diag = np.empty(p)
-    for j0 in range(0, p, chunk):
-        j1 = min(j0 + chunk, p)
-        block = np.ascontiguousarray(design_block(design, j0, j1))
-        diag[j0:j1] = np.einsum("ij,ij->j", block, block) / n
+    for j0, block in _design_chunks(design):
+        block = np.ascontiguousarray(block)
+        diag[j0 : j0 + block.shape[1]] = np.einsum("ij,ij->j", block, block) / n
     return diag
 
 
 def design_predict(design, beta: np.ndarray) -> np.ndarray:
     """X @ beta streamed over the nonzero coordinates."""
-    n, _ = design_shape(design)
-    out = np.zeros(n)
+    out = np.zeros(design.shape[0])
     active = np.flatnonzero(beta)
     for j in active:
         out += beta[j] * np.ascontiguousarray(design_column(design, int(j)))
@@ -188,9 +186,6 @@ def fit_ridge(
 
 # --- coordinate-descent Lasso ---
 
-_CD_CHUNK = 2048
-
-
 def lasso_objective(design, yc: np.ndarray, beta: np.ndarray, lam: float) -> float:
     """(1/n)||yc - X beta||^2 + lam * ||beta||_1."""
     n = len(yc)
@@ -198,123 +193,72 @@ def lasso_objective(design, yc: np.ndarray, beta: np.ndarray, lam: float) -> flo
     return float(r @ r / n + lam * np.abs(beta).sum())
 
 
-def _cd_update(xj, beta, r, j, half_lam, sjj, n) -> float:
-    """One coordinate update through the maintained residual; returns |delta|."""
-    bj = beta[j]
-    zj = xj @ r / n + sjj * bj
-    bnew = soft_threshold(zj, half_lam) / sjj
-    if bnew != bj:
-        r -= (bnew - bj) * xj
-        beta[j] = bnew
-        return abs(bnew - bj)
-    return 0.0
+def _cd_passes(A, indices, beta, r, diag, lam, tol, max_sweeps, trace=None):
+    """Cyclic coordinate descent over the design columns ``indices``.
 
-
-def _full_sweep(design, beta, r, half_lam, diag, n, p, trace, lam) -> float:
+    Row t of ``A`` is the contiguous column ``indices[t]``. Each coordinate
+    is soft-thresholded at lam/2 and the residual ``r`` updated in place, in
+    the order given, until a pass moves no coordinate by ``tol`` or more or
+    ``max_sweeps`` passes are done. With a ``trace`` list, the objective is
+    appended after every coordinate that moves. Returns (passes, the last
+    pass's max |delta beta|).
+    """
+    n = len(r)
+    half_lam = lam / 2.0
+    sweeps = 0
     max_delta = 0.0
-    for j0 in range(0, p, _CD_CHUNK):
-        j1 = min(j0 + _CD_CHUNK, p)
+    while sweeps < max_sweeps:
+        max_delta = 0.0
+        for x, j in zip(A, indices):
+            sjj = diag[j]
+            if sjj <= 0.0:
+                continue
+            z = float(x @ r) / n + sjj * beta[j]
+            shrunk = abs(z) - half_lam
+            bnew = 0.0 if shrunk <= 0.0 else (shrunk / sjj if z > 0 else -shrunk / sjj)
+            d = bnew - beta[j]
+            if d != 0.0:
+                r -= d * x
+                beta[j] = bnew
+                if abs(d) > max_delta:
+                    max_delta = abs(d)
+                if trace is not None:
+                    trace.append(float(r @ r / n + lam * np.abs(beta).sum()))
+        sweeps += 1
+        if max_delta < tol:
+            break
+    return sweeps, max_delta
+
+
+def _full_sweep(design, beta, r, diag, lam, trace) -> float:
+    """One screened pass over every column; returns the max |delta beta|."""
+    n = len(r)
+    half_lam = lam / 2.0
+    max_delta = 0.0
+    for j0, block in _design_chunks(design):
         # column-major copy with contiguous columns: the per-coordinate dot is
         # then bitwise independent of streamed vs materialized storage
-        block_t = np.ascontiguousarray(design_block(design, j0, j1).T)
+        block_t = np.ascontiguousarray(block.T)
         # screening: a zero coordinate can only move if its correlation beats
         # the threshold at chunk entry; anything it misses (activations enabled
         # by in-chunk updates) is caught on the next sweep, and a sweep that
         # changes nothing screens exactly
         corr = block_t @ r / n
-        b_chunk = beta[j0:j1]
+        b_chunk = beta[j0 : j0 + block_t.shape[0]]
         candidates = np.flatnonzero((b_chunk != 0.0) | (np.abs(corr) > half_lam))
-        for t in candidates:
-            j = j0 + int(t)
-            if diag[j] <= 0:
-                continue
-            delta = _cd_update(block_t[t], beta, r, j, half_lam, diag[j], n)
-            if delta > max_delta:
-                max_delta = delta
-            if trace is not None and delta > 0:
-                trace.append(float(r @ r / n + lam * np.abs(beta).sum()))
+        indices = (j0 + candidates).tolist()
+        _, delta = _cd_passes(block_t[candidates], indices, beta, r, diag, lam, 0.0, 1, trace)
+        max_delta = max(max_delta, delta)
     return max_delta
 
 
-def _active_cd_python(A, beta_a, r, diag_a, n, half_lam, tol, max_sweeps):
-    sweeps = 0
-    while sweeps < max_sweeps:
-        max_delta = 0.0
-        for t in range(A.shape[0]):
-            sjj = diag_a[t]
-            if sjj <= 0.0:
-                continue
-            z = float(A[t] @ r) / n + sjj * beta_a[t]
-            shrunk = abs(z) - half_lam
-            bnew = 0.0 if shrunk <= 0.0 else (shrunk / sjj if z > 0 else -shrunk / sjj)
-            d = bnew - beta_a[t]
-            if d != 0.0:
-                r -= d * A[t]
-                beta_a[t] = bnew
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-        sweeps += 1
-        if max_delta < tol:
-            break
-    return sweeps
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _active_cd_kernel(A, beta_a, r, diag_a, n, half_lam, tol, max_sweeps):
-        sweeps = 0
-        a, m = A.shape
-        while sweeps < max_sweeps:
-            max_delta = 0.0
-            for t in range(a):
-                sjj = diag_a[t]
-                if sjj <= 0.0:
-                    continue
-                z = 0.0
-                for i in range(m):
-                    z += A[t, i] * r[i]
-                z = z / n + sjj * beta_a[t]
-                shrunk = abs(z) - half_lam
-                bnew = 0.0
-                if shrunk > 0.0:
-                    bnew = shrunk / sjj if z > 0.0 else -shrunk / sjj
-                d = bnew - beta_a[t]
-                if d != 0.0:
-                    for i in range(m):
-                        r[i] -= d * A[t, i]
-                    beta_a[t] = bnew
-                    ad = d if d > 0.0 else -d
-                    if ad > max_delta:
-                        max_delta = ad
-            sweeps += 1
-            if max_delta < tol:
-                break
-        return sweeps
-
-else:
-    _active_cd_kernel = _active_cd_python
-
-
-def _active_sweep(columns, indices, beta, r, half_lam, diag, n, trace, lam) -> float:
-    max_delta = 0.0
-    for xj, j in zip(columns, indices):
-        delta = _cd_update(xj, beta, r, j, half_lam, diag[j], n)
-        if delta > max_delta:
-            max_delta = delta
-        if trace is not None and delta > 0:
-            trace.append(float(r @ r / n + lam * np.abs(beta).sum()))
-    return max_delta
-
-
-def _kkt_violations(design, r, beta, half_lam, n, p) -> tuple[float, float]:
+def _kkt_violations(design, r, beta, half_lam) -> tuple[float, float]:
+    n = len(r)
     zero_v = 0.0
     active_v = 0.0
-    for j0 in range(0, p, _CD_CHUNK):
-        j1 = min(j0 + _CD_CHUNK, p)
-        block = design_block(design, j0, j1)
+    for j0, block in _design_chunks(design):
         corr = block.T @ r / n
-        b = beta[j0:j1]
+        b = beta[j0 : j0 + block.shape[1]]
         zero_mask = b == 0
         if zero_mask.any():
             zero_v = max(zero_v, float(np.abs(corr[zero_mask]).max() - half_lam))
@@ -340,9 +284,8 @@ def fit_lasso(
     a KKT optimality certificate; non-convergence at max_sweeps returns the
     fit with converged=False.
     """
-    n, p = design_shape(design)
+    p = design.shape[1]
     yc, beta0 = _center(np.asarray(y, dtype=float), fit_intercept)
-    half_lam = config.lam / 2.0
     if diag is None:
         diag = design_diag(design)
     beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
@@ -352,41 +295,28 @@ def fit_lasso(
         r = yc - design_predict(design, beta)
     trace = [] if track_objective else None
     if trace is not None:
-        trace.append(float(r @ r / n + config.lam * np.abs(beta).sum()))
+        trace.append(float(r @ r / len(r) + config.lam * np.abs(beta).sum()))
 
     sweeps = 0
     converged = False
     while sweeps < config.max_sweeps:
-        delta = _full_sweep(design, beta, r, half_lam, diag, n, p, trace, config.lam)
+        delta = _full_sweep(design, beta, r, diag, config.lam, trace)
         sweeps += 1
         if delta < config.tol:
             converged = True
             break
         if config.strategy == "active-set":
-            indices = [int(j) for j in np.flatnonzero(beta)]
-            columns = [np.ascontiguousarray(design_column(design, j)) for j in indices]
-            if trace is not None:
-                while sweeps < config.max_sweeps:
-                    delta = _active_sweep(
-                        columns, indices, beta, r, half_lam, diag, n, trace, config.lam
-                    )
-                    sweeps += 1
-                    if delta < config.tol:
-                        break
-            elif indices:
-                A = np.stack(columns)
-                beta_a = beta[indices].copy()
-                diag_a = diag[indices].copy()
-                sweeps += int(
-                    _active_cd_kernel(
-                        A, beta_a, r, diag_a, float(n), half_lam,
-                        config.tol, config.max_sweeps - sweeps,
-                    )
+            indices = np.flatnonzero(beta).tolist()
+            if indices:
+                columns = [np.ascontiguousarray(design_column(design, j)) for j in indices]
+                passes, _ = _cd_passes(
+                    np.stack(columns), indices, beta, r, diag, config.lam,
+                    config.tol, config.max_sweeps - sweeps, trace,
                 )
-                beta[indices] = beta_a
+                sweeps += passes
 
-    zero_v, active_v = _kkt_violations(design, r, beta, half_lam, n, p)
-    fit = ModelFit(
+    zero_v, active_v = _kkt_violations(design, r, beta, config.lam / 2.0)
+    return ModelFit(
         method="lasso",
         lam=config.lam,
         beta0=beta0,
@@ -396,10 +326,8 @@ def fit_lasso(
         converged=converged,
         kkt_zero_violation=zero_v,
         kkt_active_violation=active_v,
+        objective_trace=[] if trace is None else trace,
     )
-    if trace is not None:
-        fit.objective_trace = trace
-    return fit
 
 
 def lasso_path(

@@ -9,7 +9,6 @@ can be checked without the real monitoring data.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -17,6 +16,8 @@ from datetime import date as Date, timedelta
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import write_csv, write_text
 
 START_DATE = Date(2015, 1, 1)
 BASE_LEVEL = 45.0  # ppb, center of the planted target
@@ -198,15 +199,6 @@ def generate(config: SynthConfig) -> dict:
     return {"o3": o3, "meteo": meteo, "pollutants": pollutants, "manifest": manifest}
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    tmp.replace(path)
-
-
 def write_files(config: SynthConfig, out_dir: str | Path) -> dict:
     """Emit pollutants.csv, meteorology.csv, and truth.json; returns manifest."""
     out_dir = Path(out_dir)
@@ -240,19 +232,17 @@ def write_files(config: SynthConfig, out_dir: str | Path) -> dict:
                 ]
             )
 
-    _write_rows(
+    write_csv(
         out_dir / "pollutants.csv",
         ["date", "hour", "o3", "so2", "no", "no2", "nox", "co", "pm25"],
         pol_rows,
     )
-    _write_rows(
+    write_csv(
         out_dir / "meteorology.csv",
         ["date", "hour", "temperature", "dew_point", "rel_humidity",
          "wind_direction", "wind_speed", "visibility", "pressure"],
         met_rows,
     )
     manifest = data["manifest"]
-    tmp = out_dir / "truth.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    tmp.replace(out_dir / "truth.json")
+    write_text(out_dir / "truth.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return manifest

@@ -1,14 +1,12 @@
-"""Shared fixtures and small builders for the test suite."""
+"""Small builders shared by the test suite."""
 
 from __future__ import annotations
 
 from datetime import date as Date, timedelta
 
 import numpy as np
-import pytest
 
 from ozolasso.ingest import ALL_VARS, DayBlock
-from ozolasso.solvers import LassoConfig, fit_lasso
 
 
 def standardized_matrix(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -51,13 +49,3 @@ def make_day_pair(seed: int = 0) -> list[DayBlock]:
         values["wind_direction"] = rng.uniform(0.0, 360.0, 24)
         days.append(make_day(Date(2016, 7, 1) + timedelta(days=d), values))
     return days
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_solver_kernel():
-    """Trigger the one-time compile of the inner coordinate-descent kernel so
-    timed tests measure the algorithm, not compilation."""
-    rng = np.random.default_rng(0)
-    X = standardized_matrix(rng, 30, 5)
-    y = X[:, 0] + rng.normal(size=30)
-    fit_lasso(X, y, LassoConfig(lam=0.1))

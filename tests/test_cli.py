@@ -153,6 +153,19 @@ def test_train_rejects_overlapping_split(synth_dir, tmp_path, capsys):
     assert "overlap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, field", [
+    (["--lambda", "nan"], "lambda"),
+    (["--lambda", "inf"], "lambda"),
+    (["--set", "tol=nan"], "tol"),
+    (["--set", "cv_ratio=inf"], "cv_ratio"),
+])
+def test_non_finite_numbers_rejected(synth_dir, tmp_path, capsys, extra, field):
+    out = tmp_path / "out"
+    assert main(["train"] + base_args(synth_dir, out, extra=extra)) == 1
+    assert f"error: {field} must be a finite number" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def test_unknown_set_key_fails(synth_dir, tmp_path, capsys):
     rc = main(["train"] + base_args(synth_dir, tmp_path / "out")
               + ["--set", "granularity=hourly"])

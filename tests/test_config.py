@@ -16,6 +16,9 @@ def test_lambda_value():
     assert RunConfig(lam="0.0121").lambda_value() == 0.0121
     with pytest.raises(ConfigError):
         RunConfig(lam="-0.5").lambda_value()
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="lambda must be a finite number"):
+            RunConfig(lam=bad).lambda_value()
     with pytest.raises(ConfigError, match="'auto'"):
         RunConfig(lam="auto").lambda_value()
 
@@ -53,6 +56,12 @@ def test_validate_choices():
         RunConfig(variant="max1h").validate_choices()
     with pytest.raises(ConfigError, match="cv_rule"):
         RunConfig(cv_rule="median").validate_choices()
+    with pytest.raises(ConfigError, match="tol"):
+        RunConfig(tol=float("nan")).validate_choices()
+    with pytest.raises(ConfigError, match="cv_ratio"):
+        RunConfig(cv_ratio=float("inf")).validate_choices()
+    with pytest.raises(ConfigError, match="lambda"):
+        RunConfig(lam="nan").validate_choices()
 
 
 def test_load_config(tmp_path):

@@ -59,6 +59,9 @@ def test_save_load_round_trip(tmp_path):
     assert loaded == model
     save_model(model, path)
     assert load_model(path) == model  # rewrite is stable
+    with pytest.raises(ValueError):
+        save_model(dict(model, **{"lambda": float("nan")}), path)
+    assert load_model(path) == model
 
 
 def test_version_check(tmp_path):

@@ -108,6 +108,11 @@ def test_lasso_config_validation():
         LassoConfig(lam=0.1, max_sweeps=0)
     with pytest.raises(SolverError):
         LassoConfig(lam=0.1, strategy="random")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(SolverError, match="lambda"):
+            LassoConfig(lam=bad)
+        with pytest.raises(SolverError, match="tol"):
+            LassoConfig(lam=0.1, tol=bad)
     assert LassoConfig(lam=0.1).kkt_tol == pytest.approx(1e-6)
 
 
@@ -158,14 +163,23 @@ def test_objective_descent_along_trace():
     rng = np.random.default_rng(9)
     X = standardized_matrix(rng, 30, 8)
     y = rng.normal(size=30)
-    for strategy in ("full-sweep", "active-set"):
-        fit = fit_lasso(
-            X, y, LassoConfig(lam=0.1, strategy=strategy), track_objective=True
-        )
-        trace = fit.objective_trace
-        assert len(trace) > 1
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-        assert trace[-1] == pytest.approx(lasso_objective(X, y - y.mean(), fit.beta, 0.1))
+    expanded = ExpandedDesign.fit(standardized_matrix(rng, 30, 4))
+    for design in (X, expanded):
+        for strategy in ("full-sweep", "active-set"):
+            config = LassoConfig(lam=0.1, strategy=strategy)
+            fit = fit_lasso(design, y, config, track_objective=True)
+            trace = fit.objective_trace
+            assert len(trace) > 1
+            assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+            assert trace[-1] == pytest.approx(
+                lasso_objective(design, y - y.mean(), fit.beta, 0.1)
+            )
+            # tracing only observes: the untraced fit is bitwise the same
+            plain = fit_lasso(design, y, config)
+            assert np.array_equal(plain.beta, fit.beta)
+            assert np.array_equal(plain.residuals, fit.residuals)
+            assert plain.sweeps_used == fit.sweeps_used
+            assert plain.objective_trace == []
 
 
 def test_strategies_agree():
