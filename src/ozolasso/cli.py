@@ -92,33 +92,25 @@ def cmd_featurize(config: RunConfig) -> int:
     return 0
 
 
-def _training_design(config: RunConfig):
-    rows, schema, _ = pipeline.build_rows(config)
-    train_rows, test_rows = pipeline.split_rows(config, rows)
-    data = pipeline.prepare_training(config, train_rows, schema)
-    design = pipeline.build_design(config, data)
-    return data, design, train_rows, test_rows
+def _write_cv_table(path: Path, cv: selection.CvResult, nonzero=None) -> None:
+    """One row per lambda; ``nonzero`` adds the full-data path's active counts."""
+    header = ["lambda", "cv_mean", "cv_se"]
+    rows = [[repr(float(v)) for v in row] for row in zip(cv.grid, cv.cv_mean, cv.cv_se)]
+    if nonzero is not None:
+        header.append("nonzero")
+        rows = [row + [nz] for row, nz in zip(rows, nonzero)]
+    write_csv(path, header, rows)
 
 
 def cmd_cv(config: RunConfig) -> int:
     out = _out_dir(config)
-    data, design, _, _ = _training_design(config)
-    grid = selection.make_lambda_grid(design, data.y, config.cv_points, config.cv_ratio)
-    cv = selection.kfold_cv(
-        design, data.y, config.cv_k, grid, config.seed,
-        fold_mode=config.fold_mode, tol=config.tol, max_sweeps=config.max_sweeps,
+    data, _ = pipeline.load_training(config)
+    design = pipeline.build_design(config, data)
+    cv = pipeline.cross_validate(config, design, data.y)
+    fits = solvers.lasso_path(
+        design, data.y, cv.grid, tol=config.tol, max_sweeps=config.max_sweeps
     )
-    nonzero = pipeline.nonzero_counts_along_path(
-        design, data.y, grid, config.tol, config.max_sweeps
-    )
-    write_csv(
-        out / "cv_table.csv",
-        ["lambda", "cv_mean", "cv_se", "nonzero"],
-        [
-            [repr(float(lam)), repr(float(m)), repr(float(s)), nz]
-            for lam, m, s, nz in zip(cv.grid, cv.cv_mean, cv.cv_se, nonzero)
-        ],
-    )
+    _write_cv_table(out / "cv_table.csv", cv, [int(f.active_set.size) for f in fits])
     chosen = selection.select_lambda(cv, config.cv_rule)
     summary = "\n".join(
         [
@@ -139,14 +131,7 @@ def cmd_train(config: RunConfig) -> int:
     modelio.save_model(model, out / "model.json")
     write_effective_config(config, out / "effective_config.cfg")
     if cv is not None:
-        write_csv(
-            out / "cv_table.csv",
-            ["lambda", "cv_mean", "cv_se"],
-            [
-                [repr(float(lam)), repr(float(m)), repr(float(s))]
-                for lam, m, s in zip(cv.grid, cv.cv_mean, cv.cv_se)
-            ],
-        )
+        _write_cv_table(out / "cv_table.csv", cv)
     n_active = len(model["weights"])
     print(f"trained {model['method']} ({model['expansion']}), "
           f"lambda={model['lambda']!r}, active features: {n_active}")
@@ -217,9 +202,7 @@ def cmd_evaluate(config: RunConfig, predictions_path: str) -> int:
 
 def cmd_report(config: RunConfig) -> int:
     out = _out_dir(config)
-    rows, schema, _ = pipeline.build_rows(config)
-    train_rows, test_rows = pipeline.split_rows(config, rows)
-    data = pipeline.prepare_training(config, train_rows, schema)
+    data, test_rows = pipeline.load_training(config)
     methods = [m.strip() for m in config.report_methods.split(",") if m.strip()]
 
     results = []

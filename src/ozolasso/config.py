@@ -91,10 +91,18 @@ class RunConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+        if self.cv_ratio >= 1:
+            # the grid must descend from lambda_max: the 1-SE rule assumes it
+            raise ConfigError(f"cv_ratio must be < 1, got {self.cv_ratio!r}")
+        minimums = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0}
+        for name, low in minimums.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         self.lambda_value()
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# every value is parsed by the type of its field's default
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -113,15 +121,11 @@ def load_config(path: str | Path) -> RunConfig:
 def set_option(config: RunConfig, key: str, value: str) -> None:
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
-    current = getattr(config, key)
-    if isinstance(current, bool):
-        parsed: object = value.lower() in ("1", "true", "yes")
-    elif isinstance(current, int):
-        parsed = int(value)
-    elif isinstance(current, float):
-        parsed = float(value)
-    else:
-        parsed = value
+    kind = _FIELD_TYPES[key]
+    try:
+        parsed = kind(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
     setattr(config, key, parsed)
 
 

@@ -112,6 +112,9 @@ def load_model(path: str | Path) -> dict:
     version = model.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ModelIOError(f"unsupported model schema version {version!r}")
+    digest = standardization_digest(_params_from_dict(model["standardization"]))
+    if digest != model.get("standardization_digest"):
+        raise ModelIOError("standardization does not match standardization_digest")
     return model
 
 

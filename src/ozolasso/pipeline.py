@@ -113,6 +113,14 @@ def prepare_training(config: RunConfig, train_rows, schema) -> TrainingData:
     return TrainingData(params, base, y, kept_names, all_names, schema)
 
 
+def load_training(config: RunConfig):
+    """Rows, train/test split and standardized training data;
+    returns (TrainingData, test rows)."""
+    rows, schema, _ = build_rows(config)
+    train_rows, test_rows = split_rows(config, rows)
+    return prepare_training(config, train_rows, schema), test_rows
+
+
 def build_design(config: RunConfig, data: TrainingData, expansion: str | None = None):
     """Training design: base matrix, or the streamed quadratic expansion."""
     if expansion is None:
@@ -136,13 +144,18 @@ def choose_lambda(config: RunConfig, design, y, solver: str = "lasso"):
     explicit = config.lambda_value()
     if explicit is not None:
         return explicit, None
+    cv = cross_validate(config, design, y, solver)
+    return selection.select_lambda(cv, config.cv_rule), cv
+
+
+def cross_validate(config: RunConfig, design, y, solver: str = "lasso") -> selection.CvResult:
+    """k-fold CV over the configured grid, descending from lambda_max."""
     grid = selection.make_lambda_grid(design, y, config.cv_points, config.cv_ratio)
-    cv = selection.kfold_cv(
+    return selection.kfold_cv(
         design, y, config.cv_k, grid, config.seed,
         solver=solver, fold_mode=config.fold_mode,
         tol=config.tol, max_sweeps=config.max_sweeps,
     )
-    return selection.select_lambda(cv, config.cv_rule), cv
 
 
 def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: str):
@@ -184,9 +197,7 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
 def train(config: RunConfig):
     """Full training chain; returns (model dict, CvResult|None, test rows)."""
     config.validate_choices()
-    rows, schema, _ = build_rows(config)
-    train_rows, test_rows = split_rows(config, rows)
-    data = prepare_training(config, train_rows, schema)
+    data, test_rows = load_training(config)
     model, cv, _ = fit_method(config, data, config.method, config.expansion)
     return model, cv, test_rows
 
@@ -196,11 +207,6 @@ def predict_series(model: dict, rows: list[DailyFeatureRow]):
     pred = modelio.predict_rows(model, rows)
     obs = np.array([r.target_raw for r in rows])
     return [r.date for r in rows], obs, pred
-
-
-def nonzero_counts_along_path(design, y, grid, tol, max_sweeps) -> list[int]:
-    fits = solvers.lasso_path(design, y, grid, tol=tol, max_sweeps=max_sweeps)
-    return [int(f.active_set.size) for f in fits]
 
 
 def evaluate_method_on_test(model: dict, test_rows) -> evaluation.EvalMetrics:

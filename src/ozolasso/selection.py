@@ -32,11 +32,11 @@ class CvResult:
     seed: int | None
 
 
-def column_scores(design, y: np.ndarray, fit_intercept: bool = True) -> np.ndarray:
+def column_scores(design, y: np.ndarray) -> np.ndarray:
     """X_j'yc / n per column, computed exactly as the solver's first sweep
     would (same chunking, contiguous columns), so a fit at lambda_max is
     bitwise zero."""
-    yc, _ = _center(np.asarray(y, dtype=float), fit_intercept)
+    yc, _ = _center(np.asarray(y, dtype=float), True)
     n, p = design.shape
     scores = np.empty(p)
     for j0, block in _design_chunks(design):

@@ -19,6 +19,7 @@ from .expansion import ExpandedDesign
 
 LAMBDA_CONVENTION = "eq7-halflambda"
 COND_WARN_THRESHOLD = 1e12
+KKT_TOL_FACTOR = 10.0  # certificate tolerance, in units of the sweep tolerance
 
 
 class SolverError(Exception):
@@ -40,7 +41,6 @@ class LassoConfig:
     tol: float = 1e-7
     max_sweeps: int = 10_000
     strategy: str = "active-set"  # or "full-sweep"
-    kkt_tol_factor: float = 10.0
 
     def __post_init__(self):
         if not math.isfinite(self.lam) or self.lam < 0:
@@ -52,7 +52,7 @@ class LassoConfig:
 
     @property
     def kkt_tol(self) -> float:
-        return self.kkt_tol_factor * self.tol
+        return KKT_TOL_FACTOR * self.tol
 
 
 @dataclass
@@ -274,7 +274,6 @@ def fit_lasso(
     config: LassoConfig,
     beta_init: np.ndarray | None = None,
     diag: np.ndarray | None = None,
-    fit_intercept: bool = True,
     track_objective: bool = False,
 ) -> ModelFit:
     """Coordinate descent (shooting) for the L1-penalized criterion.
@@ -285,7 +284,7 @@ def fit_lasso(
     fit with converged=False.
     """
     p = design.shape[1]
-    yc, beta0 = _center(np.asarray(y, dtype=float), fit_intercept)
+    yc, beta0 = _center(np.asarray(y, dtype=float), True)
     if diag is None:
         diag = design_diag(design)
     beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
@@ -336,18 +335,14 @@ def lasso_path(
     grid: np.ndarray,
     tol: float = 1e-7,
     max_sweeps: int = 10_000,
-    strategy: str = "active-set",
-    fit_intercept: bool = True,
 ) -> list[ModelFit]:
     """Warm-started fits along a descending lambda grid."""
     diag = design_diag(design)
     fits: list[ModelFit] = []
     beta = None
     for lam in grid:
-        config = LassoConfig(lam=float(lam), tol=tol, max_sweeps=max_sweeps, strategy=strategy)
-        fit = fit_lasso(
-            design, y, config, beta_init=beta, diag=diag, fit_intercept=fit_intercept
-        )
+        config = LassoConfig(lam=float(lam), tol=tol, max_sweeps=max_sweeps)
+        fit = fit_lasso(design, y, config, beta_init=beta, diag=diag)
         fits.append(fit)
         beta = fit.beta
     return fits

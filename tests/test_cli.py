@@ -166,6 +166,23 @@ def test_non_finite_numbers_rejected(synth_dir, tmp_path, capsys, extra, field):
     assert not (out / "model.json").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--set", "cv_k=abc"], "cv_k must be of type int, got 'abc'"),
+    (["--set", "cv_k=1"], "cv_k must be >= 2"),
+    (["--set", "cv_points=0"], "cv_points must be >= 1"),
+    (["--set", "cv_ratio=2"], "cv_ratio must be < 1"),
+    (["--set", "max_sweeps=0"], "max_sweeps must be >= 1"),
+    (["--set", "max_gap_hours=-1"], "max_gap_hours must be >= 0"),
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--set", "tol=small"], "tol must be of type float"),
+])
+def test_out_of_range_numbers_rejected(synth_dir, tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    assert main(["train"] + base_args(synth_dir, out, extra=extra)) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def test_unknown_set_key_fails(synth_dir, tmp_path, capsys):
     rc = main(["train"] + base_args(synth_dir, tmp_path / "out")
               + ["--set", "granularity=hourly"])

@@ -62,6 +62,12 @@ def test_validate_choices():
         RunConfig(cv_ratio=float("inf")).validate_choices()
     with pytest.raises(ConfigError, match="lambda"):
         RunConfig(lam="nan").validate_choices()
+    for bad in ({"cv_k": 1}, {"cv_points": 0}, {"max_sweeps": 0},
+                {"max_gap_hours": -1}, {"seed": -1}, {"cv_ratio": 1.0}, {"cv_ratio": 2.0}):
+        (name,) = bad
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**bad).validate_choices()
+    RunConfig(cv_k=2, cv_points=1, max_sweeps=1, max_gap_hours=0, cv_ratio=0.999).validate_choices()
 
 
 def test_load_config(tmp_path):
@@ -98,6 +104,10 @@ def test_set_option_type_coercion():
     assert cfg.lam == "cv"
     with pytest.raises(ConfigError):
         set_option(cfg, "nope", "1")
+    for key, value in (("cv_k", "abc"), ("cv_k", "2.5"), ("tol", "tiny")):
+        with pytest.raises(ConfigError, match=f"{key} must be of type"):
+            set_option(cfg, key, value)
+    assert cfg.cv_k == 5
 
 
 def test_effective_config_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import standardized_matrix
+from ozolasso.cli import main
 from ozolasso.expansion import ExpandedDesign
 from ozolasso.features import (
     DailyFeatureRow,
@@ -158,3 +159,18 @@ def test_predict_schema_mismatch():
     bad = make_rows(rng, 2, 5)
     with pytest.raises(ModelIOError, match="schema mismatch"):
         predict_rows(model, bad)
+
+
+def test_edited_standardization_rejected(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    rows = make_rows(rng, 10, 2, beta=np.array([1.0, 0.5]))
+    model, _, _ = fit_linear_model(rows)
+    model["standardization"]["y_mu"] += 100.0
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with pytest.raises(ModelIOError, match="standardization_digest"):
+        load_model(path)
+    args = ["predict", "--model", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert "standardization_digest" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
