@@ -32,6 +32,7 @@ class ExpandedDesign:
     column (their coordinate can never activate).
     """
 
+    # moment block width; separate from solvers._CD_CHUNK, and changing it moves bits
     CHUNK = 4096
 
     def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray):

@@ -114,8 +114,7 @@ def prepare_training(config: RunConfig, train_rows, schema) -> TrainingData:
 
 
 def load_training(config: RunConfig):
-    """Rows, train/test split and standardized training data;
-    returns (TrainingData, test rows)."""
+    """Rows -> train/test split -> standardized training data, test rows."""
     rows, schema, _ = build_rows(config)
     train_rows, test_rows = split_rows(config, rows)
     return prepare_training(config, train_rows, schema), test_rows
@@ -162,11 +161,8 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
     """Fit one method on the training data; returns (model dict, CvResult|None)."""
     if expansion == "polynomial" and method != "lasso":
         raise PipelineError("polynomial expansion is only solved by the lasso")
-    design = data.base
-    expanded = None
-    if expansion == "polynomial":
-        expanded = build_design(config, data, "polynomial")
-        design = expanded
+    design = build_design(config, data, expansion)
+    expanded = design if expansion == "polynomial" else None
 
     cv = None
     if method == "lasso":

@@ -8,8 +8,8 @@ import numpy as np
 
 from .solvers import (
     _center,
-    _design_chunks,
     design_block,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
+    design_corr,
     design_predict,
     design_take_rows,
     fit_ridge,
@@ -33,17 +33,10 @@ class CvResult:
 
 
 def column_scores(design, y: np.ndarray) -> np.ndarray:
-    """X_j'yc / n per column, computed exactly as the solver's first sweep
-    would (same chunking, contiguous columns), so a fit at lambda_max is
-    bitwise zero."""
+    """X_j'yc / n per column: the product the solver's first sweep screens
+    with, so a fit at lambda_max is all-zero by construction."""
     yc, _ = _center(np.asarray(y, dtype=float), True)
-    n, p = design.shape
-    scores = np.empty(p)
-    for j0, block in _design_chunks(design):
-        block_t = np.ascontiguousarray(block.T)
-        for t, column in enumerate(block_t):
-            scores[j0 + t] = column @ yc / n
-    return scores
+    return design_corr(design, yc)
 
 
 def make_lambda_grid(

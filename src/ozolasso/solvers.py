@@ -76,6 +76,9 @@ class ModelFit:
 
 # --- design adapters (plain ndarray or ExpandedDesign) ---
 
+# Columns per chunk; the sweep screens once per chunk. A separate decision
+# from ExpandedDesign.CHUNK, and changing either width moves bits (the
+# expansion moments differ in the last place between 2048 and 4096).
 _CD_CHUNK = 2048
 
 
@@ -100,6 +103,27 @@ def _design_chunks(design):
     p = design.shape[1]
     for j0 in range(0, p, _CD_CHUNK):
         yield j0, design_block(design, j0, min(j0 + _CD_CHUNK, p))
+
+
+def _corr_chunks(design, v):
+    """(j0, the chunk's columns as contiguous rows, X_j'v / n) per chunk.
+
+    ``v`` is read as each chunk is produced, so the sweep, which updates it in
+    place, screens every chunk against the current residual. Contiguous rows
+    make the product bitwise equal for streamed and materialized designs.
+    """
+    n = design.shape[0]
+    for j0, block in _design_chunks(design):
+        block_t = np.ascontiguousarray(block.T)
+        yield j0, block_t, block_t @ v / n
+
+
+def design_corr(design, v: np.ndarray) -> np.ndarray:
+    """X_j'v / n for every column, with the solver's screening arithmetic."""
+    corr = np.empty(design.shape[1])
+    for j0, _, chunk_corr in _corr_chunks(design, v):
+        corr[j0 : j0 + chunk_corr.size] = chunk_corr
+    return corr
 
 
 def design_diag(design) -> np.ndarray:
@@ -232,18 +256,13 @@ def _cd_passes(A, indices, beta, r, diag, lam, tol, max_sweeps, trace=None):
 
 def _full_sweep(design, beta, r, diag, lam, trace) -> float:
     """One screened pass over every column; returns the max |delta beta|."""
-    n = len(r)
     half_lam = lam / 2.0
     max_delta = 0.0
-    for j0, block in _design_chunks(design):
-        # column-major copy with contiguous columns: the per-coordinate dot is
-        # then bitwise independent of streamed vs materialized storage
-        block_t = np.ascontiguousarray(block.T)
+    for j0, block_t, corr in _corr_chunks(design, r):
         # screening: a zero coordinate can only move if its correlation beats
         # the threshold at chunk entry; anything it misses (activations enabled
         # by in-chunk updates) is caught on the next sweep, and a sweep that
         # changes nothing screens exactly
-        corr = block_t @ r / n
         b_chunk = beta[j0 : j0 + block_t.shape[0]]
         candidates = np.flatnonzero((b_chunk != 0.0) | (np.abs(corr) > half_lam))
         indices = (j0 + candidates).tolist()
@@ -253,12 +272,10 @@ def _full_sweep(design, beta, r, diag, lam, trace) -> float:
 
 
 def _kkt_violations(design, r, beta, half_lam) -> tuple[float, float]:
-    n = len(r)
     zero_v = 0.0
     active_v = 0.0
-    for j0, block in _design_chunks(design):
-        corr = block.T @ r / n
-        b = beta[j0 : j0 + block.shape[1]]
+    for j0, _, corr in _corr_chunks(design, r):
+        b = beta[j0 : j0 + corr.size]
         zero_mask = b == 0
         if zero_mask.any():
             zero_v = max(zero_v, float(np.abs(corr[zero_mask]).max() - half_lam))

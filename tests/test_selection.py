@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import standardized_matrix
+from ozolasso.expansion import ExpandedDesign
 from ozolasso.selection import (
     SelectionError,
     kfold_cv,
@@ -29,9 +30,12 @@ def test_fit_at_grid_head_is_exactly_zero():
     rng = np.random.default_rng(1)
     X = standardized_matrix(rng, 40, 8)
     y = rng.normal(size=40)
-    grid = make_lambda_grid(X, y, n_points=10, ratio=1e-3)
-    fit = fit_lasso(X, y, LassoConfig(lam=float(grid[0])))
-    assert np.all(fit.beta == 0.0)
+    expanded = ExpandedDesign.fit(standardized_matrix(rng, 40, 70))  # 2555 columns, 2 chunks
+    for design in (X, expanded):
+        grid = make_lambda_grid(design, y, n_points=10, ratio=1e-3)
+        fit = fit_lasso(design, y, LassoConfig(lam=float(grid[0])))
+        assert np.all(fit.beta == 0.0)
+        assert fit.converged and fit.sweeps_used == 1
 
 
 def test_first_activation_is_dominant_column():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import orthonormal_design, standardized_matrix
 from ozolasso.expansion import ExpandedDesign
+from ozolasso.selection import column_scores
 from ozolasso.solvers import (
     LassoConfig,
     SingularDesignError,
@@ -231,6 +232,9 @@ def test_streamed_vs_materialized_exact():
     f_s = fit_lasso(design, y, LassoConfig(lam=0.2))
     f_m = fit_lasso(design.materialize(), y, LassoConfig(lam=0.2))
     assert np.array_equal(f_s.beta, f_m.beta)
+    assert f_s.kkt_zero_violation == f_m.kkt_zero_violation
+    assert f_s.kkt_active_violation == f_m.kkt_active_violation
+    assert np.array_equal(column_scores(design, y), column_scores(design.materialize(), y))
 
 
 def test_design_diag_matches_column_norms():
