@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -67,18 +68,25 @@ class FileSchema:
 
 
 @dataclass
-class HourlyRecord:
-    day: Date
-    hour: int
-    values: dict[str, float] = field(default_factory=dict)
+class HourlyTable:
+    """Hourly values in columns: ``keys`` are sorted, unique int64
+    ``ordinal * 24 + hour`` stamps; ``values`` holds one float64 array per
+    variable, aligned with ``keys``, nan where the value is missing."""
 
-    def get(self, var: str) -> float | None:
-        return self.values.get(var)
+    keys: np.ndarray
+    values: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        if np.any(np.diff(self.keys) <= 0):
+            raise IngestError("hourly keys must be sorted and unique")
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 @dataclass
 class ParseResult:
-    records: list[HourlyRecord]
+    records: HourlyTable  # len() is the number of rows parsed
     rejected: list[tuple[int, str]]  # (line number, reason)
     coerced_missing: int = 0  # cells turned missing (sentinel/unparseable/range)
 
@@ -113,8 +121,53 @@ def _parse_cell(token: str, var: str, sentinels: tuple[str, ...]) -> float | Non
     return value
 
 
+def _parse_distinct(tokens, parse) -> list:
+    """parse() applied once per distinct token; None where it raises ValueError."""
+    parsed = {}
+    for token in set(tokens):
+        try:
+            parsed[token] = parse(token)
+        except ValueError:
+            parsed[token] = None
+    return [parsed[token] for token in tokens]
+
+
+def _parse_column(tokens, var: str, sentinels: tuple[str, ...]) -> tuple[np.ndarray, int]:
+    """One column of cells as float64 (nan where missing) and the count of
+    cells coerced to missing, by the rules of ``_parse_cell``."""
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        cells = [_parse_cell(token, var, sentinels) for token in tokens]
+        coerced = sum(
+            cell is None and token.strip() not in sentinels
+            for cell, token in zip(cells, tokens)
+        )
+        return np.array([np.nan if c is None else c for c in cells], dtype=float), coerced
+    # Every cell parsed, so only a sentinel that parses as a number can match
+    # one: find candidates by value, confirm them by text.
+    candidate = np.zeros(len(values), dtype=bool)
+    for token in sentinels:
+        try:
+            number = float(token)
+        except ValueError:
+            continue
+        candidate |= np.isnan(values) if math.isnan(number) else values == number
+    sentinel = np.zeros(len(values), dtype=bool)
+    for i in np.flatnonzero(candidate):
+        sentinel[i] = tokens[i].strip() in sentinels
+    coerced = ~np.isfinite(values)
+    if var == "rel_humidity":
+        coerced |= ~((0.0 <= values) & (values <= 100.0))
+    coerced &= ~sentinel
+    values[coerced | sentinel] = np.nan
+    if var == "wind_direction":
+        values = np.remainder(values, 360.0)
+    return values, int(coerced.sum())
+
+
 def parse_hourly_file(path: str | Path, schema: FileSchema) -> ParseResult:
-    """Parse one hourly file into records.
+    """Parse one hourly file into an hourly table.
 
     Rows with unparseable timestamps are rejected (line-numbered); duplicate
     (date, hour) pairs are a hard error; unparseable numeric cells become
@@ -124,11 +177,6 @@ def parse_hourly_file(path: str | Path, schema: FileSchema) -> ParseResult:
     if not path.exists():
         raise FileNotFoundError(path)
 
-    records: list[HourlyRecord] = []
-    rejected: list[tuple[int, str]] = []
-    coerced = 0
-    seen: set[tuple[Date, int]] = set()
-
     with path.open(newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
@@ -136,56 +184,66 @@ def parse_hourly_file(path: str | Path, schema: FileSchema) -> ParseResult:
         except StopIteration:
             raise IngestError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
         needed = [schema.date_column, schema.hour_column] + list(schema.columns.values())
         for name in needed:
             if name not in header:
                 raise IngestError(f"{path}: malformed header, missing column {name!r}")
-            positions[name] = header.index(name)
+        rows = list(reader)
 
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                day = Date.fromisoformat(row[positions[schema.date_column]].strip())
-                hour = int(row[positions[schema.hour_column]].strip())
-            except (ValueError, IndexError):
-                rejected.append((lineno, "unparseable timestamp"))
-                continue
-            if not 0 <= hour <= 23:
-                rejected.append((lineno, f"hour {hour} outside [0,23]"))
-                continue
-            if (day, hour) in seen:
-                raise DuplicateTimestampError(day, hour)
-            seen.add((day, hour))
+    # Cells past the end of a short row read as empty.
+    positions = [header.index(name) for name in needed]
+    width = max(positions) + 1
+    rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
+    columns = list(zip(*map(itemgetter(*positions), rows))) or [()] * len(positions)
+    days = _parse_distinct(columns[0], lambda t: Date.fromisoformat(t.strip()).toordinal())
+    hours = _parse_distinct(columns[1], lambda t: int(t.strip()))
 
-            values: dict[str, float] = {}
-            for var, col in schema.columns.items():
-                pos = positions[col]
-                token = row[pos] if pos < len(row) else ""
-                parsed = _parse_cell(token, var, schema.missing_tokens)
-                if parsed is None:
-                    if token.strip() not in schema.missing_tokens:
-                        coerced += 1
-                else:
-                    values[var] = parsed
-            records.append(HourlyRecord(day=day, hour=hour, values=values))
+    kept: list[int] = []
+    stamps: list[int] = []
+    rejected: list[tuple[int, str]] = []
+    for i, (day, hour) in enumerate(zip(days, hours)):
+        if day is None or hour is None:
+            if any(cell.strip() for cell in rows[i]):  # blank rows are skipped
+                rejected.append((i + 2, "unparseable timestamp"))
+        elif not 0 <= hour <= 23:
+            rejected.append((i + 2, f"hour {hour} outside [0,23]"))
+        else:
+            kept.append(i)
+            stamps.append(day * 24 + hour)
 
-    records.sort(key=lambda r: (r.day, r.hour))
-    return ParseResult(records=records, rejected=rejected, coerced_missing=coerced)
+    keys = np.array(stamps, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:  # the first row, in file order, whose stamp came before
+        day, hour = divmod(stamps[int(repeats.min())], 24)
+        raise DuplicateTimestampError(Date.fromordinal(day), hour)
+
+    values: dict[str, np.ndarray] = {}
+    coerced = 0
+    for (var, _), tokens in zip(schema.columns.items(), columns[2:]):
+        if len(kept) < len(tokens):
+            tokens = [tokens[i] for i in kept]
+        column, n = _parse_column(tokens, var, schema.missing_tokens)
+        values[var] = column[order]
+        coerced += n
+    return ParseResult(HourlyTable(keys[order], values), rejected, coerced)
 
 
-def merge_records(*groups: list[HourlyRecord]) -> list[HourlyRecord]:
-    """Merge record lists (e.g. pollutant + meteorology files) on timestamps."""
-    merged: dict[tuple[Date, int], HourlyRecord] = {}
-    for group in groups:
-        for rec in group:
-            key = (rec.day, rec.hour)
-            if key in merged:
-                merged[key].values.update(rec.values)
-            else:
-                merged[key] = HourlyRecord(rec.day, rec.hour, dict(rec.values))
-    return [merged[k] for k in sorted(merged)]
+def merge_records(*tables: HourlyTable) -> HourlyTable:
+    """Join hourly tables (e.g. pollutant + meteorology files) on their keys.
+
+    A later table's present value wins; a missing one never erases an earlier
+    value.
+    """
+    keys = np.unique(np.concatenate([t.keys for t in tables]))
+    values: dict[str, np.ndarray] = {}
+    for table in tables:
+        at = np.searchsorted(keys, table.keys)
+        for var, column in table.values.items():
+            merged = values.setdefault(var, np.full(len(keys), np.nan))
+            present = ~np.isnan(column)
+            merged[at[present]] = column[present]
+    return HourlyTable(keys, values)
 
 
 def _fill_gaps(series: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, int]:
@@ -215,67 +273,65 @@ def _fill_gaps(series: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, int]
 
 
 def assemble_days(
-    records: list[HourlyRecord],
+    table: HourlyTable,
     max_gap_hours: int = 3,
     variables=ALL_VARS,
 ) -> list[DayBlock]:
-    """Group records into day blocks and apply the gap-fill policy.
+    """Group hourly values into day blocks and apply the gap-fill policy.
 
     Interior gaps of <= max_gap_hours consecutive missing hours are filled by
     linear interpolation between their neighbors within the day; anything
     longer, and boundary gaps, leave the variable incomplete for that day.
     """
-    by_day: dict[Date, dict[str, np.ndarray]] = {}
-    seen: set[tuple[Date, int]] = set()
-    for rec in records:
-        key = (rec.day, rec.hour)
-        if key in seen:
-            raise DuplicateTimestampError(rec.day, rec.hour)
-        seen.add(key)
-        day = by_day.setdefault(
-            rec.day, {v: np.full(24, np.nan) for v in variables}
+    ordinals, day_of_row = np.unique(table.keys // 24, return_inverse=True)
+    hour_of_row = table.keys % 24
+    grids: dict[str, np.ndarray] = {}
+    complete: dict[str, list[bool]] = {}
+    fills: dict[str, list[int]] = {}
+    for var in variables:
+        grid = np.full((len(ordinals), 24), np.nan)
+        if var in table.values:
+            grid[day_of_row, hour_of_row] = table.values[var]
+        filled = np.zeros(len(ordinals), dtype=np.int64)
+        for i in np.flatnonzero(np.isnan(grid).any(axis=1)):
+            grid[i], filled[i] = _fill_gaps(grid[i], max_gap_hours)
+        grids[var] = grid
+        complete[var] = (~np.isnan(grid).any(axis=1)).tolist()
+        fills[var] = filled.tolist()
+    return [
+        DayBlock(
+            date=Date.fromordinal(ordinal),
+            values={var: grids[var][i] for var in variables},
+            complete={var: complete[var][i] for var in variables},
+            fill_count={var: fills[var][i] for var in variables},
         )
-        for var in variables:
-            value = rec.values.get(var)
-            if value is not None:
-                day[var][rec.hour] = value
-
-    blocks = []
-    for date in sorted(by_day):
-        values: dict[str, np.ndarray] = {}
-        complete: dict[str, bool] = {}
-        fills: dict[str, int] = {}
-        for var in variables:
-            series, filled = _fill_gaps(by_day[date][var], max_gap_hours)
-            values[var] = series
-            complete[var] = not np.isnan(series).any()
-            fills[var] = filled
-        blocks.append(DayBlock(date=date, values=values, complete=complete, fill_count=fills))
-    return blocks
+        for i, ordinal in enumerate(ordinals.tolist())
+    ]
 
 
-def day_blocks_to_records(days: list[DayBlock]) -> list[HourlyRecord]:
-    """Flatten day blocks back into hourly records (nan slots stay missing)."""
-    records = []
-    for day in days:
-        for h in range(24):
-            values = {
-                var: float(series[h])
-                for var, series in day.values.items()
-                if not np.isnan(series[h])
-            }
-            records.append(HourlyRecord(day.date, h, values))
-    return records
+def day_blocks_to_table(days: list[DayBlock]) -> HourlyTable:
+    """Flatten day blocks back into an hourly table (nan slots stay missing)."""
+    ordinals = np.array([day.date.toordinal() for day in days], dtype=np.int64)
+    keys = (ordinals[:, None] * 24 + np.arange(24)).ravel()
+    variables = dict.fromkeys(var for day in days for var in day.values)
+    missing = np.full(24, np.nan)
+    return HourlyTable(keys, {
+        var: np.concatenate([day.values.get(var, missing) for day in days])
+        for var in variables
+    })
 
 
 def write_canonical(days: list[DayBlock], path: str | Path) -> None:
     """Emit the normalized hourly file with fixed column order."""
+    table = day_blocks_to_table(days)
+    missing = [math.nan] * len(table)
+    columns = [table.values[v].tolist() if v in table.values else missing for v in ALL_VARS]
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
-        for rec in day_blocks_to_records(days):
-            row = [rec.day.isoformat(), rec.hour]
-            for var in ALL_VARS:
-                value = rec.values.get(var)
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
+        for key, *cells in zip(table.keys.tolist(), *columns):
+            day, hour = divmod(key, 24)
+            writer.writerow(
+                [Date.fromordinal(day).isoformat(), hour]
+                + ["" if math.isnan(cell) else repr(cell) for cell in cells]
+            )

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,10 +49,10 @@ def load_day_blocks(config: RunConfig):
     met_schema = ingest.FileSchema.canonical(ingest.METEO_VARS)
     pol = ingest.parse_hourly_file(config.pollutant_file, pol_schema)
     met = ingest.parse_hourly_file(config.meteo_file, met_schema)
-    records = ingest.merge_records(pol.records, met.records)
-    if not records:
+    hourly = ingest.merge_records(pol.records, met.records)
+    if not len(hourly):
         raise PipelineError("input files contain no usable rows")
-    days = ingest.assemble_days(records, config.max_gap_hours)
+    days = ingest.assemble_days(hourly, config.max_gap_hours)
 
     forecast_days = None
     if config.forecast_file:
@@ -63,7 +62,7 @@ def load_day_blocks(config: RunConfig):
         )
 
     stats = IngestStats(
-        n_rows=len(records),
+        n_rows=len(hourly),
         n_rejected=len(pol.rejected) + len(met.rejected),
         n_coerced=pol.coerced_missing + met.coerced_missing,
         n_days=len(days),

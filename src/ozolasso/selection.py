@@ -12,8 +12,8 @@ from .solvers import (
     design_corr,
     design_predict,
     design_take_rows,
-    fit_ridge,
     lasso_path,
+    ridge_path,
 )
 
 
@@ -104,7 +104,7 @@ def kfold_cv(
         elif solver == "ridge":
             if not isinstance(d_tr, np.ndarray):
                 raise SelectionError("ridge CV needs a materialized design")
-            fits = [fit_ridge(d_tr, y_tr, float(lam)) for lam in grid]
+            fits = ridge_path(d_tr, y_tr, grid)
         else:
             raise SelectionError(f"unknown solver {solver!r}")
         for i, fit in enumerate(fits):

@@ -194,18 +194,34 @@ def fit_ols(X: np.ndarray, y: np.ndarray, fit_intercept: bool = True) -> ModelFi
     return ModelFit("ols", 0.0, beta0, beta, residuals, condition=cond)
 
 
+def ridge_path(
+    X: np.ndarray, y: np.ndarray, grid, fit_intercept: bool = True
+) -> list[ModelFit]:
+    """beta = (X'X + n*lambda*I)^-1 X'y, the n-scaled penalty as printed,
+    for each lambda of the grid; X'X and X'y are formed once."""
+    grid = [float(lam) for lam in grid]
+    if any(lam < 0 for lam in grid):
+        raise SolverError("lambda must be >= 0")
+    yc, beta0 = _center(y, fit_intercept)
+    n = X.shape[0]
+    A, b = X.T @ X, X.T @ yc
+    diagonal = A.diagonal().copy()
+    fits = []
+    for lam in grid:
+        # X'X + n*lam*I with the penalty written into the diagonal in place:
+        # a second p x p matrix would raise peak memory by that much.
+        np.fill_diagonal(A, diagonal + n * lam)
+        beta, cond = _spd_solve(A, b)
+        residuals = yc - X @ beta
+        fits.append(ModelFit("ridge", lam, beta0, beta, residuals, condition=cond))
+    return fits
+
+
 def fit_ridge(
     X: np.ndarray, y: np.ndarray, lam: float, fit_intercept: bool = True
 ) -> ModelFit:
-    """beta = (X'X + n*lambda*I)^-1 X'y, the n-scaled penalty as printed."""
-    if lam < 0:
-        raise SolverError("lambda must be >= 0")
-    yc, beta0 = _center(y, fit_intercept)
-    n, p = X.shape
-    A = X.T @ X + n * lam * np.eye(p)
-    beta, cond = _spd_solve(A, X.T @ yc)
-    residuals = yc - X @ beta
-    return ModelFit("ridge", lam, beta0, beta, residuals, condition=cond)
+    """Ridge fit at one lambda: the one-point ``ridge_path``."""
+    return ridge_path(X, y, [lam], fit_intercept)[0]
 
 
 # --- coordinate-descent Lasso ---

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import orthonormal_design, standardized_matrix
-from ozolasso import modelio, pipeline, solvers
+from ozolasso import modelio, pipeline
 from ozolasso.cli import main as cli_main
 from ozolasso.config import RunConfig
 from ozolasso.evaluation import mae, rmse, scatter_fit

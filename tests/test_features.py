@@ -1,6 +1,6 @@
 """Feature schema, 8-hour means, targets, and standardization."""
 
-from datetime import date as Date, timedelta
+from datetime import timedelta
 
 import numpy as np
 import pytest

@@ -10,10 +10,10 @@ from ozolasso.ingest import (
     CANONICAL_COLUMNS,
     DuplicateTimestampError,
     FileSchema,
-    HourlyRecord,
+    HourlyTable,
     IngestError,
     assemble_days,
-    day_blocks_to_records,
+    day_blocks_to_table,
     merge_records,
     parse_hourly_file,
     write_canonical,
@@ -32,31 +32,47 @@ def pol_schema(**kwargs):
     return FileSchema.canonical(("o3", "so2", "no", "no2", "nox", "co", "pm25"), **kwargs)
 
 
+def record(table, i):
+    """Row i of an hourly table: (day, hour, {variable: value} of present values)."""
+    ordinal, hour = divmod(int(table.keys[i]), 24)
+    values = {v: float(col[i]) for v, col in table.values.items() if not np.isnan(col[i])}
+    return Date.fromordinal(ordinal), hour, values
+
+
+def table(rows):
+    """Hourly table from (day, hour, {variable: value}) rows in key order."""
+    variables = dict.fromkeys(v for _, _, values in rows for v in values)
+    return HourlyTable(
+        np.array([day.toordinal() * 24 + hour for day, hour, _ in rows], dtype=np.int64),
+        {v: np.array([values.get(v, np.nan) for _, _, values in rows]) for v in variables},
+    )
+
+
 def test_parse_full_row(tmp_path):
     path = write(tmp_path, POL_HEADER + "\n2016-07-01,14,48.0,2,3,4,7,0.2,8\n")
     result = parse_hourly_file(path, pol_schema())
     assert len(result.records) == 1
-    rec = result.records[0]
-    assert rec.day == Date(2016, 7, 1)
-    assert rec.hour == 14
-    assert rec.values["o3"] == 48.0
-    assert rec.values["pm25"] == 8.0
+    day, hour, values = record(result.records, 0)
+    assert day == Date(2016, 7, 1)
+    assert hour == 14
+    assert values["o3"] == 48.0
+    assert values["pm25"] == 8.0
     assert result.rejected == []
 
 
 def test_sentinel_becomes_missing(tmp_path):
     path = write(tmp_path, POL_HEADER + "\n2016-07-01,14,9999,2,3,4,7,0.2,8\n")
     result = parse_hourly_file(path, pol_schema(missing_tokens=("", "9999")))
-    rec = result.records[0]
-    assert "o3" not in rec.values
-    assert rec.values["so2"] == 2.0
+    _, _, values = record(result.records, 0)
+    assert "o3" not in values
+    assert values["so2"] == 2.0
     assert result.coerced_missing == 0  # declared sentinel is not a coercion
 
 
 def test_unparseable_cell_coerced(tmp_path):
     path = write(tmp_path, POL_HEADER + "\n2016-07-01,14,oops,2,3,4,7,0.2,8\n")
     result = parse_hourly_file(path, pol_schema())
-    assert "o3" not in result.records[0].values
+    assert "o3" not in record(result.records, 0)[2]
     assert result.coerced_missing == 1
 
 
@@ -75,8 +91,25 @@ def test_bad_timestamp_rejected_with_line_number(tmp_path):
         POL_HEADER + "\nnot-a-date,14,1,2,3,4,7,0.2,8\n2016-07-01,25,1,2,3,4,7,0.2,8\n",
     )
     result = parse_hourly_file(path, pol_schema())
-    assert result.records == []
+    assert len(result.records) == 0
     assert [line for line, _ in result.rejected] == [2, 3]
+
+
+def test_records_length_counts_parsed_rows(tmp_path):
+    path = write(
+        tmp_path,
+        POL_HEADER
+        + "\n2016-07-01,3,1,2,3,4,7,0.2,8\n,,,,,,,,\n2016-07-01,x,1,2,3,4,7,0.2,8"
+        + "\n2016-07-01,1,oops,2\n\n2016-07-02,0,1,2,3,4,7,0.2,8\n",
+    )
+    result = parse_hourly_file(path, pol_schema())
+    assert len(result.records) == 3  # blank rows skipped, line 4 rejected
+    assert result.rejected == [(4, "unparseable timestamp")]
+    assert [record(result.records, i)[:2] for i in range(3)] == [
+        (Date(2016, 7, 1), 1), (Date(2016, 7, 1), 3), (Date(2016, 7, 2), 0),
+    ]
+    assert record(result.records, 0)[2] == {"so2": 2.0}  # short row: cells past it missing
+    assert result.coerced_missing == 1  # "oops"; empty cells are the sentinel
 
 
 def test_missing_header_column(tmp_path):
@@ -101,22 +134,19 @@ def test_rel_humidity_range_and_wind_direction_wrap(tmp_path):
     path = write(tmp_path, header + "\n2016-07-01,0,150,370\n")
     schema = FileSchema.canonical(("rel_humidity", "wind_direction"))
     result = parse_hourly_file(path, schema)
-    rec = result.records[0]
-    assert "rel_humidity" not in rec.values  # out of [0,100] -> missing
-    assert rec.values["wind_direction"] == pytest.approx(10.0)
+    _, _, values = record(result.records, 0)
+    assert "rel_humidity" not in values  # out of [0,100] -> missing
+    assert values["wind_direction"] == pytest.approx(10.0)
     assert result.coerced_missing == 1
 
 
 def records_for_day(o3, day=Date(2016, 7, 1)):
-    return [
-        HourlyRecord(day, h, {} if np.isnan(o3[h]) else {"o3": float(o3[h])})
-        for h in range(24)
-    ]
+    return [(day, h, {} if np.isnan(o3[h]) else {"o3": float(o3[h])}) for h in range(24)]
 
 
 def test_assemble_complete_day_unchanged():
     o3 = np.arange(24, dtype=float)
-    days = assemble_days(records_for_day(o3), variables=("o3",))
+    days = assemble_days(table(records_for_day(o3)), variables=("o3",))
     assert len(days) == 1
     assert days[0].complete["o3"]
     np.testing.assert_array_equal(days[0].values["o3"], o3)
@@ -127,7 +157,7 @@ def test_interior_gap_interpolated():
     o3 = np.full(24, 20.0)
     o3[9], o3[12] = 30.0, 36.0
     o3[10] = o3[11] = np.nan
-    days = assemble_days(records_for_day(o3), max_gap_hours=3, variables=("o3",))
+    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     day = days[0]
     assert day.complete["o3"]
     assert day.values["o3"][10] == pytest.approx(32.0)
@@ -138,7 +168,7 @@ def test_interior_gap_interpolated():
 def test_boundary_gap_stays_incomplete():
     o3 = np.arange(24, dtype=float)
     o3[:6] = np.nan
-    days = assemble_days(records_for_day(o3), max_gap_hours=3, variables=("o3",))
+    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     assert not days[0].complete["o3"]
     assert np.isnan(days[0].values["o3"][:6]).all()
 
@@ -146,7 +176,7 @@ def test_boundary_gap_stays_incomplete():
 def test_gap_longer_than_policy_not_filled():
     o3 = np.arange(24, dtype=float)
     o3[10:14] = np.nan  # 4-hour run, policy allows 3
-    days = assemble_days(records_for_day(o3), max_gap_hours=3, variables=("o3",))
+    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     assert not days[0].complete["o3"]
 
 
@@ -154,7 +184,7 @@ def test_filled_values_lie_between_anchors():
     rng = np.random.default_rng(5)
     o3 = rng.uniform(10, 60, 24)
     o3[7:10] = np.nan
-    days = assemble_days(records_for_day(o3), max_gap_hours=3, variables=("o3",))
+    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     lo, hi = sorted((o3[6], o3[10]))
     filled = days[0].values["o3"][7:10]
     assert np.all(filled >= lo) and np.all(filled <= hi)
@@ -165,8 +195,8 @@ def test_interpolation_idempotent():
     o3 = rng.uniform(10, 60, 24)
     o3[3:5] = np.nan
     o3[0] = np.nan  # boundary, stays missing
-    once = assemble_days(records_for_day(o3), max_gap_hours=3, variables=("o3",))
-    twice = assemble_days(day_blocks_to_records(once), max_gap_hours=3, variables=("o3",))
+    once = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
+    twice = assemble_days(day_blocks_to_table(once), max_gap_hours=3, variables=("o3",))
     np.testing.assert_array_equal(once[0].values["o3"], twice[0].values["o3"])
     assert twice[0].fill_count["o3"] == 0
 
@@ -175,20 +205,35 @@ def test_day_count_matches_distinct_dates():
     records = []
     for d in (1, 2, 5):
         records.extend(records_for_day(np.arange(24, dtype=float), Date(2016, 7, d)))
-    days = assemble_days(records, variables=("o3",))
+    days = assemble_days(table(records), variables=("o3",))
     assert [b.date for b in days] == [Date(2016, 7, 1), Date(2016, 7, 2), Date(2016, 7, 5)]
 
 
 def test_merge_records_joins_on_timestamp():
-    a = [HourlyRecord(Date(2016, 7, 1), 0, {"o3": 1.0})]
-    b = [
-        HourlyRecord(Date(2016, 7, 1), 0, {"temperature": 20.0}),
-        HourlyRecord(Date(2016, 7, 1), 1, {"temperature": 21.0}),
-    ]
+    a = table([(Date(2016, 7, 1), 0, {"o3": 1.0})])
+    b = table([
+        (Date(2016, 7, 1), 0, {"temperature": 20.0}),
+        (Date(2016, 7, 1), 1, {"temperature": 21.0}),
+    ])
     merged = merge_records(a, b)
     assert len(merged) == 2
-    assert merged[0].values == {"o3": 1.0, "temperature": 20.0}
-    assert merged[1].values == {"temperature": 21.0}
+    assert record(merged, 0)[2] == {"o3": 1.0, "temperature": 20.0}
+    assert record(merged, 1)[2] == {"temperature": 21.0}
+
+
+def test_merge_later_value_wins_and_missing_never_erases():
+    a = table([(Date(2016, 7, 1), 0, {"o3": 1.0}), (Date(2016, 7, 1), 1, {"o3": 2.0})])
+    b = table([(Date(2016, 7, 1), 0, {"o3": 5.0}), (Date(2016, 7, 1), 1, {"o3": np.nan})])
+    merged = merge_records(a, b)
+    assert record(merged, 0)[2] == {"o3": 5.0}
+    assert record(merged, 1)[2] == {"o3": 2.0}
+
+
+def test_table_keys_must_be_sorted_and_unique():
+    with pytest.raises(IngestError, match="sorted and unique"):
+        table([(Date(2016, 7, 1), 3, {}), (Date(2016, 7, 1), 3, {})])
+    with pytest.raises(IngestError, match="sorted and unique"):
+        table([(Date(2016, 7, 2), 0, {}), (Date(2016, 7, 1), 0, {})])
 
 
 def test_write_canonical_round_trip(tmp_path):
@@ -198,8 +243,8 @@ def test_write_canonical_round_trip(tmp_path):
         values = {v: float(rng.uniform(1, 40)) for v in ALL_VARS}
         values["rel_humidity"] = float(rng.uniform(0, 100))
         values["wind_direction"] = float(rng.uniform(0, 360))
-        records.append(HourlyRecord(Date(2016, 7, 1), h, values))
-    days = assemble_days(records)
+        records.append((Date(2016, 7, 1), h, values))
+    days = assemble_days(table(records))
     path = tmp_path / "canonical.csv"
     write_canonical(days, path)
     assert path.read_text().splitlines()[0] == ",".join(CANONICAL_COLUMNS)

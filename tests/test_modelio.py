@@ -5,7 +5,6 @@ from datetime import date as Date, timedelta
 import numpy as np
 import pytest
 
-from conftest import standardized_matrix
 from ozolasso.cli import main
 from ozolasso.expansion import ExpandedDesign
 from ozolasso.features import (
@@ -21,7 +20,7 @@ from ozolasso.modelio import (
     save_model,
     standardization_digest,
 )
-from ozolasso.solvers import LassoConfig, ModelFit, fit_lasso, fit_ols
+from ozolasso.solvers import LassoConfig, fit_lasso
 
 
 def make_rows(rng, n, p, beta=None, noise=0.0, anchor=50.0):

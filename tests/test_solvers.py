@@ -8,6 +8,7 @@ from ozolasso.expansion import ExpandedDesign
 from ozolasso.selection import column_scores
 from ozolasso.solvers import (
     LassoConfig,
+    _spd_solve,
     SingularDesignError,
     SolverError,
     design_diag,
@@ -17,6 +18,7 @@ from ozolasso.solvers import (
     kkt_satisfied,
     lasso_objective,
     lasso_path,
+    ridge_path,
     soft_threshold,
 )
 
@@ -72,6 +74,24 @@ def test_ridge_identity_design_value():
     y = np.array([1.0, 1.0])
     fit = fit_ridge(X, y, 0.5, fit_intercept=False)
     np.testing.assert_allclose(fit.beta, [0.5, 0.5], atol=1e-12)  # Y / (1 + n*lam)
+
+
+def test_ridge_path_matches_one_solve_per_lambda():
+    """Each point of the path is bitwise the solve of X'X + n*lam*I formed
+    afresh, in grid order, whatever the points before it."""
+    rng = np.random.default_rng(4)
+    X = standardized_matrix(rng, 30, 12)
+    y = rng.normal(size=30)
+    grid = [3.0, 0.1, 0.0, 0.1]
+    path = ridge_path(X, y, grid)
+    yc = y - y.mean()
+    for lam, fit in zip(grid, path):
+        beta, _ = _spd_solve(X.T @ X + 30 * lam * np.eye(12), X.T @ yc)
+        assert fit.lam == lam
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert fit.beta.tobytes() == fit_ridge(X, y, lam).beta.tobytes()
+    with pytest.raises(SolverError):
+        ridge_path(X, y, [1.0, -1e-3])
 
 
 def test_ridge_norm_shrinks_with_lambda():
