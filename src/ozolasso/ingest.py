@@ -134,28 +134,23 @@ def _parse_distinct(tokens, parse) -> list:
 
 def _parse_column(tokens, var: str, sentinels: tuple[str, ...]) -> tuple[np.ndarray, int]:
     """One column of cells as float64 (nan where missing) and the count of
-    cells coerced to missing, by the rules of ``_parse_cell``."""
+    cells coerced to missing, by the rules of ``_parse_cell``.
+
+    Sentinel cells are found by text and read as nan, the rest with
+    ``float``; only a column holding a token that is neither a number nor a
+    sentinel is parsed cell by cell."""
+    sentinels = frozenset(sentinels)
+    sentinel = np.fromiter(
+        (token.strip() in sentinels for token in tokens), dtype=bool, count=len(tokens)
+    )
+    if sentinel.any():
+        tokens = ["nan" if s else token for s, token in zip(sentinel.tolist(), tokens)]
     try:
         values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
     except ValueError:
-        cells = [_parse_cell(token, var, sentinels) for token in tokens]
-        coerced = sum(
-            cell is None and token.strip() not in sentinels
-            for cell, token in zip(cells, tokens)
-        )
+        cells = [_parse_cell(token, var, ()) for token in tokens]  # sentinels read "nan"
+        coerced = sum(cell is None for cell in cells) - int(sentinel.sum())
         return np.array([np.nan if c is None else c for c in cells], dtype=float), coerced
-    # Every cell parsed, so only a sentinel that parses as a number can match
-    # one: find candidates by value, confirm them by text.
-    candidate = np.zeros(len(values), dtype=bool)
-    for token in sentinels:
-        try:
-            number = float(token)
-        except ValueError:
-            continue
-        candidate |= np.isnan(values) if math.isnan(number) else values == number
-    sentinel = np.zeros(len(values), dtype=bool)
-    for i in np.flatnonzero(candidate):
-        sentinel[i] = tokens[i].strip() in sentinels
     coerced = ~np.isfinite(values)
     if var == "rel_humidity":
         coerced |= ~((0.0 <= values) & (values <= 100.0))

@@ -156,11 +156,12 @@ def soft_threshold(z: float, theta: float) -> float:
 
 # --- closed-form solvers ---
 
-def _spd_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+def _spd_solve(A: np.ndarray, b: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, float]:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
     Returns (x, condition estimate). Raises SingularDesignError naming the
-    failing pivot; no pseudo-inverse fallback.
+    failing pivot; no pseudo-inverse fallback. The ill-conditioning warning
+    names the line ``stacklevel`` frames up: the public solver's caller.
     """
     factor, info = lapack.dpotrf(A, lower=1)
     if info != 0:
@@ -172,7 +173,7 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         warnings.warn(
             f"ill-conditioned normal equations (condition ~ {cond:.3e})",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     x, info = lapack.dpotrs(factor, b if b.ndim > 1 else b[:, None], lower=1)
     return x[:, 0], cond
@@ -199,6 +200,19 @@ def ridge_path(
 ) -> list[ModelFit]:
     """beta = (X'X + n*lambda*I)^-1 X'y, the n-scaled penalty as printed,
     for each lambda of the grid; X'X and X'y are formed once."""
+    return _ridge_path(X, y, grid, fit_intercept)
+
+
+def fit_ridge(
+    X: np.ndarray, y: np.ndarray, lam: float, fit_intercept: bool = True
+) -> ModelFit:
+    """Ridge fit at one lambda: the one-point ridge path."""
+    return _ridge_path(X, y, [lam], fit_intercept)[0]
+
+
+def _ridge_path(X, y, grid, fit_intercept) -> list[ModelFit]:
+    # Shared by ridge_path and fit_ridge, so a warning from _spd_solve is
+    # the same number of frames below either one's caller.
     grid = [float(lam) for lam in grid]
     if any(lam < 0 for lam in grid):
         raise SolverError("lambda must be >= 0")
@@ -211,17 +225,10 @@ def ridge_path(
         # X'X + n*lam*I with the penalty written into the diagonal in place:
         # a second p x p matrix would raise peak memory by that much.
         np.fill_diagonal(A, diagonal + n * lam)
-        beta, cond = _spd_solve(A, b)
+        beta, cond = _spd_solve(A, b, stacklevel=4)
         residuals = yc - X @ beta
         fits.append(ModelFit("ridge", lam, beta0, beta, residuals, condition=cond))
     return fits
-
-
-def fit_ridge(
-    X: np.ndarray, y: np.ndarray, lam: float, fit_intercept: bool = True
-) -> ModelFit:
-    """Ridge fit at one lambda: the one-point ``ridge_path``."""
-    return ridge_path(X, y, [lam], fit_intercept)[0]
 
 
 # --- coordinate-descent Lasso ---

@@ -5,6 +5,7 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
+from ozolasso import ingest
 from ozolasso.ingest import (
     ALL_VARS,
     CANONICAL_COLUMNS,
@@ -73,6 +74,23 @@ def test_unparseable_cell_coerced(tmp_path):
     path = write(tmp_path, POL_HEADER + "\n2016-07-01,14,oops,2,3,4,7,0.2,8\n")
     result = parse_hourly_file(path, pol_schema())
     assert "o3" not in record(result.records, 0)[2]
+    assert result.coerced_missing == 1
+
+
+def test_only_unparseable_tokens_leave_the_column_parse(tmp_path, monkeypatch):
+    rows = ["2016-07-01,0,1,2,3,4,7,0.2,8", "2016-07-01,1,,  ,3,9999,7,0.2,oops"]
+    path = write(tmp_path, POL_HEADER + "\n" + "\n".join(rows) + "\n")
+    per_cell = []
+    real = ingest._parse_cell
+
+    def counted(token, *args):
+        per_cell.append(token)
+        return real(token, *args)
+
+    monkeypatch.setattr(ingest, "_parse_cell", counted)
+    result = parse_hourly_file(path, pol_schema(missing_tokens=("", "9999")))
+    assert per_cell == ["8", "oops"]  # the pm25 column alone, cell by cell
+    assert record(result.records, 1)[2] == {"no": 3.0, "nox": 7.0, "co": 0.2}
     assert result.coerced_missing == 1
 
 

@@ -14,14 +14,16 @@ from ozolasso import ingest
 from ozolasso.ingest import DuplicateTimestampError, FileSchema
 
 VARIABLES = ("o3", "rel_humidity", "wind_direction", "temperature")
-# Tokens float() accepts, and tokens it rejects. A column holding only the
-# first kind takes the column-at-once parse; one rejected token sends the
-# whole column through the per-cell parse.
+# Tokens float() accepts, empty cells, and other tokens float() rejects. A
+# column holding only numbers and declared sentinels takes the column-at-once
+# parse; a token that is neither sends the whole column through the per-cell
+# parse.
 NUMERIC_TOKENS = (
     "9999", " 9999 ", " 7 ", "1_0", "nan", "NaN", "inf", "-inf", "1e400",
     "-0", "0", "150", "-3", "100", "370", "-30", "360", "720.5", "-1e-20",
 )
-OTHER_TOKENS = ("", "oops", "1__0", "7 7")
+EMPTY_TOKENS = ("", "  ")
+OTHER_TOKENS = ("oops", "1__0", "7 7")
 BAD_HOURS = ("-1", "24", "x", "", " 5 ", "1_2", "+3")
 BAD_DATES = ("2016-13-01", "not-a-date", "", " 2016-02-28 ", "20160228", "2016-02-30")
 SENTINELS = (("",), ("", "9999"), ("", "9999", "nan", "-0"), ("oops", "0"))
@@ -40,12 +42,14 @@ def hourly_file(draw, max_gap_hours):
     n_days = draw(st.integers(1, 3))
     header = draw(st.permutations(["date", "hour", *variables, "station"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    messy = {v: rng.random() < 0.5 for v in variables}
+    pools = (NUMERIC_TOKENS, NUMERIC_TOKENS + EMPTY_TOKENS,
+             NUMERIC_TOKENS + EMPTY_TOKENS + OTHER_TOKENS)
+    pool = {v: rng.choice(pools) for v in variables}
 
     def cell(var):
         if rng.random() < 0.8:
             return repr(rng.uniform(-400.0, 800.0))
-        return rng.choice(NUMERIC_TOKENS + OTHER_TOKENS if messy[var] else NUMERIC_TOKENS)
+        return rng.choice(pool[var])
 
     rows = [
         {"date": (FIRST_DAY + timedelta(days=d)).isoformat(), "hour": str(h),
@@ -55,7 +59,7 @@ def hourly_file(draw, max_gap_hours):
     for var in variables:  # a run of missing cells, 0..max_gap_hours+1 long
         start = rng.randrange(len(rows) or 1)
         for row in rows[start:start + rng.randint(0, max_gap_hours + 1)]:
-            row[var] = "" if messy[var] else "nan"
+            row[var] = "nan" if pool[var] is NUMERIC_TOKENS else ""
     for _ in range(rng.randint(0, 3)):  # bad timestamps
         row = {"date": FIRST_DAY.isoformat(), "hour": "0", **{v: "1" for v in variables}}
         if rng.random() < 0.5:

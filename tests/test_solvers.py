@@ -120,6 +120,20 @@ def test_ill_conditioned_warning():
         fit_ols(X, rng.normal(size=50))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda X, y: fit_ols(X, y),
+    lambda X, y: fit_ridge(X, y, 0.0),
+    lambda X, y: ridge_path(X, y, [0.0]),
+], ids=["fit_ols", "fit_ridge", "ridge_path"])
+def test_ill_conditioned_warning_names_the_caller(solve):
+    rng = np.random.default_rng(4)
+    col = rng.normal(size=50)
+    X = np.column_stack([col, col + 1e-7 * rng.normal(size=50)])
+    with pytest.warns(RuntimeWarning, match="ill-conditioned") as caught:
+        solve(X, rng.normal(size=50))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_lasso_config_validation():
     with pytest.raises(SolverError):
         LassoConfig(lam=-1.0)
