@@ -81,12 +81,13 @@ def cmd_featurize(config: RunConfig) -> int:
     write_text(out / "feature_manifest.txt", "\n".join(manifest_lines) + "\n")
 
     header = ["date"] + [d.name for d in schema] + ["target_raw", "current_anchor"]
-    data_rows = [
-        [r.date.isoformat()]
-        + [repr(float(v)) for v in r.x]
-        + [repr(float(r.target_raw)), repr(float(r.current_anchor))]
-        for r in rows
-    ]
+    # formatted row by row as written: all rows' text at once set the peak memory
+    data_rows = (
+        [d.isoformat()] + [repr(v) for v in x.tolist()] + [repr(target), repr(anchor)]
+        for d, x, target, anchor in zip(
+            rows.dates, rows.x, rows.target_raw.tolist(), rows.current_anchor.tolist()
+        )
+    )
     write_csv(out / "features.csv", header, data_rows)
     print(f"featurized {len(rows)} modeling days, {len(schema)} base features")
     return 0

@@ -7,7 +7,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from .features import DailyFeatureRow
+from .features import FeatureRows
 from .solvers import ModelFit
 
 TRIMESTER_LABELS = ("Jan-Mar", "Apr-Jun", "Jul-Sep", "Oct-Dec")
@@ -105,11 +105,9 @@ def evaluate_predictions(
     )
 
 
-def persistence_baseline(rows: list[DailyFeatureRow]) -> EvalMetrics:
+def persistence_baseline(rows: FeatureRows) -> EvalMetrics:
     """Forecast tomorrow's statistic as today's (the no-skill reference)."""
-    pred = np.array([r.current_anchor for r in rows])
-    obs = np.array([r.target_raw for r in rows])
-    return evaluate_predictions(pred, obs, [r.date for r in rows])
+    return evaluate_predictions(rows.current_anchor, rows.target_raw, rows.dates.tolist())
 
 
 def top_weights(fit: ModelFit, names: list[str], k: int) -> list[tuple[float, str]]:

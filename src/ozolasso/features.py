@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from datetime import date as Date
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import DayBlock, METEO_VARS, POLLUTANTS
+from .ingest import DayGrid, METEO_VARS, POLLUTANTS
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +43,8 @@ N_BASE_MAX = N_POLLUTANT_FEATURES + N_METEO_FEATURES  # 918
 N_8H_WINDOWS = 17
 N_BASE_MAX8H = N_BASE_MAX + N_8H_WINDOWS + 3  # 938
 
+_EPOCH = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+
 
 class FeatureError(Exception):
     pass
@@ -56,41 +59,50 @@ class FeatureDescriptor:
 
 
 @dataclass
-class DailyFeatureRow:
-    date: Date
+class FeatureRows:
+    """Modeling rows in date order: ``x`` is the (n, p0) raw feature matrix,
+    ``target_raw`` the next day's statistic and ``current_anchor`` the same
+    statistic on the current day. Indexing with a mask selects rows."""
+
+    dates: np.ndarray  # datetime.date objects
     x: np.ndarray
-    target_raw: float
-    current_anchor: float
+    target_raw: np.ndarray
+    current_anchor: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __getitem__(self, mask) -> "FeatureRows":
+        return FeatureRows(
+            self.dates[mask], self.x[mask], self.target_raw[mask], self.current_anchor[mask]
+        )
 
 
-def _agg(values: np.ndarray) -> tuple[float, float, float]:
-    return float(values.max()), float(values.min()), float(values.mean())
-
-
-def channel_series(day: DayBlock, channel: str) -> np.ndarray:
-    """24-hour series for a meteorological channel, deriving cos/sin."""
+def channel_series(values: dict[str, np.ndarray], channel: str) -> np.ndarray:
+    """Hourly values (..., 24) of a meteorological channel, deriving cos/sin."""
     if channel == "wind_dir_deg":
-        return day.values["wind_direction"]
+        return values["wind_direction"]
     if channel == "wind_dir_cos":
-        return np.cos(np.radians(day.values["wind_direction"]))
+        return np.cos(np.radians(values["wind_direction"]))
     if channel == "wind_dir_sin":
-        return np.sin(np.radians(day.values["wind_direction"]))
-    return day.values[channel]
+        return np.sin(np.radians(values["wind_direction"]))
+    return values[channel]
 
 
-def compute_8h_means(o3_hours: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """17 eight-hour window means (start hours 0..16) and their max/min/mean.
+def compute_8h_means(o3_hours: np.ndarray):
+    """17 eight-hour window means (start hours 0..16) and their max/min/mean,
+    along the last axis of a (..., 24) array.
 
     Any window touching a missing hour makes the day incomplete (strict policy);
     callers screen completeness before reaching here.
     """
     o3_hours = np.asarray(o3_hours, dtype=float)
-    if o3_hours.shape != (24,):
+    if o3_hours.shape[-1:] != (24,):
         raise FeatureError("compute_8h_means expects exactly 24 hourly values")
     if np.isnan(o3_hours).any():
         raise FeatureError("missing hour inside an 8-hour window")
-    means = np.array([o3_hours[h : h + 8].mean() for h in range(N_8H_WINDOWS)])
-    return means, float(means.max()), float(means.min()), float(means.mean())
+    means = sliding_window_view(o3_hours, 8, axis=-1).mean(axis=-1)
+    return means, means.max(axis=-1), means.min(axis=-1), means.mean(axis=-1)
 
 
 def build_schema(variant: str) -> list[FeatureDescriptor]:
@@ -141,94 +153,74 @@ def required_variables(variant: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return current, nxt
 
 
-def _day_target(day: DayBlock, variant: str) -> float:
-    o3 = day.values["o3"]
-    if variant == "max":
-        return float(o3.max())
-    _, wmax, _, _ = compute_8h_means(o3)
-    return wmax
+def _aggs(grid: np.ndarray) -> np.ndarray:
+    """(n, 3): max, min and mean of each row."""
+    return np.column_stack([grid.max(axis=1), grid.min(axis=1), grid.mean(axis=1)])
 
 
-def _feature_vector(current: DayBlock, nxt_meteo: DayBlock, variant: str) -> np.ndarray:
-    parts: list[np.ndarray] = []
-    for pol in POLLUTANTS:
-        parts.append(current.values[pol])
-    for pol in POLLUTANTS:
-        parts.append(np.array(_agg(current.values[pol])))
-    for ch in METEO_CHANNELS:
-        cur = channel_series(current, ch)
-        nxt = channel_series(nxt_meteo, ch)
-        cur27 = np.concatenate([cur, _agg(cur)])
-        nxt27 = np.concatenate([nxt, _agg(nxt)])
-        parts.extend([cur27, nxt27, nxt27 - cur27])
-    if variant == "max8h":
-        means, wmax, wmin, wmean = compute_8h_means(current.values["o3"])
-        parts.append(means)
-        parts.append(np.array([wmax, wmin, wmean]))
-    return np.concatenate(parts)
+def _complete(values: dict[str, np.ndarray], variables) -> np.ndarray:
+    """Per day: no hour of any listed variable is missing."""
+    return np.logical_and.reduce([~np.isnan(values[v]).any(axis=1) for v in variables])
 
 
 def build_base_features(
-    days: list[DayBlock],
+    days: DayGrid,
     variant: str = "max",
-    forecast_days: list[DayBlock] | None = None,
-) -> tuple[list[DailyFeatureRow], list[FeatureDescriptor]]:
+    forecast_days: DayGrid | None = None,
+) -> tuple[FeatureRows, list[FeatureDescriptor]]:
     """Build one row per modeling day from consecutive complete day pairs.
 
     Next-day meteorology comes from the observations themselves (perfect
-    forecast proxy) unless ``forecast_days`` provides a parallel forecast
-    series of identical schema.
+    forecast proxy) unless ``forecast_days`` holds that date: then it comes
+    from the forecast, which must be complete in the meteorology. The target
+    always comes from the observed next day.
     """
     schema = build_schema(variant)
-    by_date = {d.date: d for d in days}
-    forecast_by_date = {d.date: d for d in (forecast_days or [])}
     need_cur, need_nxt = required_variables(variant)
+    ordinals, fc = days.ordinals, forecast_days
+    # day i against day i + 1; the last day wraps round and has no successor
+    has_next = np.roll(ordinals, -1) == ordinals + 1
+    cur_ok = _complete(days.values, need_cur)
+    nxt_ok = np.roll(_complete(days.values, need_nxt), -1)
+    from_fc = np.zeros(len(ordinals), dtype=bool)
+    if fc is not None and len(fc):
+        at = np.minimum(np.searchsorted(fc.ordinals, ordinals + 1), len(fc) - 1)
+        from_fc = fc.ordinals[at] == ordinals + 1
+        nxt_ok &= ~from_fc | _complete(fc.values, METEO_VARS)[at]
 
-    rows: list[DailyFeatureRow] = []
-    for date in sorted(by_date):
-        nxt_date = date + timedelta(days=1)
-        current = by_date[date]
-        nxt = by_date.get(nxt_date)
-        if nxt is None:
-            logger.info("skipping %s: no successor day", date)
-            continue
-        nxt_meteo = forecast_by_date.get(nxt_date, nxt)
-        if not all(current.complete[v] for v in need_cur):
-            logger.info("skipping %s: incomplete current day", date)
-            continue
-        if not all(nxt.complete[v] for v in need_nxt) or not all(
-            nxt_meteo.complete[v] for v in METEO_VARS
-        ):
-            logger.info("skipping %s: incomplete next day", date)
-            continue
-        x = _feature_vector(current, nxt_meteo, variant)
-        rows.append(
-            DailyFeatureRow(
-                date=date,
-                x=x,
-                target_raw=_day_target(nxt, variant),
-                current_anchor=_day_target(current, variant),
-            )
+    keep = has_next & cur_ok & nxt_ok
+    for i in np.flatnonzero(~keep).tolist():
+        reason = (
+            "no successor day" if not has_next[i]
+            else "incomplete current day" if not cur_ok[i]
+            else "incomplete next day"
         )
-    return rows, schema
+        logger.info("skipping %s: %s", Date.fromordinal(int(ordinals[i])), reason)
 
+    rows = np.flatnonzero(keep)
+    now = {v: days.values[v][rows] for v in need_cur}
+    nxt_meteo = {v: days.values[v][rows + 1] for v in METEO_VARS}
+    if from_fc.any():
+        sel = from_fc[rows]
+        for v in METEO_VARS:
+            nxt_meteo[v][sel] = fc.values[v][at[rows][sel]]
 
-def delta_target(row: DailyFeatureRow, mode: str) -> float:
-    """Target in the requested mode: delta (next minus current) or direct."""
-    if mode == "delta":
-        return row.target_raw - row.current_anchor
-    if mode == "direct":
-        return row.target_raw
-    raise FeatureError(f"unknown target mode {mode!r}")
-
-
-def stack_rows(rows: list[DailyFeatureRow], target_mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """(n, p0) raw feature matrix and length-n raw target vector."""
-    if not rows:
-        raise FeatureError("no modeling rows")
-    X = np.stack([r.x for r in rows])
-    y = np.array([delta_target(r, target_mode) for r in rows])
-    return X, y
+    parts = [now[pol] for pol in POLLUTANTS] + [_aggs(now[pol]) for pol in POLLUTANTS]
+    for ch in METEO_CHANNELS:
+        cur = channel_series(now, ch)
+        nxt = channel_series(nxt_meteo, ch)
+        cur27 = np.hstack([cur, _aggs(cur)])
+        nxt27 = np.hstack([nxt, _aggs(nxt)])
+        parts.extend([cur27, nxt27, nxt27 - cur27])
+    o3_next = days.values["o3"][rows + 1]
+    if variant == "max8h":
+        means, wmax, wmin, wmean = compute_8h_means(now["o3"])
+        parts.extend([means, np.column_stack([wmax, wmin, wmean])])
+        target, anchor = compute_8h_means(o3_next)[1], wmax
+    else:
+        target, anchor = o3_next.max(axis=1), now["o3"].max(axis=1)
+    dates = (ordinals[rows] - _EPOCH).astype("datetime64[D]").astype(object)
+    return FeatureRows(dates, np.hstack(parts), target, anchor), schema
 
 
 @dataclass

@@ -92,16 +92,18 @@ class ParseResult:
 
 
 @dataclass
-class DayBlock:
-    """One calendar day: 24 hourly slots per variable, nan where missing."""
+class DayGrid:
+    """Assembled days: ascending ``ordinals``; per variable an
+    (n_days, 24) float64 grid, nan where a value is still missing after gap
+    fill, and an int64 count of the cells filled on each day. A variable is
+    complete on a day when its grid row holds no nan."""
 
-    date: Date
-    values: dict[str, np.ndarray]  # each shape (24,), float64 with nan
-    complete: dict[str, bool]
-    fill_count: dict[str, int]
+    ordinals: np.ndarray
+    values: dict[str, np.ndarray]
+    fill_count: dict[str, np.ndarray]
 
-    def series(self, var: str) -> np.ndarray:
-        return self.values[var]
+    def __len__(self) -> int:
+        return len(self.ordinals)
 
 
 def _parse_cell(token: str, var: str, sentinels: tuple[str, ...]) -> float | None:
@@ -241,38 +243,30 @@ def merge_records(*tables: HourlyTable) -> HourlyTable:
     return HourlyTable(keys, values)
 
 
-def _fill_gaps(series: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, int]:
-    """Linearly interpolate interior nan runs of length <= max_gap_hours."""
-    out = series.copy()
-    filled = 0
-    n = len(series)
-    h = 0
-    while h < n:
-        if not np.isnan(out[h]):
-            h += 1
-            continue
-        start = h
-        while h < n and np.isnan(out[h]):
-            h += 1
-        end = h  # run is [start, end)
-        left = start - 1
-        right = end
-        interior = left >= 0 and right < n
-        if interior and (end - start) <= max_gap_hours:
-            lo, hi = out[left], out[right]
-            for k in range(start, end):
-                frac = (k - left) / (right - left)
-                out[k] = lo + frac * (hi - lo)
-            filled += end - start
-    return out, filled
+def _fill_gaps(grid: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, np.ndarray]:
+    """Linearly interpolate interior nan runs of length <= max_gap_hours
+    along each row; returns the filled grid and the cells filled per row."""
+    valid = ~np.isnan(grid)
+    hours = np.arange(grid.shape[1])
+    # nearest valid hour at or before / at or after each slot; -1 and 24 when none
+    left = np.maximum.accumulate(np.where(valid, hours, -1), axis=1)
+    right = hours[-1] - np.maximum.accumulate(np.where(valid[:, ::-1], hours, -1), axis=1)[:, ::-1]
+    fill = ~valid & (left >= 0) & (right < grid.shape[1]) & (right - left - 1 <= max_gap_hours)
+    rows, k = np.nonzero(fill)
+    left, right = left[rows, k], right[rows, k]
+    lo, hi = grid[rows, left], grid[rows, right]
+    frac = (k - left) / (right - left)
+    out = grid.copy()
+    out[rows, k] = lo + frac * (hi - lo)
+    return out, fill.sum(axis=1)
 
 
 def assemble_days(
     table: HourlyTable,
     max_gap_hours: int = 3,
     variables=ALL_VARS,
-) -> list[DayBlock]:
-    """Group hourly values into day blocks and apply the gap-fill policy.
+) -> DayGrid:
+    """Group hourly values into a day grid and apply the gap-fill policy.
 
     Interior gaps of <= max_gap_hours consecutive missing hours are filled by
     linear interpolation between their neighbors within the day; anything
@@ -280,45 +274,25 @@ def assemble_days(
     """
     ordinals, day_of_row = np.unique(table.keys // 24, return_inverse=True)
     hour_of_row = table.keys % 24
-    grids: dict[str, np.ndarray] = {}
-    complete: dict[str, list[bool]] = {}
-    fills: dict[str, list[int]] = {}
+    values: dict[str, np.ndarray] = {}
+    fills: dict[str, np.ndarray] = {}
     for var in variables:
         grid = np.full((len(ordinals), 24), np.nan)
         if var in table.values:
             grid[day_of_row, hour_of_row] = table.values[var]
-        filled = np.zeros(len(ordinals), dtype=np.int64)
-        for i in np.flatnonzero(np.isnan(grid).any(axis=1)):
-            grid[i], filled[i] = _fill_gaps(grid[i], max_gap_hours)
-        grids[var] = grid
-        complete[var] = (~np.isnan(grid).any(axis=1)).tolist()
-        fills[var] = filled.tolist()
-    return [
-        DayBlock(
-            date=Date.fromordinal(ordinal),
-            values={var: grids[var][i] for var in variables},
-            complete={var: complete[var][i] for var in variables},
-            fill_count={var: fills[var][i] for var in variables},
-        )
-        for i, ordinal in enumerate(ordinals.tolist())
-    ]
+        values[var], fills[var] = _fill_gaps(grid, max_gap_hours)
+    return DayGrid(ordinals, values, fills)
 
 
-def day_blocks_to_table(days: list[DayBlock]) -> HourlyTable:
-    """Flatten day blocks back into an hourly table (nan slots stay missing)."""
-    ordinals = np.array([day.date.toordinal() for day in days], dtype=np.int64)
-    keys = (ordinals[:, None] * 24 + np.arange(24)).ravel()
-    variables = dict.fromkeys(var for day in days for var in day.values)
-    missing = np.full(24, np.nan)
-    return HourlyTable(keys, {
-        var: np.concatenate([day.values.get(var, missing) for day in days])
-        for var in variables
-    })
+def days_to_table(days: DayGrid) -> HourlyTable:
+    """Flatten a day grid back into an hourly table (nan slots stay missing)."""
+    keys = (days.ordinals[:, None] * 24 + np.arange(24)).ravel()
+    return HourlyTable(keys, {var: grid.ravel() for var, grid in days.values.items()})
 
 
-def write_canonical(days: list[DayBlock], path: str | Path) -> None:
+def write_canonical(days: DayGrid, path: str | Path) -> None:
     """Emit the normalized hourly file with fixed column order."""
-    table = day_blocks_to_table(days)
+    table = days_to_table(days)
     missing = [math.nan] * len(table)
     columns = [table.values[v].tolist() if v in table.values else missing for v in ALL_VARS]
     with atomic_open(path) as fh:

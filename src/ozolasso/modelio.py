@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_text
-from .expansion import ExpandedDesign
-from .features import DailyFeatureRow, StandardizationParams, apply_standardizer
+from .expansion import ExpandedDesign, expansion_size
+from .features import FeatureRows, StandardizationParams, apply_standardizer
 from .solvers import LAMBDA_CONVENTION, ModelFit
 
 MODEL_SCHEMA_VERSION = 1
@@ -118,25 +118,27 @@ def load_model(path: str | Path) -> dict:
     return model
 
 
-def _expanded_column(entry: dict, base: np.ndarray, p0: int) -> np.ndarray:
-    j = entry["index"]
-    if j < p0:
-        raw = base[:, j]
-    elif j < 2 * p0:
-        raw = base[:, j - p0] ** 2
-    else:
-        pj, pk = entry["parents"]
-        raw = base[:, pj] * base[:, pk]
-    std = entry["col_std"]
-    if std == 0:
-        return np.zeros(base.shape[0])
-    return (raw - entry["col_mean"]) / std
+def _saved_design(model: dict, base: np.ndarray) -> ExpandedDesign:
+    """The expansion of ``base`` with the saved moments of each weighted
+    column; a saved ``parents`` must match the expansion's layout."""
+    p = expansion_size(base.shape[1])
+    col_mean, col_std = np.zeros(p), np.ones(p)
+    design = ExpandedDesign(base, col_mean, col_std)
+    for entry in model["weights"]:
+        j = entry["index"]
+        if not 0 <= j < p:
+            raise ModelIOError(f"weight index {j} outside the {p} expanded columns")
+        parents = list(design.parents(j)) if j >= base.shape[1] else None
+        if entry["parents"] != parents:
+            raise ModelIOError(f"weight {j}: saved parents {entry['parents']} != {parents}")
+        col_mean[j], col_std[j] = entry["col_mean"], entry["col_std"]
+    return design
 
 
-def predict_rows(model: dict, rows: list[DailyFeatureRow]) -> np.ndarray:
+def predict_rows(model: dict, rows: FeatureRows) -> np.ndarray:
     """Predictions in ppb for raw feature rows, honoring the anchor mode."""
     params = _params_from_dict(model["standardization"])
-    X_raw = np.stack([r.x for r in rows])
+    X_raw = rows.x
     if X_raw.shape[1] != params.mu.shape[0]:
         raise ModelIOError(
             f"schema mismatch: rows have {X_raw.shape[1]} features, "
@@ -147,16 +149,14 @@ def predict_rows(model: dict, rows: list[DailyFeatureRow]) -> np.ndarray:
     if base.shape[1] != p0:
         raise ModelIOError("dropped-column manifest mismatch")
 
+    design = _saved_design(model, base) if model["expansion"] == "polynomial" else None
     yhat = np.full(base.shape[0], model["beta0"])
-    polynomial = model["expansion"] == "polynomial"
     for entry in model["weights"]:
-        if polynomial:
-            col = _expanded_column(entry, base, p0)
-        else:
-            col = base[:, entry["index"]]
+        j = entry["index"]
+        col = base[:, j] if design is None else design.column(j)
         yhat = yhat + entry["weight"] * col
 
     yhat = yhat * params.y_sigma + params.y_mu
     if model["target_mode"] == "delta":
-        yhat = yhat + np.array([r.current_anchor for r in rows])
+        yhat = yhat + rows.current_anchor
     return yhat

@@ -15,13 +15,13 @@ from . import evaluation, ingest, modelio, selection, solvers
 from .config import ConfigError, RunConfig
 from .expansion import ExpandedDesign, expansion_size
 from .features import (
-    DailyFeatureRow,
     FeatureDescriptor,
+    FeatureError,
+    FeatureRows,
     StandardizationParams,
     apply_standardizer,
     build_base_features,
     fit_standardizer,
-    stack_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -42,7 +42,7 @@ class IngestStats:
 
 
 def load_day_blocks(config: RunConfig):
-    """Parse the pollutant and meteorology files into assembled day blocks."""
+    """Parse the pollutant and meteorology files into assembled day grids."""
     if not config.pollutant_file or not config.meteo_file:
         raise ConfigError("pollutant_file and meteo_file are required")
     pol_schema = ingest.FileSchema.canonical(ingest.POLLUTANTS)
@@ -66,8 +66,8 @@ def load_day_blocks(config: RunConfig):
         n_rejected=len(pol.rejected) + len(met.rejected),
         n_coerced=pol.coerced_missing + met.coerced_missing,
         n_days=len(days),
-        n_filled=sum(sum(d.fill_count.values()) for d in days),
-        incomplete_days=sum(1 for d in days if not all(d.complete.values())),
+        n_filled=int(sum(count.sum() for count in days.fill_count.values())),
+        incomplete_days=int(np.isnan(np.stack(list(days.values.values()))).any(axis=(0, 2)).sum()),
     )
     return days, forecast_days, stats
 
@@ -75,20 +75,20 @@ def load_day_blocks(config: RunConfig):
 def build_rows(config: RunConfig):
     days, forecast_days, stats = load_day_blocks(config)
     rows, schema = build_base_features(days, config.variant, forecast_days)
-    if not rows:
+    if not len(rows):
         raise PipelineError("no complete modeling days")
     return rows, schema, stats
 
 
-def split_rows(config: RunConfig, rows: list[DailyFeatureRow]):
+def split_rows(config: RunConfig, rows: FeatureRows):
     config.validate_split()
     tr_lo, tr_hi = config.date_range("train")
     te_lo, te_hi = config.date_range("test")
-    train = [r for r in rows if tr_lo <= r.date <= tr_hi]
-    test = [r for r in rows if te_lo <= r.date <= te_hi]
-    if not train:
+    train = rows[(rows.dates >= tr_lo) & (rows.dates <= tr_hi)]
+    test = rows[(rows.dates >= te_lo) & (rows.dates <= te_hi)]
+    if not len(train):
         raise PipelineError("train date range selects zero rows")
-    if not test:
+    if not len(test):
         raise PipelineError("test date range selects zero rows")
     return train, test
 
@@ -103,10 +103,15 @@ class TrainingData:
     schema: list[FeatureDescriptor]
 
 
-def prepare_training(config: RunConfig, train_rows, schema) -> TrainingData:
-    X_raw, y_raw = stack_rows(train_rows, config.target_mode)
-    params = fit_standardizer(X_raw, y_raw)
-    base, y = apply_standardizer(params, X_raw, y_raw)
+def prepare_training(config: RunConfig, train_rows: FeatureRows, schema) -> TrainingData:
+    if config.target_mode == "delta":
+        y_raw = train_rows.target_raw - train_rows.current_anchor
+    elif config.target_mode == "direct":
+        y_raw = train_rows.target_raw
+    else:
+        raise FeatureError(f"unknown target mode {config.target_mode!r}")
+    params = fit_standardizer(train_rows.x, y_raw)
+    base, y = apply_standardizer(params, train_rows.x, y_raw)
     all_names = [d.name for d in schema]
     kept_names = [all_names[int(j)] for j in params.kept]
     return TrainingData(params, base, y, kept_names, all_names, schema)
@@ -197,11 +202,9 @@ def train(config: RunConfig):
     return model, cv, test_rows
 
 
-def predict_series(model: dict, rows: list[DailyFeatureRow]):
+def predict_series(model: dict, rows: FeatureRows):
     """(dates, observed, predicted) on raw rows."""
-    pred = modelio.predict_rows(model, rows)
-    obs = np.array([r.target_raw for r in rows])
-    return [r.date for r in rows], obs, pred
+    return rows.dates.tolist(), rows.target_raw, modelio.predict_rows(model, rows)
 
 
 def evaluate_method_on_test(model: dict, test_rows) -> evaluation.EvalMetrics:

@@ -189,7 +189,6 @@ def _center(y: np.ndarray, fit_intercept: bool) -> tuple[np.ndarray, float]:
 def fit_ols(X: np.ndarray, y: np.ndarray, fit_intercept: bool = True) -> ModelFit:
     """Normal-equation solution; intercept is the response mean."""
     yc, beta0 = _center(y, fit_intercept)
-    n = X.shape[0]
     beta, cond = _spd_solve(X.T @ X, X.T @ yc)
     residuals = yc - X @ beta
     return ModelFit("ols", 0.0, beta0, beta, residuals, condition=cond)

@@ -6,7 +6,7 @@ from datetime import date as Date, timedelta
 
 import numpy as np
 
-from ozolasso.ingest import ALL_VARS, DayBlock
+from ozolasso.ingest import ALL_VARS, DayGrid
 
 
 def standardized_matrix(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -23,29 +23,31 @@ def orthonormal_design(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     return q * np.sqrt(n)
 
 
-def make_day(date: Date, values: dict[str, np.ndarray] | None = None) -> DayBlock:
-    """Complete DayBlock; unspecified variables get simple varying series."""
+def make_days(dates: list[Date], values: list[dict] | None = None) -> DayGrid:
+    """Day grid of the given dates, one dict of hourly series per day;
+    unspecified variables get simple varying series."""
+    values = values or [{} for _ in dates]
     hours = np.arange(24, dtype=float)
-    filled = {}
-    for i, var in enumerate(ALL_VARS):
-        filled[var] = hours + 10.0 * i
-    if values:
-        filled.update({k: np.asarray(v, dtype=float) for k, v in values.items()})
-    return DayBlock(
-        date=date,
-        values=filled,
-        complete={v: not np.isnan(filled[v]).any() for v in ALL_VARS},
-        fill_count={v: 0 for v in ALL_VARS},
-    )
+    grids = {
+        var: np.array([day.get(var, hours + 10.0 * i) for day in values], dtype=float).reshape(-1, 24)
+        for i, var in enumerate(ALL_VARS)
+    }
+    ordinals = np.array([d.toordinal() for d in dates], dtype=np.int64)
+    return DayGrid(ordinals, grids, {v: np.zeros(len(dates), dtype=np.int64) for v in ALL_VARS})
 
 
-def make_day_pair(seed: int = 0) -> list[DayBlock]:
+def make_day(date: Date, values: dict[str, np.ndarray] | None = None) -> DayGrid:
+    """One-day grid; unspecified variables get simple varying series."""
+    return make_days([date], [values or {}])
+
+
+def make_day_pair(seed: int = 0) -> DayGrid:
     """Two consecutive complete days with non-degenerate random values."""
     rng = np.random.default_rng(seed)
-    days = []
-    for d in range(2):
-        values = {var: rng.uniform(1.0, 50.0, 24) for var in ALL_VARS}
-        values["rel_humidity"] = rng.uniform(20.0, 90.0, 24)
-        values["wind_direction"] = rng.uniform(0.0, 360.0, 24)
-        days.append(make_day(Date(2016, 7, 1) + timedelta(days=d), values))
-    return days
+    values = []
+    for _ in range(2):
+        day = {var: rng.uniform(1.0, 50.0, 24) for var in ALL_VARS}
+        day["rel_humidity"] = rng.uniform(20.0, 90.0, 24)
+        day["wind_direction"] = rng.uniform(0.0, 360.0, 24)
+        values.append(day)
+    return make_days([Date(2016, 7, 1) + timedelta(days=d) for d in range(2)], values)

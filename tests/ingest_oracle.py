@@ -1,6 +1,7 @@
-"""Row-wise reference for ``ozolasso.ingest``: the per-record parse, merge
-and day assembly the columnar implementation replaced, kept as the oracle
-that ``test_ingest_properties.py`` compares against bitwise."""
+"""Row-wise reference for ``ozolasso.ingest``: the per-record parse, merge,
+per-day gap fill and day assembly the columnar implementation replaced,
+kept as the oracle that ``test_ingest_properties.py`` compares against
+bitwise."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from ozolasso.ingest import (
     ALL_VARS,
-    DayBlock,
     DuplicateTimestampError,
     FileSchema,
     IngestError,
@@ -26,6 +26,16 @@ class HourlyRecord:
     day: Date
     hour: int
     values: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass
+class DayBlock:
+    """One calendar day: 24 hourly slots per variable, nan where missing."""
+
+    date: Date
+    values: dict[str, np.ndarray]  # each shape (24,), float64 with nan
+    complete: dict[str, bool]
+    fill_count: dict[str, int]
 
 
 @dataclass

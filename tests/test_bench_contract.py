@@ -1,0 +1,85 @@
+"""The names and return values the benchmark (``perfbench/``) relies on.
+
+``perfbench/run.py`` traces the functions it lists by name and counts the
+calls of the names in its ``COUNTS`` table; ``perfbench/child.py`` reads
+``len(parse_hourly_file(...).records)`` as rows parsed and
+``len(build_base_features(...)[0])`` as rows built. A rename or a changed
+return type would leave those metrics empty without failing the benchmark.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from ozolasso import ingest, pipeline
+from ozolasso.config import RunConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def assigned(path: Path, name: str):
+    """The literal value of a module-level assignment, read without importing."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} has no {name}")
+
+
+def traced_names() -> list[str]:
+    run = PERFBENCH / "run.py"
+    calls = [key[: -len(".calls")] for key in assigned(run, "COUNTS") if key.endswith(".calls")]
+    return list(assigned(run, "FUNCTIONS")) + calls
+
+
+def child_hooks(counts: Counter) -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child._layer_hooks(counts, Counter())
+
+
+@pytest.mark.parametrize("name", traced_names())
+def test_traced_name_resolves(name):
+    module, *attrs = name.split(".")
+    owner = importlib.import_module(f"ozolasso.{module}")
+    for attr in attrs:
+        assert not attr.startswith("_"), name  # the tracer wraps public names only
+        owner = getattr(owner, attr)
+    assert inspect.isfunction(owner) or inspect.ismethod(owner), name
+
+
+def write_three_days(path: Path, variables, extra_rows=()) -> None:
+    lines = [",".join(("date", "hour") + variables)]
+    for day in ("2016-07-01", "2016-07-02", "2016-07-03"):
+        for hour in range(24):
+            cells = [str(10.0 + hour + i) for i in range(len(variables))]
+            lines.append(",".join([day, str(hour)] + cells))
+    path.write_text("\n".join(lines + list(extra_rows)) + "\n")
+
+
+def test_hooks_count_rows_parsed_and_built(tmp_path):
+    write_three_days(tmp_path / "pol.csv", ingest.POLLUTANTS, ["2016-07-03,24" + ",1" * 7, ""])
+    write_three_days(tmp_path / "met.csv", ingest.METEO_VARS)
+    counts = Counter()
+    hooks = child_hooks(counts)
+
+    parsed = ingest.parse_hourly_file(tmp_path / "pol.csv", ingest.FileSchema.canonical(ingest.POLLUTANTS))
+    assert len(parsed.records) == 72 and len(parsed.rejected) == 1
+    hooks["ingest.parse_hourly_file"]((), parsed, None)
+    assert counts["ingest.rows_parsed"] == 72 and counts["ingest.rows_rejected"] == 1
+
+    config = RunConfig(pollutant_file=str(tmp_path / "pol.csv"), meteo_file=str(tmp_path / "met.csv"))
+    days, forecast_days, _ = pipeline.load_day_blocks(config)
+    assert len(days) == 3
+    for variant in ("max", "max8h"):
+        built = pipeline.build_base_features(days, variant, forecast_days)
+        assert len(built[0]) == 2 == built[0].x.shape[0]
+        hooks["features.build_base_features"]((), built, None)
+    assert counts["features.rows_built"] == 4

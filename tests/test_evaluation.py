@@ -20,7 +20,7 @@ from ozolasso.evaluation import (
     trimester_of,
     trimester_split,
 )
-from ozolasso.features import DailyFeatureRow, fit_standardizer
+from ozolasso.features import FeatureRows, fit_standardizer
 from ozolasso.modelio import build_model_dict, predict_rows
 from ozolasso.solvers import ModelFit
 
@@ -117,14 +117,16 @@ def test_evaluate_predictions_aggregates():
         evaluate_predictions(pred, obs, dates[:-1])
 
 
-def row(date, target, anchor):
-    return DailyFeatureRow(date=date, x=np.zeros(3), target_raw=target, current_anchor=anchor)
+def feature_rows(dates, targets, anchors, x=None):
+    x = np.zeros((len(dates), 3)) if x is None else x
+    return FeatureRows(np.array(dates, dtype=object), x, np.array(targets), np.array(anchors))
 
 
 def test_persistence_baseline_examples():
-    rows = [row(Date(2017, 5, 1), 30.0, 30.0), row(Date(2017, 5, 2), 44.0, 44.0)]
+    dates = [Date(2017, 5, 1), Date(2017, 5, 2)]
+    rows = feature_rows(dates, [30.0, 44.0], [30.0, 44.0])
     assert persistence_baseline(rows).rmse == 0.0
-    rows = [row(Date(2017, 5, 1), 12.0, 10.0), row(Date(2017, 5, 2), 18.0, 20.0)]
+    rows = feature_rows(dates, [12.0, 18.0], [10.0, 20.0])
     m = persistence_baseline(rows)
     assert m.mae == 2.0
     assert m.rmse == 2.0
@@ -132,14 +134,11 @@ def test_persistence_baseline_examples():
 
 def test_persistence_equals_zero_beta_delta_model():
     rng = np.random.default_rng(21)
-    rows = [
-        DailyFeatureRow(Date(2017, 6, 1), rng.normal(size=4), 42.0, 40.0),
-        DailyFeatureRow(Date(2017, 6, 2), rng.normal(size=4), 33.0, 35.0),
-    ]
+    X = np.stack([rng.normal(size=4), rng.normal(size=4)])
+    rows = feature_rows([Date(2017, 6, 1), Date(2017, 6, 2)], [42.0, 33.0], [40.0, 35.0], X)
     # delta targets +2 and -2 have zero mean, so the null model predicts
     # exactly the anchor and must reproduce the persistence baseline
-    X = np.stack([r.x for r in rows])
-    y = np.array([r.target_raw - r.current_anchor for r in rows])
+    y = rows.target_raw - rows.current_anchor
     params = fit_standardizer(X, y)
     fit = ModelFit("lasso", 1.0, beta0=0.0, beta=np.zeros(params.kept.size),
                    residuals=np.zeros(2))
@@ -147,7 +146,7 @@ def test_persistence_equals_zero_beta_delta_model():
     model = build_model_dict(fit, params, names, names,
                              variant="max", expansion="linear", target_mode="delta")
     pred = predict_rows(model, rows)
-    obs = np.array([r.target_raw for r in rows])
+    obs = rows.target_raw
     baseline = persistence_baseline(rows)
     assert rmse(pred, obs) == baseline.rmse
     assert mae(pred, obs) == baseline.mae

@@ -1,11 +1,12 @@
 """Feature schema, 8-hour means, targets, and standardization."""
 
-from datetime import timedelta
+from datetime import date as Date, timedelta
 
 import numpy as np
 import pytest
 
-from conftest import make_day, make_day_pair
+from conftest import make_day, make_day_pair, make_days
+from ozolasso.config import RunConfig
 from ozolasso.features import (
     FeatureError,
     N_BASE_MAX,
@@ -15,11 +16,10 @@ from ozolasso.features import (
     build_schema,
     channel_series,
     compute_8h_means,
-    delta_target,
     destandardize_response,
     fit_standardizer,
-    stack_rows,
 )
+from ozolasso.pipeline import prepare_training
 
 
 def test_schema_lengths():
@@ -56,16 +56,15 @@ def test_row_lengths_both_variants():
     for variant, expected in (("max", 918), ("max8h", 938)):
         rows, schema = build_base_features(days, variant)
         assert len(rows) == 1
-        assert rows[0].x.shape == (expected,)
+        assert rows.x.shape == (1, expected)
         assert len(schema) == expected
 
 
 def test_constant_temperature_gives_zero_diffs():
     days = make_day_pair()
-    for day in days:
-        day.values["temperature"] = np.full(24, 20.0)
+    days.values["temperature"][:] = 20.0
     rows, schema = build_base_features(days, "max")
-    x = rows[0].x
+    x = rows.x[0]
     diff_idx = [d.index for d in schema if d.category == "meteo-diff" and "temperature" in d.name]
     assert len(diff_idx) == 27
     np.testing.assert_array_equal(x[diff_idx], 0.0)
@@ -74,7 +73,7 @@ def test_constant_temperature_gives_zero_diffs():
 def test_diff_features_exact():
     days = make_day_pair(seed=3)
     rows, schema = build_base_features(days, "max")
-    x = rows[0].x
+    x = rows.x[0]
     by_name = {d.name: d.index for d in schema}
     for ch in ("temperature", "wind_speed", "wind_dir_cos"):
         for part in [f"hour {h:02d}" for h in range(24)] + ["max", "min", "mean"]:
@@ -84,9 +83,10 @@ def test_diff_features_exact():
 
 
 def test_wind_direction_cos_sin_identity():
-    day = make_day_pair(seed=9)[0]
-    cos = channel_series(day, "wind_dir_cos")
-    sin = channel_series(day, "wind_dir_sin")
+    days = make_day_pair(seed=9)
+    cos = channel_series(days.values, "wind_dir_cos")
+    sin = channel_series(days.values, "wind_dir_sin")
+    assert cos.shape == sin.shape == (2, 24)
     np.testing.assert_allclose(cos**2 + sin**2, 1.0, atol=1e-12)
 
 
@@ -122,44 +122,50 @@ def test_8h_means_rejects_missing_and_bad_shape():
 def test_max8h_target_uses_window_max():
     days = make_day_pair(seed=11)
     rows, _ = build_base_features(days, "max8h")
-    _, wmax, _, _ = compute_8h_means(days[1].values["o3"])
-    assert rows[0].target_raw == wmax
-    _, amax, _, _ = compute_8h_means(days[0].values["o3"])
-    assert rows[0].current_anchor == amax
+    _, wmax, _, _ = compute_8h_means(days.values["o3"][1])
+    assert rows.target_raw[0] == wmax
+    _, amax, _, _ = compute_8h_means(days.values["o3"][0])
+    assert rows.current_anchor[0] == amax
 
 
 def test_incomplete_day_skipped():
     days = make_day_pair()
-    days[1].complete["o3"] = False
+    days.values["o3"][1, 5] = np.nan  # next day's o3 incomplete
     rows, _ = build_base_features(days, "max")
-    assert rows == []
+    assert len(rows) == 0 and rows.x.shape == (0, 918)
 
 
 def test_missing_successor_skipped():
     days = make_day_pair()
-    days[1].date = days[0].date + timedelta(days=3)
+    days.ordinals[1] = days.ordinals[0] + 3
     rows, _ = build_base_features(days, "max")
-    assert rows == []
+    assert len(rows) == 0
 
 
 def test_forecast_days_used_for_next_day_meteo():
     days = make_day_pair(seed=13)
-    forecast = [make_day(days[1].date, {"temperature": np.full(24, 5.0)})]
+    forecast = make_day(Date.fromordinal(days.ordinals[1]), {"temperature": np.full(24, 5.0)})
     rows, schema = build_base_features(days, "max", forecast_days=forecast)
     by_name = {d.name: d.index for d in schema}
-    assert rows[0].x[by_name["next-day temperature hour 00"]] == 5.0
+    assert rows.x[0, by_name["next-day temperature hour 00"]] == 5.0
     # target still comes from the observed next day, not the forecast
-    assert rows[0].target_raw == days[1].values["o3"].max()
+    assert rows.target_raw[0] == days.values["o3"][1].max()
 
 
 def test_delta_target_modes():
-    days = make_day_pair()
-    row = build_base_features(days, "max")[0][0]
-    row.target_raw, row.current_anchor = 55.0, 48.0
-    assert delta_target(row, "delta") == 7.0
-    assert delta_target(row, "direct") == 55.0
+    days = make_days([Date(2016, 7, 1) + timedelta(days=d) for d in range(3)])
+    days.values["o3"][1] += 1.0  # two rows with distinct targets
+    rows, schema = build_base_features(days, "max")
+    rows.target_raw[:], rows.current_anchor[:] = [55.0, 60.0], [48.0, 50.0]
+
+    def training_target(mode):
+        data = prepare_training(RunConfig(target_mode=mode), rows, schema)
+        return destandardize_response(data.params, data.y).tolist()
+
+    assert training_target("delta") == [7.0, 10.0]
+    assert training_target("direct") == [55.0, 60.0]
     with pytest.raises(FeatureError):
-        delta_target(row, "weekly")
+        training_target("weekly")
 
 
 def test_standardizer_basic_column():
@@ -218,10 +224,13 @@ def test_apply_standardizer_schema_mismatch():
 
 
 def test_stack_rows():
-    days = make_day_pair(seed=19)
-    rows, _ = build_base_features(days, "max")
-    X, y = stack_rows(rows, "delta")
-    assert X.shape == (1, 918)
-    assert y[0] == rows[0].target_raw - rows[0].current_anchor
+    days = make_days([Date(2016, 7, 1) + timedelta(days=d) for d in range(3)])
+    days.values["o3"][1] += 1.0
+    rows, schema = build_base_features(days, "max")
+    assert rows.x.shape == (2, 918)
+    data = prepare_training(RunConfig(target_mode="delta"), rows, schema)
+    y = destandardize_response(data.params, data.y)
+    assert y[0] == rows.target_raw[0] - rows.current_anchor[0]
+    assert rows[np.array([False, True])].x.tobytes() == rows.x[1:].tobytes()
     with pytest.raises(FeatureError):
-        stack_rows([], "delta")
+        prepare_training(RunConfig(), rows[np.zeros(2, dtype=bool)], schema)

@@ -14,7 +14,7 @@ from ozolasso.ingest import (
     HourlyTable,
     IngestError,
     assemble_days,
-    day_blocks_to_table,
+    days_to_table,
     merge_records,
     parse_hourly_file,
     write_canonical,
@@ -162,13 +162,18 @@ def records_for_day(o3, day=Date(2016, 7, 1)):
     return [(day, h, {} if np.isnan(o3[h]) else {"o3": float(o3[h])}) for h in range(24)]
 
 
+def complete(days, var):
+    """Per day: the variable has all 24 hours after gap fill."""
+    return (~np.isnan(days.values[var]).any(axis=1)).tolist()
+
+
 def test_assemble_complete_day_unchanged():
     o3 = np.arange(24, dtype=float)
     days = assemble_days(table(records_for_day(o3)), variables=("o3",))
     assert len(days) == 1
-    assert days[0].complete["o3"]
-    np.testing.assert_array_equal(days[0].values["o3"], o3)
-    assert days[0].fill_count["o3"] == 0
+    assert complete(days, "o3") == [True]
+    np.testing.assert_array_equal(days.values["o3"][0], o3)
+    assert days.fill_count["o3"].tolist() == [0]
 
 
 def test_interior_gap_interpolated():
@@ -176,26 +181,25 @@ def test_interior_gap_interpolated():
     o3[9], o3[12] = 30.0, 36.0
     o3[10] = o3[11] = np.nan
     days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
-    day = days[0]
-    assert day.complete["o3"]
-    assert day.values["o3"][10] == pytest.approx(32.0)
-    assert day.values["o3"][11] == pytest.approx(34.0)
-    assert day.fill_count["o3"] == 2
+    assert complete(days, "o3") == [True]
+    assert days.values["o3"][0, 10] == pytest.approx(32.0)
+    assert days.values["o3"][0, 11] == pytest.approx(34.0)
+    assert days.fill_count["o3"].tolist() == [2]
 
 
 def test_boundary_gap_stays_incomplete():
     o3 = np.arange(24, dtype=float)
     o3[:6] = np.nan
     days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
-    assert not days[0].complete["o3"]
-    assert np.isnan(days[0].values["o3"][:6]).all()
+    assert complete(days, "o3") == [False]
+    assert np.isnan(days.values["o3"][0, :6]).all()
 
 
 def test_gap_longer_than_policy_not_filled():
     o3 = np.arange(24, dtype=float)
     o3[10:14] = np.nan  # 4-hour run, policy allows 3
     days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
-    assert not days[0].complete["o3"]
+    assert complete(days, "o3") == [False]
 
 
 def test_filled_values_lie_between_anchors():
@@ -204,7 +208,7 @@ def test_filled_values_lie_between_anchors():
     o3[7:10] = np.nan
     days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     lo, hi = sorted((o3[6], o3[10]))
-    filled = days[0].values["o3"][7:10]
+    filled = days.values["o3"][0, 7:10]
     assert np.all(filled >= lo) and np.all(filled <= hi)
 
 
@@ -214,9 +218,9 @@ def test_interpolation_idempotent():
     o3[3:5] = np.nan
     o3[0] = np.nan  # boundary, stays missing
     once = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
-    twice = assemble_days(day_blocks_to_table(once), max_gap_hours=3, variables=("o3",))
-    np.testing.assert_array_equal(once[0].values["o3"], twice[0].values["o3"])
-    assert twice[0].fill_count["o3"] == 0
+    twice = assemble_days(days_to_table(once), max_gap_hours=3, variables=("o3",))
+    np.testing.assert_array_equal(once.values["o3"][0], twice.values["o3"][0])
+    assert twice.fill_count["o3"].tolist() == [0]
 
 
 def test_day_count_matches_distinct_dates():
@@ -224,7 +228,9 @@ def test_day_count_matches_distinct_dates():
     for d in (1, 2, 5):
         records.extend(records_for_day(np.arange(24, dtype=float), Date(2016, 7, d)))
     days = assemble_days(table(records), variables=("o3",))
-    assert [b.date for b in days] == [Date(2016, 7, 1), Date(2016, 7, 2), Date(2016, 7, 5)]
+    assert [Date.fromordinal(o) for o in days.ordinals.tolist()] == [
+        Date(2016, 7, 1), Date(2016, 7, 2), Date(2016, 7, 5)
+    ]
 
 
 def test_merge_records_joins_on_timestamp():
@@ -270,7 +276,7 @@ def test_write_canonical_round_trip(tmp_path):
     parsed = parse_hourly_file(path, FileSchema.canonical())
     days2 = assemble_days(parsed.records)
     for var in ALL_VARS:
-        np.testing.assert_array_equal(days[0].values[var], days2[0].values[var])
+        np.testing.assert_array_equal(days.values[var][0], days2.values[var][0])
 
     path2 = tmp_path / "canonical2.csv"
     write_canonical(days2, path2)

@@ -97,13 +97,20 @@ def parse_both(path, schema):
 
 
 def assert_same_days(got, want):
-    assert [b.date for b in got] == [b.date for b in want]
-    for a, b in zip(got, want):
-        assert a.values.keys() == b.values.keys()
+    """A day grid equals the oracle's day blocks bitwise, day by day."""
+    assert got.ordinals.dtype == np.int64
+    assert [Date.fromordinal(o) for o in got.ordinals.tolist()] == [b.date for b in want]
+    for i, b in enumerate(want):
+        assert got.values.keys() == b.values.keys() == got.fill_count.keys()
         for var in b.values:
-            assert a.values[var].tobytes() == b.values[var].tobytes(), (a.date, var)
-            assert a.complete[var] is b.complete[var]
-            assert type(a.fill_count[var]) is int and a.fill_count[var] == b.fill_count[var]
+            row = got.values[var][i]
+            assert row.tobytes() == b.values[var].tobytes(), (b.date, var)
+            assert (not np.isnan(row).any()) is b.complete[var]
+            assert got.fill_count[var].dtype == np.int64
+            assert got.fill_count[var][i] == b.fill_count[var]
+    for var in got.values:
+        assert got.values[var].shape == (len(want), 24)
+        assert got.fill_count[var].shape == (len(want),)
 
 
 @settings(max_examples=300, deadline=None,
@@ -148,3 +155,23 @@ def test_wind_direction_wrap_matches_float_modulo(tmp_path, token):
     assert got.records.values["wind_direction"].tobytes() == np.array(
         [want.records[0].values["wind_direction"]]
     ).tobytes()
+
+
+@settings(max_examples=800, deadline=None)
+@given(
+    data=st.data(),
+    n_days=st.integers(0, 6),
+    max_gap_hours=st.sampled_from((0, 1, 3, 5)),
+    blank_share=st.floats(0.0, 0.5),
+)
+def test_whole_grid_gap_fill_matches_per_row(data, n_days, max_gap_hours, blank_share):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    grid = rng.uniform(-50.0, 50.0, size=(n_days, 24))
+    grid[rng.random(grid.shape) < blank_share] = np.nan
+    filled, counts = ingest._fill_gaps(grid, max_gap_hours)
+    assert counts.dtype == np.int64 and counts.shape == (n_days,)
+    for i in range(n_days):
+        row, count = oracle._fill_gaps(grid[i], max_gap_hours)
+        assert filled[i].tobytes() == row.tobytes()
+        assert counts[i] == count

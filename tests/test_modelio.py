@@ -4,11 +4,12 @@ from datetime import date as Date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ozolasso.cli import main
 from ozolasso.expansion import ExpandedDesign
 from ozolasso.features import (
-    DailyFeatureRow,
+    FeatureRows,
     apply_standardizer,
     fit_standardizer,
 )
@@ -28,18 +29,20 @@ def make_rows(rng, n, p, beta=None, noise=0.0, anchor=50.0):
     if beta is None:
         beta = np.zeros(p)
     y = X @ beta + noise * rng.normal(size=n)
-    return [
-        DailyFeatureRow(Date(2017, 1, 1 + i), X[i], float(y[i]), anchor)
-        for i in range(n)
-    ]
+    return feature_rows(X, y, anchor)
+
+
+def feature_rows(X, y, anchor=0.0, start=Date(2017, 1, 1)):
+    dates = np.array([start + timedelta(days=i) for i in range(len(y))], dtype=object)
+    return FeatureRows(dates, X, y, np.full(len(y), anchor))
 
 
 def fit_linear_model(rows, lam=0.0, target_mode="direct"):
-    X = np.stack([r.x for r in rows])
+    X = rows.x
     if target_mode == "direct":
-        y = np.array([r.target_raw for r in rows])
+        y = rows.target_raw
     else:
-        y = np.array([r.target_raw - r.current_anchor for r in rows])
+        y = rows.target_raw - rows.current_anchor
     params = fit_standardizer(X, y)
     Xs, ys = apply_standardizer(params, X, y)
     fit = fit_lasso(Xs, ys, LassoConfig(lam=lam))
@@ -91,15 +94,13 @@ def test_noiseless_training_rows_reproduced():
     rows = make_rows(rng, 20, 4, beta=beta)
     model, _, _ = fit_linear_model(rows, lam=0.0)
     pred = predict_rows(model, rows)
-    obs = np.array([r.target_raw for r in rows])
-    np.testing.assert_allclose(pred, obs, atol=1e-5)
+    np.testing.assert_allclose(pred, rows.target_raw, atol=1e-5)
 
 
 def test_zero_beta_delta_model_predicts_anchor_plus_mean():
     rng = np.random.default_rng(4)
     rows = make_rows(rng, 10, 3, anchor=48.0)
-    for i, r in enumerate(rows):
-        r.target_raw = 48.0 + (1.0 if i % 2 == 0 else -1.0)
+    rows.target_raw[:] = 48.0 + np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
     model, _, params = fit_linear_model(rows, lam=1e9, target_mode="delta")
     assert model["weights"] == []
     pred = predict_rows(model, rows)
@@ -111,8 +112,7 @@ def test_predict_matches_matrix_oracle():
     rows = make_rows(rng, 5, 3, beta=np.array([1.0, 2.0, 3.0]), noise=1.0)
     model, fit, params = fit_linear_model(rows, lam=0.05)
     pred = predict_rows(model, rows)
-    X = np.stack([r.x for r in rows])
-    Xs, _ = apply_standardizer(params, X, None)
+    Xs, _ = apply_standardizer(params, rows.x, None)
     oracle = (fit.beta0 + Xs @ fit.beta) * params.y_sigma + params.y_mu
     np.testing.assert_allclose(pred, oracle, atol=1e-12)
 
@@ -121,25 +121,95 @@ def test_polynomial_model_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     X_raw = rng.uniform(0, 10, size=(30, 4))
     y = X_raw[:, 0] * X_raw[:, 1] + X_raw[:, 2] ** 2 + rng.normal(size=30)
-    rows = [
-        DailyFeatureRow(Date(2017, 2, 1) + timedelta(days=i), X_raw[i], float(y[i]), 0.0)
-        for i in range(30)
-    ]
-    params = fit_standardizer(X_raw, y)
-    Xs, ys = apply_standardizer(params, X_raw, y)
-    design = ExpandedDesign.fit(Xs)
-    fit = fit_lasso(design, ys, LassoConfig(lam=0.05))
+    rows = feature_rows(X_raw, y, start=Date(2017, 2, 1))
+    model, fit, design, params = fit_polynomial_model(rows, lam=0.05)
     assert fit.active_set.size > 0
-    names = [f"f{int(j)}" for j in params.kept]
-    model = build_model_dict(fit, params, names, names, variant="max",
-                             expansion="polynomial", target_mode="direct",
-                             design=design)
     path = tmp_path / "poly.json"
     save_model(model, path)
     model = load_model(path)
     pred = predict_rows(model, rows)
     oracle = (fit.beta0 + design.materialize() @ fit.beta) * params.y_sigma + params.y_mu
     np.testing.assert_allclose(pred, oracle, atol=1e-10)
+
+
+def fit_polynomial_model(rows, lam, target_mode="direct"):
+    y = rows.target_raw if target_mode == "direct" else rows.target_raw - rows.current_anchor
+    params = fit_standardizer(rows.x, y)
+    Xs, ys = apply_standardizer(params, rows.x, y)
+    design = ExpandedDesign.fit(Xs)
+    fit = fit_lasso(design, ys, LassoConfig(lam=lam))
+    names = [f"f{int(j)}" for j in params.kept]
+    model = build_model_dict(fit, params, names, names, variant="max",
+                             expansion="polynomial", target_mode=target_mode,
+                             design=design)
+    return model, fit, design, params
+
+
+def test_saved_parents_and_index_checked(tmp_path):
+    rng = np.random.default_rng(10)
+    X = rng.uniform(0, 10, size=(20, 3))
+    rows = feature_rows(X, X[:, 0] * X[:, 1] + rng.normal(size=20))
+    model, _, _, _ = fit_polynomial_model(rows, lam=0.01)
+    linear = [w for w in model["weights"] if w["index"] < 3]
+    crosses = [w for w in model["weights"] if w["index"] >= 6]
+    assert linear and crosses
+    predict_rows(model, rows)
+    crosses[0]["parents"] = crosses[0]["parents"][::-1]
+    with pytest.raises(ModelIOError, match="parents"):
+        predict_rows(model, rows)
+    crosses[0]["parents"] = crosses[0]["parents"][::-1]
+    linear[0]["parents"] = [linear[0]["index"]] * 2  # a linear term saves none
+    with pytest.raises(ModelIOError, match="parents"):
+        predict_rows(model, rows)
+    linear[0].update(index=9, parents=None)  # 9 expanded columns of 3 base
+    with pytest.raises(ModelIOError, match="outside"):
+        predict_rows(model, rows)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 14),
+    p=st.integers(1, 4),
+    polynomial=st.booleans(),
+    target_mode=st.sampled_from(("direct", "delta")),
+    lam=st.sampled_from((0.0, 0.01, 0.1, 1.0)),
+    special=st.sampled_from((None, "constant", "two-valued")),
+)
+def test_saved_model_predicts_bitwise_like_in_memory(
+    tmp_path, seed, n, p, polynomial, target_mode, lam, special
+):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 10, size=(n, p + 1))
+    if special == "constant":  # dropped by the standardizer
+        X[:, 0] = 3.0
+    elif special == "two-valued":  # its square has zero variance
+        X[:, 0] = np.arange(n) % 2
+    y = X[:, -1] * X[:, 0] + rng.normal(size=n)
+    rows = FeatureRows(
+        np.array([Date(2017, 1, 1) + timedelta(days=i) for i in range(n)], dtype=object),
+        X, y, rng.uniform(20, 60, n),
+    )
+    test = feature_rows(rng.uniform(0, 10, size=(5, p + 1)), np.zeros(5), 40.0)
+    if polynomial:
+        model, fit, design, params = fit_polynomial_model(rows, lam, target_mode)
+        base, _ = apply_standardizer(params, test.x)
+        oracle = design.for_base(base).materialize() @ fit.beta
+    else:
+        model, fit, params = fit_linear_model(rows, lam=lam, target_mode=target_mode)
+        base, _ = apply_standardizer(params, test.x)
+        oracle = base @ fit.beta
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded == model
+    pred = predict_rows(model, test)
+    assert predict_rows(loaded, test).tobytes() == pred.tobytes()
+    oracle = (fit.beta0 + oracle) * params.y_sigma + params.y_mu
+    if model["target_mode"] == "delta":
+        oracle = oracle + test.current_anchor
+    np.testing.assert_allclose(pred, oracle, rtol=1e-9, atol=1e-9)
 
 
 def test_polynomial_model_requires_design():
