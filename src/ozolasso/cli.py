@@ -142,6 +142,10 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_predict(config: RunConfig, model_path: str) -> int:
     out = _out_dir(config)
     model = modelio.load_model(model_path)
+    if model["variant"] != config.variant:
+        raise ConfigError(
+            f"variant is {config.variant!r} but the model was trained on {model['variant']!r}"
+        )
     rows, _, _ = pipeline.build_rows(config)
     _, test_rows = pipeline.split_rows(config, rows)
     dates, obs, pred = pipeline.predict_series(model, test_rows)

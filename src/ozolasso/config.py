@@ -94,7 +94,10 @@ class RunConfig:
         if self.cv_ratio >= 1:
             # the grid must descend from lambda_max: the 1-SE rule assumes it
             raise ConfigError(f"cv_ratio must be < 1, got {self.cv_ratio!r}")
-        minimums = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0}
+        minimums = {
+            "cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0,
+            "memory_budget_mb": 1,
+        }
         for name, low in minimums.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")

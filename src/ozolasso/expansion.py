@@ -124,12 +124,6 @@ class ExpandedDesign:
         """Row subset sharing the training expansion moments."""
         return ExpandedDesign(self.base[idx], self.col_mean, self.col_std)
 
-    def for_base(self, base_new: np.ndarray) -> "ExpandedDesign":
-        """Same expansion moments applied to new (already standardized) rows."""
-        if base_new.shape[1] != self.p0:
-            raise ValueError("base width mismatch")
-        return ExpandedDesign(base_new, self.col_mean, self.col_std)
-
     def materialize(self) -> np.ndarray:
         """Full dense expansion; only sensible for small p0 fixtures."""
         n, p = self.shape

@@ -267,7 +267,3 @@ def apply_standardizer(
     Xs = (X[:, params.kept] - params.mu[params.kept]) / params.sigma[params.kept]
     ys = None if y is None else (y - params.y_mu) / params.y_sigma
     return Xs, ys
-
-
-def destandardize_response(params: StandardizationParams, y_std: np.ndarray) -> np.ndarray:
-    return y_std * params.y_sigma + params.y_mu

@@ -6,6 +6,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -142,22 +143,28 @@ def build_design(config: RunConfig, data: TrainingData, expansion: str | None = 
     return ExpandedDesign.fit(data.base)
 
 
-def choose_lambda(config: RunConfig, design, y, solver: str = "lasso"):
+def choose_lambda(config: RunConfig, design, y, fit_path=None):
     """(lambda, CvResult | None) per the config: explicit value or CV."""
     explicit = config.lambda_value()
     if explicit is not None:
         return explicit, None
-    cv = cross_validate(config, design, y, solver)
+    cv = cross_validate(config, design, y, fit_path)
     return selection.select_lambda(cv, config.cv_rule), cv
 
 
-def cross_validate(config: RunConfig, design, y, solver: str = "lasso") -> selection.CvResult:
-    """k-fold CV over the configured grid, descending from lambda_max."""
+def cross_validate(config: RunConfig, design, y, fit_path=None) -> selection.CvResult:
+    """k-fold CV over the configured grid, descending from lambda_max.
+
+    ``fit_path`` defaults to the Lasso path at the configured tolerance.
+    """
+    if fit_path is None:
+        fit_path = functools.partial(
+            solvers.lasso_path, tol=config.tol, max_sweeps=config.max_sweeps
+        )
     grid = selection.make_lambda_grid(design, y, config.cv_points, config.cv_ratio)
     return selection.kfold_cv(
         design, y, config.cv_k, grid, config.seed,
-        solver=solver, fold_mode=config.fold_mode,
-        tol=config.tol, max_sweeps=config.max_sweeps,
+        fit_path=fit_path, fold_mode=config.fold_mode,
     )
 
 
@@ -170,7 +177,7 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
 
     cv = None
     if method == "lasso":
-        lam, cv = choose_lambda(config, design, data.y, solver="lasso")
+        lam, cv = choose_lambda(config, design, data.y)
         fit = solvers.fit_lasso(
             design, data.y,
             solvers.LassoConfig(lam=lam, tol=config.tol, max_sweeps=config.max_sweeps),
@@ -178,7 +185,7 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
         if not fit.converged:
             logger.warning("lasso did not converge in %d sweeps", fit.sweeps_used)
     elif method == "ridge":
-        lam, cv = choose_lambda(config, design, data.y, solver="ridge")
+        lam, cv = choose_lambda(config, design, data.y, solvers.ridge_path)
         fit = solvers.fit_ridge(design, data.y, lam)
     elif method == "mlr":
         fit = solvers.fit_ols(design, data.y)

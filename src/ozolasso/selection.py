@@ -13,7 +13,6 @@ from .solvers import (
     design_predict,
     design_take_rows,
     lasso_path,
-    ridge_path,
 )
 
 
@@ -78,13 +77,15 @@ def kfold_cv(
     k: int,
     grid: np.ndarray,
     seed: int | None,
-    solver: str = "lasso",
+    fit_path=lasso_path,
     fold_mode: str = "shuffled",
-    tol: float = 1e-7,
-    max_sweeps: int = 10_000,
 ) -> CvResult:
-    """Per-fold fits over the whole grid (warm-started for the Lasso),
-    squared error on the held-out fold, aggregated per lambda."""
+    """Per-fold fits over the whole grid, squared error on the held-out
+    fold, aggregated per lambda.
+
+    ``fit_path(design, y, grid)`` returns one fit per grid point, in grid
+    order: ``solvers.lasso_path`` (warm-started) or ``solvers.ridge_path``.
+    """
     y = np.asarray(y, dtype=float)
     n = design.shape[0]
     grid = np.asarray(grid, dtype=float)
@@ -98,15 +99,8 @@ def kfold_cv(
             raise SelectionError(f"fold {fold}: fewer than 2 training rows")
         d_tr = design_take_rows(design, train)
         d_te = design_take_rows(design, held)
-        y_tr, y_te = y[train], y[held]
-        if solver == "lasso":
-            fits = lasso_path(d_tr, y_tr, grid, tol=tol, max_sweeps=max_sweeps)
-        elif solver == "ridge":
-            if not isinstance(d_tr, np.ndarray):
-                raise SelectionError("ridge CV needs a materialized design")
-            fits = ridge_path(d_tr, y_tr, grid)
-        else:
-            raise SelectionError(f"unknown solver {solver!r}")
+        fits = fit_path(d_tr, y[train], grid)
+        y_te = y[held]
         for i, fit in enumerate(fits):
             pred = fit.beta0 + design_predict(d_te, fit.beta)
             fold_errors[fold, i] = float(np.mean((pred - y_te) ** 2))

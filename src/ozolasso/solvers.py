@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -40,15 +40,12 @@ class LassoConfig:
     lam: float
     tol: float = 1e-7
     max_sweeps: int = 10_000
-    strategy: str = "active-set"  # or "full-sweep"
 
     def __post_init__(self):
         if not math.isfinite(self.lam) or self.lam < 0:
             raise SolverError(f"lambda must be finite and >= 0, got {self.lam!r}")
         if not math.isfinite(self.tol) or self.tol <= 0 or self.max_sweeps < 1:
             raise SolverError("tol must be finite and > 0, and max_sweeps >= 1")
-        if self.strategy not in ("active-set", "full-sweep"):
-            raise SolverError(f"unknown strategy {self.strategy!r}")
 
     @property
     def kkt_tol(self) -> float:
@@ -61,13 +58,10 @@ class ModelFit:
     lam: float
     beta0: float
     beta: np.ndarray
-    residuals: np.ndarray
     sweeps_used: int = 0
     converged: bool = True
-    condition: float | None = None
     kkt_zero_violation: float | None = None
     kkt_active_violation: float | None = None
-    objective_trace: list[float] = field(default_factory=list)
 
     @property
     def active_set(self) -> np.ndarray:
@@ -149,19 +143,14 @@ def design_predict(design, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def soft_threshold(z: float, theta: float) -> float:
-    """sign(z) * max(|z| - theta, 0)."""
-    return float(np.sign(z) * max(abs(z) - theta, 0.0))
-
-
 # --- closed-form solvers ---
 
-def _spd_solve(A: np.ndarray, b: np.ndarray, stacklevel: int = 3) -> tuple[np.ndarray, float]:
+def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
-    Returns (x, condition estimate). Raises SingularDesignError naming the
-    failing pivot; no pseudo-inverse fallback. The ill-conditioning warning
-    names the line ``stacklevel`` frames up: the public solver's caller.
+    Raises SingularDesignError naming the failing pivot; no pseudo-inverse
+    fallback. The ill-conditioning warning names the line that called the
+    public solver, three frames up through ``_ridge_path``.
     """
     factor, info = lapack.dpotrf(A, lower=1)
     if info != 0:
@@ -173,10 +162,10 @@ def _spd_solve(A: np.ndarray, b: np.ndarray, stacklevel: int = 3) -> tuple[np.nd
         warnings.warn(
             f"ill-conditioned normal equations (condition ~ {cond:.3e})",
             RuntimeWarning,
-            stacklevel=stacklevel,
+            stacklevel=4,
         )
-    x, info = lapack.dpotrs(factor, b if b.ndim > 1 else b[:, None], lower=1)
-    return x[:, 0], cond
+    x, _ = lapack.dpotrs(factor, b[:, None], lower=1)
+    return x[:, 0]
 
 
 def _center(y: np.ndarray, fit_intercept: bool) -> tuple[np.ndarray, float]:
@@ -187,11 +176,9 @@ def _center(y: np.ndarray, fit_intercept: bool) -> tuple[np.ndarray, float]:
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray, fit_intercept: bool = True) -> ModelFit:
-    """Normal-equation solution; intercept is the response mean."""
-    yc, beta0 = _center(y, fit_intercept)
-    beta, cond = _spd_solve(X.T @ X, X.T @ yc)
-    residuals = yc - X @ beta
-    return ModelFit("ols", 0.0, beta0, beta, residuals, condition=cond)
+    """Normal-equation solution, the lambda=0 ridge solve; intercept is the
+    response mean."""
+    return _ridge_path(X, y, [0.0], fit_intercept, "ols")[0]
 
 
 def ridge_path(
@@ -209,9 +196,9 @@ def fit_ridge(
     return _ridge_path(X, y, [lam], fit_intercept)[0]
 
 
-def _ridge_path(X, y, grid, fit_intercept) -> list[ModelFit]:
-    # Shared by ridge_path and fit_ridge, so a warning from _spd_solve is
-    # the same number of frames below either one's caller.
+def _ridge_path(X, y, grid, fit_intercept, method="ridge") -> list[ModelFit]:
+    # Shared by ridge_path, fit_ridge and fit_ols, so a warning from
+    # _spd_solve is the same number of frames below each one's caller.
     grid = [float(lam) for lam in grid]
     if any(lam < 0 for lam in grid):
         raise SolverError("lambda must be >= 0")
@@ -224,30 +211,20 @@ def _ridge_path(X, y, grid, fit_intercept) -> list[ModelFit]:
         # X'X + n*lam*I with the penalty written into the diagonal in place:
         # a second p x p matrix would raise peak memory by that much.
         np.fill_diagonal(A, diagonal + n * lam)
-        beta, cond = _spd_solve(A, b, stacklevel=4)
-        residuals = yc - X @ beta
-        fits.append(ModelFit("ridge", lam, beta0, beta, residuals, condition=cond))
+        fits.append(ModelFit(method, lam, beta0, _spd_solve(A, b)))
     return fits
 
 
 # --- coordinate-descent Lasso ---
 
-def lasso_objective(design, yc: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    """(1/n)||yc - X beta||^2 + lam * ||beta||_1."""
-    n = len(yc)
-    r = yc - design_predict(design, beta)
-    return float(r @ r / n + lam * np.abs(beta).sum())
-
-
-def _cd_passes(A, indices, beta, r, diag, lam, tol, max_sweeps, trace=None):
+def _cd_passes(A, indices, beta, r, diag, lam, tol, max_sweeps):
     """Cyclic coordinate descent over the design columns ``indices``.
 
     Row t of ``A`` is the contiguous column ``indices[t]``. Each coordinate
     is soft-thresholded at lam/2 and the residual ``r`` updated in place, in
     the order given, until a pass moves no coordinate by ``tol`` or more or
-    ``max_sweeps`` passes are done. With a ``trace`` list, the objective is
-    appended after every coordinate that moves. Returns (passes, the last
-    pass's max |delta beta|).
+    ``max_sweeps`` passes are done. Returns (passes, the last pass's
+    max |delta beta|).
     """
     n = len(r)
     half_lam = lam / 2.0
@@ -268,15 +245,13 @@ def _cd_passes(A, indices, beta, r, diag, lam, tol, max_sweeps, trace=None):
                 beta[j] = bnew
                 if abs(d) > max_delta:
                     max_delta = abs(d)
-                if trace is not None:
-                    trace.append(float(r @ r / n + lam * np.abs(beta).sum()))
         sweeps += 1
         if max_delta < tol:
             break
     return sweeps, max_delta
 
 
-def _full_sweep(design, beta, r, diag, lam, trace) -> float:
+def _full_sweep(design, beta, r, diag, lam) -> float:
     """One screened pass over every column; returns the max |delta beta|."""
     half_lam = lam / 2.0
     max_delta = 0.0
@@ -288,22 +263,19 @@ def _full_sweep(design, beta, r, diag, lam, trace) -> float:
         b_chunk = beta[j0 : j0 + block_t.shape[0]]
         candidates = np.flatnonzero((b_chunk != 0.0) | (np.abs(corr) > half_lam))
         indices = (j0 + candidates).tolist()
-        _, delta = _cd_passes(block_t[candidates], indices, beta, r, diag, lam, 0.0, 1, trace)
+        _, delta = _cd_passes(block_t[candidates], indices, beta, r, diag, lam, 0.0, 1)
         max_delta = max(max_delta, delta)
     return max_delta
 
 
 def _kkt_violations(design, r, beta, half_lam) -> tuple[float, float]:
-    zero_v = 0.0
-    active_v = 0.0
-    for j0, _, corr in _corr_chunks(design, r):
-        b = beta[j0 : j0 + corr.size]
-        zero_mask = b == 0
-        if zero_mask.any():
-            zero_v = max(zero_v, float(np.abs(corr[zero_mask]).max() - half_lam))
-        if (~zero_mask).any():
-            gap = np.abs(corr[~zero_mask] - half_lam * np.sign(b[~zero_mask]))
-            active_v = max(active_v, float(gap.max()))
+    """(max over zero coordinates of |X_j'r/n| - lam/2, floored at 0; max
+    over active ones of |X_j'r/n - (lam/2) sign(beta_j)|)."""
+    corr = design_corr(design, r)
+    active = np.flatnonzero(beta)
+    active_v = float(np.abs(corr[active] - half_lam * np.sign(beta[active])).max(initial=0.0))
+    # |corr| in place, with no masked copy: corr is as long as the design is wide
+    zero_v = float(np.abs(corr, out=corr).max(where=beta == 0, initial=0.0)) - half_lam
     return max(zero_v, 0.0), active_v
 
 
@@ -313,14 +285,14 @@ def fit_lasso(
     config: LassoConfig,
     beta_init: np.ndarray | None = None,
     diag: np.ndarray | None = None,
-    track_objective: bool = False,
 ) -> ModelFit:
     """Coordinate descent (shooting) for the L1-penalized criterion.
 
-    Columns are streamed from the design in chunks, never materialized in
-    full. Coordinate order is fixed ascending within a sweep. The fit carries
-    a KKT optimality certificate; non-convergence at max_sweeps returns the
-    fit with converged=False.
+    Each round is one screened sweep over every column, streamed from the
+    design in chunks and never materialized in full, in ascending order;
+    then passes over the active coordinates alone until they settle. The fit
+    carries a KKT optimality certificate; non-convergence at max_sweeps
+    returns the fit with converged=False.
     """
     p = design.shape[1]
     yc, beta0 = _center(np.asarray(y, dtype=float), True)
@@ -331,27 +303,23 @@ def fit_lasso(
         r = yc.copy()
     else:
         r = yc - design_predict(design, beta)
-    trace = [] if track_objective else None
-    if trace is not None:
-        trace.append(float(r @ r / len(r) + config.lam * np.abs(beta).sum()))
 
     sweeps = 0
     converged = False
     while sweeps < config.max_sweeps:
-        delta = _full_sweep(design, beta, r, diag, config.lam, trace)
+        delta = _full_sweep(design, beta, r, diag, config.lam)
         sweeps += 1
         if delta < config.tol:
             converged = True
             break
-        if config.strategy == "active-set":
-            indices = np.flatnonzero(beta).tolist()
-            if indices:
-                columns = [np.ascontiguousarray(design_column(design, j)) for j in indices]
-                passes, _ = _cd_passes(
-                    np.stack(columns), indices, beta, r, diag, config.lam,
-                    config.tol, config.max_sweeps - sweeps, trace,
-                )
-                sweeps += passes
+        indices = np.flatnonzero(beta).tolist()
+        if indices:
+            columns = [np.ascontiguousarray(design_column(design, j)) for j in indices]
+            passes, _ = _cd_passes(
+                np.stack(columns), indices, beta, r, diag, config.lam,
+                config.tol, config.max_sweeps - sweeps,
+            )
+            sweeps += passes
 
     zero_v, active_v = _kkt_violations(design, r, beta, config.lam / 2.0)
     return ModelFit(
@@ -359,12 +327,10 @@ def fit_lasso(
         lam=config.lam,
         beta0=beta0,
         beta=beta,
-        residuals=r,
         sweeps_used=sweeps,
         converged=converged,
         kkt_zero_violation=zero_v,
         kkt_active_violation=active_v,
-        objective_trace=[] if trace is None else trace,
     )
 
 
@@ -385,11 +351,3 @@ def lasso_path(
         fits.append(fit)
         beta = fit.beta
     return fits
-
-
-def kkt_satisfied(fit: ModelFit, tol: float) -> bool:
-    return (
-        fit.kkt_zero_violation is not None
-        and fit.kkt_zero_violation <= tol
-        and fit.kkt_active_violation <= tol
-    )

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_csv, write_text
+from .ingest import METEO_VARS, POLLUTANTS
 
 START_DATE = Date(2015, 1, 1)
 BASE_LEVEL = 45.0  # ppb, center of the planted target
@@ -209,40 +210,14 @@ def write_files(config: SynthConfig, out_dir: str | Path) -> dict:
     met_rows = []
     for d in range(config.n_days):
         date = (START_DATE + timedelta(days=d)).isoformat()
-        pol = data["pollutants"][d]
+        pol = dict(data["pollutants"][d], o3=data["o3"][d])
         met = data["meteo"][d]
         for h in range(24):
-            pol_rows.append(
-                [date, h, repr(float(data["o3"][d, h]))]
-                + [repr(float(pol[v][h])) for v in ("so2", "no", "no2", "nox", "co", "pm25")]
-            )
-            met_rows.append(
-                [date, h]
-                + [
-                    repr(float(met[v][h]))
-                    for v in (
-                        "temperature",
-                        "dew_point",
-                        "rel_humidity",
-                        "wind_direction",
-                        "wind_speed",
-                        "visibility",
-                        "pressure",
-                    )
-                ]
-            )
+            pol_rows.append([date, h] + [repr(float(pol[v][h])) for v in POLLUTANTS])
+            met_rows.append([date, h] + [repr(float(met[v][h])) for v in METEO_VARS])
 
-    write_csv(
-        out_dir / "pollutants.csv",
-        ["date", "hour", "o3", "so2", "no", "no2", "nox", "co", "pm25"],
-        pol_rows,
-    )
-    write_csv(
-        out_dir / "meteorology.csv",
-        ["date", "hour", "temperature", "dew_point", "rel_humidity",
-         "wind_direction", "wind_speed", "visibility", "pressure"],
-        met_rows,
-    )
+    write_csv(out_dir / "pollutants.csv", ["date", "hour", *POLLUTANTS], pol_rows)
+    write_csv(out_dir / "meteorology.csv", ["date", "hour", *METEO_VARS], met_rows)
     manifest = data["manifest"]
     write_text(out_dir / "truth.json", json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return manifest

@@ -145,6 +145,17 @@ def test_train_predict_evaluate_report(synth_dir, tmp_path):
     assert (out / "weights_lasso_linear.csv").exists()
 
 
+def test_predict_rejects_a_model_of_another_variant(synth_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train"] + base_args(synth_dir, out, extra=["--lambda", "0.1"])) == 0
+    rc = main(["predict", "--model", str(out / "model.json")]
+              + base_args(synth_dir, out, extra=["--variant", "max8h"]))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: variant is 'max8h' but the model was trained on 'max'" in err
+    assert not (out / "predictions.csv").exists()
+
+
 def test_train_rejects_overlapping_split(synth_dir, tmp_path, capsys):
     args = base_args(synth_dir, tmp_path / "out", extra=["--lambda", "0.1"])
     args[args.index("test_start=2015-02-18")] = "test_start=2015-02-01"
@@ -175,6 +186,7 @@ def test_non_finite_numbers_rejected(synth_dir, tmp_path, capsys, extra, field):
     (["--set", "max_gap_hours=-1"], "max_gap_hours must be >= 0"),
     (["--seed", "-1"], "seed must be >= 0"),
     (["--set", "tol=small"], "tol must be of type float"),
+    (["--set", "memory_budget_mb=0"], "memory_budget_mb must be >= 1"),
 ])
 def test_out_of_range_numbers_rejected(synth_dir, tmp_path, capsys, extra, message):
     out = tmp_path / "out"

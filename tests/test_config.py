@@ -1,6 +1,10 @@
 """Configuration parsing, validation, and round-tripping."""
 
+import math
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ozolasso.config import (
     ConfigError,
@@ -63,7 +67,8 @@ def test_validate_choices():
     with pytest.raises(ConfigError, match="lambda"):
         RunConfig(lam="nan").validate_choices()
     for bad in ({"cv_k": 1}, {"cv_points": 0}, {"max_sweeps": 0},
-                {"max_gap_hours": -1}, {"seed": -1}, {"cv_ratio": 1.0}, {"cv_ratio": 2.0}):
+                {"max_gap_hours": -1}, {"seed": -1}, {"cv_ratio": 1.0}, {"cv_ratio": 2.0},
+                {"memory_budget_mb": 0}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             RunConfig(**bad).validate_choices()
@@ -119,3 +124,79 @@ def test_effective_config_round_trip(tmp_path):
     assert load_config(path) == cfg
     # floats survive exactly thanks to repr serialization
     assert load_config(path).cv_ratio == cfg.cv_ratio
+
+
+# The accepted values of every RunConfig key, written out independently of
+# the checks in config.py.
+CHOICES = {
+    "variant": ("max", "max8h"),
+    "target_mode": ("delta", "direct"),
+    "expansion": ("linear", "polynomial"),
+    "method": ("lasso", "ridge", "mlr"),
+    "cv_rule": ("min", "one_se"),
+    "fold_mode": ("shuffled", "blocked"),
+}
+MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0,
+            "memory_budget_mb": 1}
+FLOAT_RANGES = {"tol": (0.0, math.inf), "cv_ratio": (0.0, 1.0)}  # open intervals
+FREE_TEXT = ("pollutant_file", "meteo_file", "forecast_file", "train_start", "train_end",
+             "test_start", "test_end", "out_dir", "report_methods")
+
+
+def test_every_key_has_a_rule():
+    ruled = {*CHOICES, *MINIMUMS, *FLOAT_RANGES, *FREE_TEXT, "lam"}
+    assert ruled == {f.name for f in fields(RunConfig)}
+
+
+def accepted(key: str, text: str) -> bool:
+    """Whether ``key=text`` should pass set_option and validate_choices."""
+    try:
+        value = type(getattr(RunConfig(), key))(text)
+    except ValueError:
+        return False
+    if key in CHOICES:
+        return value in CHOICES[key]
+    if key in MINIMUMS:
+        return value >= MINIMUMS[key]
+    if key in FLOAT_RANGES:
+        low, high = FLOAT_RANGES[key]
+        return low < value < high
+    if key == "lam":
+        if value == "cv":
+            return True
+        try:
+            return math.isfinite(float(value)) and float(value) >= 0
+        except ValueError:
+            return False
+    return True
+
+
+def candidate_text(key: str):
+    """Values of every kind for ``key``: well-formed and in range, well-formed
+    and out of range, and arbitrary text."""
+    if key in CHOICES:
+        typed = st.sampled_from(CHOICES[key])
+    elif key in MINIMUMS:
+        low = MINIMUMS[key]
+        typed = st.integers(low - 3, low + 3).map(str) | st.integers().map(str)
+    elif key in FLOAT_RANGES or key == "lam":
+        typed = st.floats().map(repr) | st.sampled_from(["0", "1", "1e-7", "cv"])
+    else:
+        typed = st.text(max_size=12)
+    return typed | st.text(max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_set_option_and_validate_choices_over_every_key(data):
+    key = data.draw(st.sampled_from(sorted(f.name for f in fields(RunConfig))), label="key")
+    text = data.draw(candidate_text(key), label="text")
+    config = RunConfig()
+    try:
+        set_option(config, key, text)
+        config.validate_choices()
+    except ConfigError as exc:
+        assert not accepted(key, text)
+        assert key in str(exc)  # "lambda ..." names the lam key
+    else:
+        assert accepted(key, text)

@@ -140,8 +140,7 @@ def test_persistence_equals_zero_beta_delta_model():
     # exactly the anchor and must reproduce the persistence baseline
     y = rows.target_raw - rows.current_anchor
     params = fit_standardizer(X, y)
-    fit = ModelFit("lasso", 1.0, beta0=0.0, beta=np.zeros(params.kept.size),
-                   residuals=np.zeros(2))
+    fit = ModelFit("lasso", 1.0, beta0=0.0, beta=np.zeros(params.kept.size))
     names = [f"f{j}" for j in range(4)]
     model = build_model_dict(fit, params, names, names,
                              variant="max", expansion="linear", target_mode="delta")

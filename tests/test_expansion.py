@@ -1,7 +1,6 @@
 """Lazy quadratic expansion: ordering, parent bookkeeping, standardization."""
 
 import numpy as np
-import pytest
 
 from conftest import standardized_matrix
 from ozolasso.expansion import ExpandedDesign, cross_pairs, expansion_size
@@ -98,12 +97,3 @@ def test_take_rows_keeps_training_moments():
     np.testing.assert_array_equal(sub.col_std, design.col_std)
     np.testing.assert_array_equal(sub.materialize(), design.materialize()[:10])
 
-
-def test_for_base_applies_same_moments():
-    design = small_design(seed=7, n=40, p0=5)
-    rng = np.random.default_rng(8)
-    new_base = standardized_matrix(rng, 12, 5)
-    other = design.for_base(new_base)
-    np.testing.assert_array_equal(other.col_mean, design.col_mean)
-    with pytest.raises(ValueError):
-        design.for_base(np.ones((3, 4)))

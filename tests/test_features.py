@@ -16,7 +16,6 @@ from ozolasso.features import (
     build_schema,
     channel_series,
     compute_8h_means,
-    destandardize_response,
     fit_standardizer,
 )
 from ozolasso.pipeline import prepare_training
@@ -160,7 +159,7 @@ def test_delta_target_modes():
 
     def training_target(mode):
         data = prepare_training(RunConfig(target_mode=mode), rows, schema)
-        return destandardize_response(data.params, data.y).tolist()
+        return (data.y * data.params.y_sigma + data.params.y_mu).tolist()
 
     assert training_target("delta") == [7.0, 10.0]
     assert training_target("direct") == [55.0, 60.0]
@@ -175,7 +174,7 @@ def test_standardizer_basic_column():
     Xs, ys = apply_standardizer(params, X, y)
     expected = np.sqrt(1.5)  # 1/sigma with population sigma = sqrt(2/3)
     np.testing.assert_allclose(Xs[:, 0], [-expected, 0.0, expected], atol=1e-14)
-    np.testing.assert_allclose(destandardize_response(params, ys), y, atol=1e-12)
+    np.testing.assert_allclose(ys * params.y_sigma + params.y_mu, y, atol=1e-12)
 
 
 def test_standardizer_drops_constant_column():
@@ -229,7 +228,7 @@ def test_stack_rows():
     rows, schema = build_base_features(days, "max")
     assert rows.x.shape == (2, 918)
     data = prepare_training(RunConfig(target_mode="delta"), rows, schema)
-    y = destandardize_response(data.params, data.y)
+    y = data.y * data.params.y_sigma + data.params.y_mu
     assert y[0] == rows.target_raw[0] - rows.current_anchor[0]
     assert rows[np.array([False, True])].x.tobytes() == rows.x[1:].tobytes()
     with pytest.raises(FeatureError):

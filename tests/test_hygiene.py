@@ -1,0 +1,63 @@
+"""No module in ``src/`` or ``tests/`` imports a name it never uses.
+
+A name is used when it appears as an identifier anywhere in the module, or
+inside a quoted annotation. An import line marked ``# noqa: F401`` is
+exempt: it keeps a binding that code outside the module reads.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= used_names(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = used_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if "# noqa: F401" in lines[alias.lineno - 1] or bound in used:
+                continue
+            unused.append(f"line {alias.lineno}: {bound}")
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_the_scan_finds_an_unused_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import json\nimport os.path\nfrom math import pi, tau  # noqa: F401\n"
+        "from typing import List\n\n\ndef f(x: 'List[int]'):\n    return os.path.sep\n"
+    )
+    assert unused_imports(module) == ["line 1: json"]

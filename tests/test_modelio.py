@@ -195,7 +195,7 @@ def test_saved_model_predicts_bitwise_like_in_memory(
     if polynomial:
         model, fit, design, params = fit_polynomial_model(rows, lam, target_mode)
         base, _ = apply_standardizer(params, test.x)
-        oracle = design.for_base(base).materialize() @ fit.beta
+        oracle = ExpandedDesign(base, design.col_mean, design.col_std).materialize() @ fit.beta
     else:
         model, fit, params = fit_linear_model(rows, lam=lam, target_mode=target_mode)
         base, _ = apply_standardizer(params, test.x)

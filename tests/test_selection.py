@@ -12,7 +12,7 @@ from ozolasso.selection import (
     make_lambda_grid,
     select_lambda,
 )
-from ozolasso.solvers import LassoConfig, fit_lasso, lasso_path
+from ozolasso.solvers import LassoConfig, fit_lasso, lasso_path, ridge_path
 
 
 def test_lambda_max_perfect_correlation():
@@ -172,11 +172,35 @@ def test_ridge_solver_cv():
     X = standardized_matrix(rng, 40, 6)
     y = X[:, 0] + 0.3 * rng.normal(size=40)
     grid = make_lambda_grid(X, y, n_points=6, ratio=1e-2)
-    cv = kfold_cv(X, y, 4, grid, seed=0, solver="ridge")
+    cv = kfold_cv(X, y, 4, grid, seed=0, fit_path=ridge_path)
     assert cv.cv_mean.shape == (6,)
     assert np.isfinite(cv.cv_mean).all()
-    with pytest.raises(SelectionError, match="unknown solver"):
-        kfold_cv(X, y, 4, grid, seed=0, solver="svm")
+
+
+@pytest.mark.parametrize("expanded", [False, True], ids=["dense", "expanded"])
+def test_kfold_cv_fits_each_fold_on_its_training_rows(expanded):
+    rng = np.random.default_rng(12)
+    base = standardized_matrix(rng, 23, 4)
+    design = ExpandedDesign.fit(base) if expanded else base
+    dense = design.materialize() if expanded else design
+    y = base[:, 0] + rng.normal(size=23)
+    grid = make_lambda_grid(design, y, n_points=5, ratio=1e-2)
+    calls = []
+
+    def fit_path(d_tr, y_tr, g):
+        calls.append((d_tr.materialize() if expanded else d_tr.copy(), y_tr.copy(), g))
+        return lasso_path(d_tr, y_tr, g)
+
+    cv = kfold_cv(design, y, 4, grid, seed=5, fit_path=fit_path)
+    assert len(calls) == 4
+    for fold, (d_tr, y_tr, g) in enumerate(calls):
+        train = np.flatnonzero(cv.fold_assignment != fold)
+        assert d_tr.tobytes() == dense[train].tobytes()
+        assert y_tr.tobytes() == y[train].tobytes()
+        assert g.tobytes() == grid.tobytes()
+    # the default path is the Lasso path: same errors bit for bit
+    default = kfold_cv(design, y, 4, grid, seed=5)
+    assert default.cv_mean.tobytes() == cv.cv_mean.tobytes()
 
 
 def test_blocked_fold_mode():
