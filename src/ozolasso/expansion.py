@@ -32,15 +32,16 @@ class ExpandedDesign:
     column (their coordinate can never activate).
     """
 
-    # moment block width; separate from solvers._CD_CHUNK, and changing it moves bits
+    # moment block width; separate from solvers._CORR_CHUNK, and changing it moves bits
     CHUNK = 4096
 
-    def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray):
+    def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray, pairs=None):
         self.base = np.ascontiguousarray(base, dtype=float)
         self.p0 = base.shape[1]
         self.col_mean = col_mean
         self.col_std = col_std
-        self._jj, self._kk = cross_pairs(self.p0)
+        self._jj, self._kk = cross_pairs(self.p0) if pairs is None else pairs
+        self._corr_err = None  # gram_corr's error weights, formed on first use
 
     @classmethod
     def fit(cls, base: np.ndarray) -> "ExpandedDesign":
@@ -120,9 +121,36 @@ class ExpandedDesign:
     def column(self, j: int) -> np.ndarray:
         return self.block(j, j + 1)[:, 0]
 
+    def gram_corr(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(X_j'v / n for every expanded column, weights w): entry j is within
+        ||v||_2 w_j of the streamed product of ``solvers.design_corr``.
+
+        The raw products are one p0 x p0 GEMM, ((B o v)'B)_jk / n, corrected
+        by the saved moments. w_j = 4 (n + 10) eps (||raw_j|| / n +
+        |mean_j| / sqrt(n)) / std_j, formed once per design, bounds the
+        rounding of either sum and of the standardization per unit ||v||.
+        Zero-variance columns are exactly 0, with weight 0.
+        """
+        n = self.base.shape[0]
+        if self._corr_err is None:
+            sq = self.base * self.base
+            norm2 = sq.T @ sq  # sum_i raw_ij^2 of the squares and cross products
+            err = np.concatenate([sq.sum(axis=0), norm2.diagonal(), norm2[self._jj, self._kk]])
+            del norm2
+            err = np.sqrt(err) / n + np.abs(self.col_mean) / np.sqrt(n)
+            std = np.where(self.col_std > 0, self.col_std, np.inf)  # weight 0 where std is 0
+            self._corr_err = err * (4 * (n + 10) * np.finfo(float).eps) / std
+        gram = (self.base * v[:, None]).T @ self.base / n
+        corr = np.concatenate([self.base.T @ v / n, gram.diagonal(), gram[self._jj, self._kk]])
+        del gram
+        corr -= self.col_mean * (v.sum() / n)
+        np.divide(corr, self.col_std, out=corr, where=self.col_std > 0)
+        corr[self.col_std == 0] = 0.0
+        return corr, self._corr_err
+
     def take_rows(self, idx: np.ndarray) -> "ExpandedDesign":
         """Row subset sharing the training expansion moments."""
-        return ExpandedDesign(self.base[idx], self.col_mean, self.col_std)
+        return ExpandedDesign(self.base[idx], self.col_mean, self.col_std, (self._jj, self._kk))
 
     def materialize(self) -> np.ndarray:
         """Full dense expansion; only sensible for small p0 fixtures."""

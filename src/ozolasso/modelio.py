@@ -98,6 +98,8 @@ def build_model_dict(
         "kkt": {
             "zero_violation": fit.kkt_zero_violation,
             "active_violation": fit.kkt_active_violation,
+            # closed-form fits carry no gap, and their files keep their bytes
+            **({} if fit.gap is None else {"gap": fit.gap}),
         },
         "solver": dict(solver_meta or {}, sweeps_used=fit.sweeps_used, converged=fit.converged),
     }
@@ -107,11 +109,19 @@ def save_model(model: dict, path: str | Path) -> None:
     write_text(path, json.dumps(model, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
+# every key that predict_rows and the predict command read
+REQUIRED_KEYS = ("target_mode", "variant", "n_base_features", "expansion", "weights",
+                 "beta0", "standardization")
+
+
 def load_model(path: str | Path) -> dict:
     model = json.loads(Path(path).read_text())
     version = model.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ModelIOError(f"unsupported model schema version {version!r}")
+    missing = [key for key in REQUIRED_KEYS if key not in model]
+    if missing:
+        raise ModelIOError(f"model file lacks {', '.join(missing)}")
     digest = standardization_digest(_params_from_dict(model["standardization"]))
     if digest != model.get("standardization_digest"):
         raise ModelIOError("standardization does not match standardization_digest")

@@ -183,7 +183,7 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
             solvers.LassoConfig(lam=lam, tol=config.tol, max_sweeps=config.max_sweeps),
         )
         if not fit.converged:
-            logger.warning("lasso did not converge in %d sweeps", fit.sweeps_used)
+            logger.warning("lasso did not converge in %d kinks", fit.sweeps_used)
     elif method == "ridge":
         lam, cv = choose_lambda(config, design, data.y, solvers.ridge_path)
         fit = solvers.fit_ridge(design, data.y, lam)

@@ -32,8 +32,8 @@ class CvResult:
 
 
 def column_scores(design, y: np.ndarray) -> np.ndarray:
-    """X_j'yc / n per column: the product the solver's first sweep screens
-    with, so a fit at lambda_max is all-zero by construction."""
+    """X_j'yc / n per column: the product the homotopy takes lambda_max
+    from, so a fit at lambda_max is all-zero by construction."""
     yc, _ = _center(np.asarray(y, dtype=float), True)
     return design_corr(design, yc)
 
@@ -84,7 +84,7 @@ def kfold_cv(
     fold, aggregated per lambda.
 
     ``fit_path(design, y, grid)`` returns one fit per grid point, in grid
-    order: ``solvers.lasso_path`` (warm-started) or ``solvers.ridge_path``.
+    order: ``solvers.lasso_path`` (one homotopy) or ``solvers.ridge_path``.
     """
     y = np.asarray(y, dtype=float)
     n = design.shape[0]

@@ -1,4 +1,4 @@
-"""OLS and ridge closed forms, and the coordinate-descent Lasso.
+"""OLS and ridge closed forms, and the Lasso by homotopy.
 
 Lambda convention: the criterion is mean-square loss (1/n)||Y - X b||^2 plus
 lambda * ||b||_1, so the coordinate soft-threshold is lambda/2 ("eq7-halflambda").
@@ -13,13 +13,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 
 from .expansion import ExpandedDesign
 
 LAMBDA_CONVENTION = "eq7-halflambda"
 COND_WARN_THRESHOLD = 1e12
-KKT_TOL_FACTOR = 10.0  # certificate tolerance, in units of the sweep tolerance
+KKT_TOL_FACTOR = 10.0  # certificate tolerance, in units of tol
 
 
 class SolverError(Exception):
@@ -62,6 +62,7 @@ class ModelFit:
     converged: bool = True
     kkt_zero_violation: float | None = None
     kkt_active_violation: float | None = None
+    gap: float | None = None  # relative duality gap (Lasso fits)
 
     @property
     def active_set(self) -> np.ndarray:
@@ -70,10 +71,10 @@ class ModelFit:
 
 # --- design adapters (plain ndarray or ExpandedDesign) ---
 
-# Columns per chunk; the sweep screens once per chunk. A separate decision
-# from ExpandedDesign.CHUNK, and changing either width moves bits (the
-# expansion moments differ in the last place between 2048 and 4096).
-_CD_CHUNK = 2048
+# Columns per chunk of a design_corr pass. A separate decision from
+# ExpandedDesign.CHUNK, and changing either width moves bits (the expansion
+# moments differ in the last place between 2048 and 4096).
+_CORR_CHUNK = 2048
 
 
 def design_block(design, j0: int, j1: int) -> np.ndarray:
@@ -92,54 +93,37 @@ def design_column(design, j: int) -> np.ndarray:
     return design_block(design, j, j + 1)[:, 0]
 
 
-def _design_chunks(design):
-    """(j0, columns [j0, j0 + _CD_CHUNK)) over the whole design, in order."""
-    p = design.shape[1]
-    for j0 in range(0, p, _CD_CHUNK):
-        yield j0, design_block(design, j0, min(j0 + _CD_CHUNK, p))
-
-
-def _corr_chunks(design, v):
-    """(j0, the chunk's columns as contiguous rows, X_j'v / n) per chunk.
-
-    ``v`` is read as each chunk is produced, so the sweep, which updates it in
-    place, screens every chunk against the current residual. Contiguous rows
-    make the product bitwise equal for streamed and materialized designs.
-    """
-    n = design.shape[0]
-    for j0, block in _design_chunks(design):
-        block_t = np.ascontiguousarray(block.T)
-        yield j0, block_t, block_t @ v / n
+def _chunk_rows(design, j0: int) -> np.ndarray:
+    """The chunk of columns starting at j0 as contiguous rows: the layout
+    that makes products bitwise equal for streamed and materialized designs."""
+    return np.ascontiguousarray(design_block(design, j0, min(j0 + _CORR_CHUNK, design.shape[1])).T)
 
 
 def design_corr(design, v: np.ndarray) -> np.ndarray:
-    """X_j'v / n for every column, with the solver's screening arithmetic."""
-    corr = np.empty(design.shape[1])
-    for j0, _, chunk_corr in _corr_chunks(design, v):
-        corr[j0 : j0 + chunk_corr.size] = chunk_corr
+    """X_j'v / n for every column, one chunk of columns at a time."""
+    n, p = design.shape
+    corr = np.empty(p)
+    for j0 in range(0, p, _CORR_CHUNK):
+        block_t = _chunk_rows(design, j0)
+        corr[j0 : j0 + block_t.shape[0]] = block_t @ v / n
     return corr
 
 
 def design_diag(design) -> np.ndarray:
-    """Sigma_jj = X_j'X_j / n for every column.
-
-    Blocks are forced contiguous so the result is bitwise independent of
-    whether the design is streamed or materialized.
-    """
+    """Sigma_jj = X_j'X_j / n for every column, chunk by chunk."""
     n, p = design.shape
-    diag = np.empty(p)
-    for j0, block in _design_chunks(design):
-        block = np.ascontiguousarray(block)
-        diag[j0 : j0 + block.shape[1]] = np.einsum("ij,ij->j", block, block) / n
-    return diag
+    rows = (_chunk_rows(design, j0) for j0 in range(0, p, _CORR_CHUNK))
+    return np.concatenate([np.einsum("ij,ij->i", b, b) / n for b in rows])
 
 
 def design_predict(design, beta: np.ndarray) -> np.ndarray:
-    """X @ beta streamed over the nonzero coordinates."""
+    """X @ beta: one product on a dense design, streamed over the nonzero
+    coordinates of an ExpandedDesign."""
+    if not isinstance(design, ExpandedDesign):
+        return design @ beta
     out = np.zeros(design.shape[0])
-    active = np.flatnonzero(beta)
-    for j in active:
-        out += beta[j] * np.ascontiguousarray(design_column(design, int(j)))
+    for j in np.flatnonzero(beta).tolist():
+        out += beta[j] * np.ascontiguousarray(design_column(design, j))
     return out
 
 
@@ -215,123 +199,172 @@ def _ridge_path(X, y, grid, fit_intercept, method="ridge") -> list[ModelFit]:
     return fits
 
 
-# --- coordinate-descent Lasso ---
+# --- Lasso: the homotopy path ---
 
-def _cd_passes(A, indices, beta, r, diag, lam, tol, max_sweeps):
-    """Cyclic coordinate descent over the design columns ``indices``.
+# A joining column whose squared distance from the span of the active columns
+# is at most this share of its squared norm lies in that span and stays out.
+_SPAN_TOL = 1e-10
+# Join steps are bounded this many columns at a time: p-long temporaries of
+# the 422,739-column expansion would add tens of MiB to the peak.
+_SLICE = 1 << 16
 
-    Row t of ``A`` is the contiguous column ``indices[t]``. Each coordinate
-    is soft-thresholded at lam/2 and the residual ``r`` updated in place, in
-    the order given, until a pass moves no coordinate by ``tol`` or more or
-    ``max_sweeps`` passes are done. Returns (passes, the last pass's
-    max |delta beta|).
+
+def _screen(design, v):
+    """(X'v/n, weights w bounding its distance from design_corr by ||v|| w):
+    a Gram-form pass on an ExpandedDesign, design_corr itself on a dense one."""
+    if isinstance(design, ExpandedDesign):
+        return design.gram_corr(v)
+    return design_corr(design, v), np.zeros(design.shape[1])
+
+
+def _exact_corr(design, idx: np.ndarray, vectors) -> np.ndarray:
+    """X_j'v/n at the columns ``idx`` for each of ``vectors``, bitwise as
+    design_corr forms them: each chunk holding one of ``idx`` is multiplied
+    whole."""
+    n = design.shape[0]
+    out = np.empty((len(vectors), idx.size))
+    for j0 in (np.unique(idx // _CORR_CHUNK) * _CORR_CHUNK).tolist():
+        block_t = _chunk_rows(design, j0)
+        sel = np.flatnonzero((idx >= j0) & (idx < j0 + _CORR_CHUNK))
+        for row, v in zip(out, vectors):
+            row[sel] = (block_t @ v / n)[idx[sel] - j0]
+    return out
+
+
+def _join_steps(h, c, a, c_err=0.0, a_err=0.0):
+    """(lower, upper) bounds on the step t >= 0 at which |c_j - t a_j| first
+    reaches h - t, for c and a known to within c_err and a_err; inf where it
+    never does."""
+    lo, hi = np.full(c.size, np.inf), np.full(c.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            num, den = h - sign * c, 1.0 - sign * a
+            for out, top, bot in ((lo, num - c_err, den + a_err), (hi, num + c_err, den - a_err)):
+                np.minimum(out, np.maximum(top, 0.0) / bot, out=out, where=bot > 0)
+    return lo, hi
+
+
+def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
+    """The Lasso path down from lambda_max: LARS with the Lasso modification.
+
+    Along a segment the active correlations stay at +-h, h = lambda/2, and
+    beta_A(h) = b - h d, where G_A [d, b] = [s_A, X_A'y/n], G_A = X_A'X_A/n.
+    It ends where an inactive |c_j| reaches h (a join) or a beta_k reaches
+    zero (a drop). Each segment screens c = X'r/n and a = X'X_A d/n once
+    (_screen); every column whose join step may lie within the screen's
+    bound of the minimum is recomputed exactly before the decision, so a
+    streamed design and its materialized copy pass the same kinks. A column
+    that just joined may not drop at the next kink, one that just dropped
+    may rejoin there only with the other sign, and a joining column in the
+    span of the active set stays out until a drop.
+
+    Yields (beta, r, kinks since the previous yield, X'r/n from the screen)
+    at each lambda of the descending ``lams``. If more than ``max_kinks``
+    kinks would be needed, yields (beta, r, kinks, None) at the last one
+    allowed and stops.
     """
-    n = len(r)
-    half_lam = lam / 2.0
-    sweeps = 0
-    max_delta = 0.0
-    while sweeps < max_sweeps:
-        max_delta = 0.0
-        for x, j in zip(A, indices):
-            sjj = diag[j]
-            if sjj <= 0.0:
-                continue
-            z = float(x @ r) / n + sjj * beta[j]
-            shrunk = abs(z) - half_lam
-            bnew = 0.0 if shrunk <= 0.0 else (shrunk / sjj if z > 0 else -shrunk / sjj)
-            d = bnew - beta[j]
-            if d != 0.0:
-                r -= d * x
-                beta[j] = bnew
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-        sweeps += 1
-        if max_delta < tol:
-            break
-    return sweeps, max_delta
+    n, p = design.shape
+    active, signs, blocked, joined, dropped = [], [], set(), -1, -1
+    h, kinks, total = None, 0, 0
+    lams = iter(lams)
+    lam = next(lams, None)
+    while lam is not None:
+        XT = np.array([design_column(design, j) for j in active]).reshape(len(active), n)
+        d = b = np.zeros(0)
+        if active:
+            factor = cho_factor(XT @ XT.T / n, lower=True)
+            d, b = cho_solve(factor, np.stack([signs, XT @ yc / n], axis=1)).T
+        r, u = yc - XT.T @ (b - (h or 0.0) * d), XT.T @ d
+        (c, w), (a, _) = _screen(design, r), _screen(design, u)
+        r_norm, u_norm = float(np.linalg.norm(r)), float(np.linalg.norm(u))
+        if h is None:  # lambda_max / 2, exactly as make_lambda_grid computes it
+            top = np.flatnonzero(np.abs(c) + r_norm * w >= (np.abs(c) - r_norm * w).max())
+            h = float(np.abs(_exact_corr(design, top, [r])).max())
+        lo, hi = np.empty(p), np.empty(p)
+        for s in range(0, p, _SLICE):
+            sl = slice(s, s + _SLICE)
+            lo[sl], hi[sl] = _join_steps(h, c[sl], a[sl], r_norm * w[sl], u_norm * w[sl])
+        lo[active + sorted(blocked)] = hi[active + sorted(blocked)] = np.inf
+        if dropped >= 0:  # it left at +-h on its own side: only the other side takes it back
+            (c_k,), (a_k,) = dropped_sign * _exact_corr(design, np.array([dropped]), (r, u))
+            lo[dropped] = hi[dropped] = max(h + c_k, 0.0) / (1.0 + a_k) if a_k > -1.0 else np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drop = -(b - h * d) / d
+        drop[~(drop > 0) | (np.array(active) == joined)] = np.inf
+        t_drop = float(drop.min(initial=np.inf))
+
+        while True:  # the next join; a column in the span is blocked and the pick repeated
+            idx = np.flatnonzero((lo <= min(float(hi.min()), t_drop)) & (lo < np.inf))
+            ce, ae = _exact_corr(design, idx, (r, u)) if w.any() else (c[idx], a[idx])
+            steps = np.where(idx == dropped, lo[idx], _join_steps(h, ce, ae)[0])
+            i = int(np.argmin(steps)) if idx.size else -1
+            t_join = float(steps[i]) if idx.size else np.inf
+            if t_join >= t_drop:
+                break
+            x = design_column(design, int(idx[i]))
+            g = solve_triangular(factor[0], XT @ x / n, lower=True) if active else d
+            if float(x @ x - n * (g @ g)) > _SPAN_TOL * float(x @ x):
+                break
+            blocked.add(int(idx[i]))
+            lo[idx[i]] = hi[idx[i]] = np.inf
+        t = min(t_join, t_drop)
+
+        while lam is not None and h - lam / 2 <= t:
+            beta = np.zeros(p)
+            beta[active] = b - lam / 2 * d
+            yield beta, yc - XT.T @ beta[active], kinks, c - (h - lam / 2) * a
+            kinks, lam = 0, next(lams, None)
+        if lam is not None and total == max_kinks:
+            beta = np.zeros(p)
+            beta[active] = b - h * d
+            if joined >= 0:  # zero at its kink; b - h d leaves a rounding residue there
+                beta[joined] = 0.0
+            yield beta, r, kinks, None
+        if lam is None or total == max_kinks:
+            return
+        h -= t
+        if t_join < t_drop:
+            joined, dropped = int(idx[i]), -1
+            active.append(joined)
+            signs.append(float(np.copysign(1.0, ce[i] - t * ae[i])))
+        else:
+            k = int(np.argmin(drop))
+            joined, dropped, dropped_sign = -1, active.pop(k), signs.pop(k)
+            blocked.clear()
+        kinks += 1
+        total += 1
 
 
-def _full_sweep(design, beta, r, diag, lam) -> float:
-    """One screened pass over every column; returns the max |delta beta|."""
-    half_lam = lam / 2.0
-    max_delta = 0.0
-    for j0, block_t, corr in _corr_chunks(design, r):
-        # screening: a zero coordinate can only move if its correlation beats
-        # the threshold at chunk entry; anything it misses (activations enabled
-        # by in-chunk updates) is caught on the next sweep, and a sweep that
-        # changes nothing screens exactly
-        b_chunk = beta[j0 : j0 + block_t.shape[0]]
-        candidates = np.flatnonzero((b_chunk != 0.0) | (np.abs(corr) > half_lam))
-        indices = (j0 + candidates).tolist()
-        _, delta = _cd_passes(block_t[candidates], indices, beta, r, diag, lam, 0.0, 1)
-        max_delta = max(max_delta, delta)
-    return max_delta
+def _certified(lam, beta0, beta, r, yc, corr, kinks, kkt_tol) -> ModelFit:
+    """The fit with its certificate, read from ``corr`` = X'r/n (overwritten).
 
-
-def _kkt_violations(design, r, beta, half_lam) -> tuple[float, float]:
-    """(max over zero coordinates of |X_j'r/n| - lam/2, floored at 0; max
-    over active ones of |X_j'r/n - (lam/2) sign(beta_j)|)."""
-    corr = design_corr(design, r)
+    KKT: the max over zero coordinates of |X_j'r/n| - lam/2, floored at 0,
+    and over active ones of |X_j'r/n - (lam/2) sign(beta_j)|; the fit has
+    converged when both are within kkt_tol. Relative duality gap:
+    (P - D) / (y'y/n), P the criterion at beta and D the dual objective at r
+    scaled to s = min(1, (lam/2) / max|X'r/n|), the largest feasible
+    multiple: D = (2 s r'y - s^2 r'r) / n.
+    """
+    n, half_lam = r.size, lam / 2.0
     active = np.flatnonzero(beta)
     active_v = float(np.abs(corr[active] - half_lam * np.sign(beta[active])).max(initial=0.0))
     # |corr| in place, with no masked copy: corr is as long as the design is wide
-    zero_v = float(np.abs(corr, out=corr).max(where=beta == 0, initial=0.0)) - half_lam
-    return max(zero_v, 0.0), active_v
+    corr_max = float(np.abs(corr, out=corr).max(initial=0.0))
+    zero_v = max(float(corr.max(where=beta == 0, initial=0.0)) - half_lam, 0.0)
+    s = 1.0 if corr_max <= half_lam else half_lam / corr_max
+    rr, null = float(r @ r), float(yc @ yc)
+    primal = rr + n * lam * float(np.abs(beta).sum())
+    gap = (primal - (2.0 * s * float(r @ yc) - s * s * rr)) / null if null > 0 else 0.0
+    converged = max(zero_v, active_v) <= kkt_tol
+    return ModelFit("lasso", lam, beta0, beta, kinks, converged, zero_v, active_v, gap)
 
 
-def fit_lasso(
-    design,
-    y: np.ndarray,
-    config: LassoConfig,
-    beta_init: np.ndarray | None = None,
-    diag: np.ndarray | None = None,
-) -> ModelFit:
-    """Coordinate descent (shooting) for the L1-penalized criterion.
-
-    Each round is one screened sweep over every column, streamed from the
-    design in chunks and never materialized in full, in ascending order;
-    then passes over the active coordinates alone until they settle. The fit
-    carries a KKT optimality certificate; non-convergence at max_sweeps
-    returns the fit with converged=False.
-    """
-    p = design.shape[1]
+def fit_lasso(design, y: np.ndarray, config: LassoConfig) -> ModelFit:
+    """The Lasso at config.lam: the one-point path, certified from one exact
+    design_corr pass over its residual."""
     yc, beta0 = _center(np.asarray(y, dtype=float), True)
-    if diag is None:
-        diag = design_diag(design)
-    beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
-    if beta_init is None:
-        r = yc.copy()
-    else:
-        r = yc - design_predict(design, beta)
-
-    sweeps = 0
-    converged = False
-    while sweeps < config.max_sweeps:
-        delta = _full_sweep(design, beta, r, diag, config.lam)
-        sweeps += 1
-        if delta < config.tol:
-            converged = True
-            break
-        indices = np.flatnonzero(beta).tolist()
-        if indices:
-            columns = [np.ascontiguousarray(design_column(design, j)) for j in indices]
-            passes, _ = _cd_passes(
-                np.stack(columns), indices, beta, r, diag, config.lam,
-                config.tol, config.max_sweeps - sweeps,
-            )
-            sweeps += passes
-
-    zero_v, active_v = _kkt_violations(design, r, beta, config.lam / 2.0)
-    return ModelFit(
-        method="lasso",
-        lam=config.lam,
-        beta0=beta0,
-        beta=beta,
-        sweeps_used=sweeps,
-        converged=converged,
-        kkt_zero_violation=zero_v,
-        kkt_active_violation=active_v,
-    )
+    beta, r, kinks, _ = next(_homotopy(design, yc, [config.lam], config.max_sweeps))
+    return _certified(config.lam, beta0, beta, r, yc, design_corr(design, r), kinks, config.kkt_tol)
 
 
 def lasso_path(
@@ -341,13 +374,26 @@ def lasso_path(
     tol: float = 1e-7,
     max_sweeps: int = 10_000,
 ) -> list[ModelFit]:
-    """Warm-started fits along a descending lambda grid."""
-    diag = design_diag(design)
-    fits: list[ModelFit] = []
-    beta = None
-    for lam in grid:
-        config = LassoConfig(lam=float(lam), tol=tol, max_sweeps=max_sweeps)
-        fit = fit_lasso(design, y, config, beta_init=beta, diag=diag)
-        fits.append(fit)
-        beta = fit.beta
+    """Fits along a descending lambda grid from one homotopy.
+
+    Each fit is one solve on the active columns at its lambda, certified
+    from the homotopy's own screen there. ``sweeps_used`` counts the kinks
+    passed since the previous grid point. If the path needs more than
+    ``max_sweeps`` kinks, it stops at the last kink allowed: every lambda
+    left gets that beta, certified from one exact design_corr pass, and
+    reports converged only if the certificate holds.
+    """
+    lams = [LassoConfig(float(lam), tol, max_sweeps).lam for lam in grid]  # validated
+    if any(b > a for a, b in zip(lams, lams[1:])):
+        raise SolverError("the lambda grid must descend")
+    yc, beta0 = _center(np.asarray(y, dtype=float), True)
+    path = _homotopy(design, yc, lams, max_sweeps)
+    fits, beta, r, exact = [], None, None, None
+    for lam in lams:
+        beta, r, kinks, corr = next(path, (beta, r, 0, None))
+        if corr is None:  # out of kinks
+            if exact is None:
+                exact = design_corr(design, r)
+            corr = exact.copy()
+        fits.append(_certified(lam, beta0, beta, r, yc, corr, kinks, KKT_TOL_FACTOR * tol))
     return fits

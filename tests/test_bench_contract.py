@@ -3,14 +3,18 @@
 ``perfbench/run.py`` traces the functions it lists by name and counts the
 calls of the names in its ``COUNTS`` table; ``perfbench/child.py`` reads
 ``len(parse_hourly_file(...).records)`` as rows parsed and
-``len(build_base_features(...)[0])`` as rows built. A rename or a changed
-return type would leave those metrics empty without failing the benchmark.
+``len(build_base_features(...)[0])`` as rows built, and its hooks read
+attributes such as ``sweeps_used`` and ``grid`` from return values. A rename
+or a changed return type would leave those metrics empty without failing
+the benchmark.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -83,3 +87,38 @@ def test_hooks_count_rows_parsed_and_built(tmp_path):
         assert len(built[0]) == 2 == built[0].x.shape[0]
         hooks["features.build_base_features"]((), built, None)
     assert counts["features.rows_built"] == 4
+
+
+def hook_result_attributes() -> dict[str, set[str]]:
+    """Traced name -> the attributes its hook in child.py reads from the
+    traced function's return value (``result.<attr>``), found by AST scan."""
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    layer_hooks = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_layer_hooks")
+    reads = {
+        fn.name: {
+            node.attr for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "result"
+        }
+        for fn in layer_hooks.body if isinstance(fn, ast.FunctionDef)
+    }
+    table = next(n.value for n in layer_hooks.body if isinstance(n, ast.Return))
+    return {key.value: reads[value.id] for key, value in zip(table.keys, table.values)}
+
+
+def test_hooks_read_attributes_the_results_have():
+    """A solver rewrite that renamed a result field would silently zero the
+    benchmark's solver counters: each attribute a hook reads must exist on
+    the type the traced function returns."""
+    attributes = hook_result_attributes()
+    assert {"sweeps_used", "converged"} <= attributes["solvers.fit_lasso"]
+    assert {"grid", "fold_assignment"} <= attributes["selection.kfold_cv"]
+    for name, attrs in attributes.items():
+        module, *path = name.split(".")
+        function = importlib.import_module(f"ozolasso.{module}")
+        for attr in path:
+            function = getattr(function, attr)
+        returned = typing.get_type_hints(function)["return"]
+        fields = {f.name for f in dataclasses.fields(returned)} if dataclasses.is_dataclass(returned) else set()
+        for attr in attrs:
+            assert attr in fields or hasattr(returned, attr), f"{name} result has no {attr}"

@@ -1,0 +1,98 @@
+"""Property test of the homotopy Lasso on random dense designs.
+
+Shapes with n < p and n > p, rank-deficient designs (a duplicated column,
+or a column that is an exact linear combination of others, as the paper's
+daily means are of its hourly columns) and lambda at 0, at lambda_max and
+in between. Each fit must certify: KKT within kkt_tol and a relative
+duality gap of at most 1e-12. Where the solution is unique it must match a
+long-budget coordinate-descent fit.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import standardized_matrix
+from ozolasso.selection import column_scores
+from ozolasso.solvers import LassoConfig, fit_lasso, fit_ols
+
+
+def make_problem(seed, n, p, kind):
+    rng = np.random.default_rng(seed)
+    X = standardized_matrix(rng, n, p)
+    if kind == "duplicate":
+        X[:, -1] = X[:, 0]
+    elif kind == "combination":
+        combo = X[:, : p - 1].mean(axis=1)
+        X[:, -1] = combo / combo.std()
+    support = rng.choice(p, size=min(3, p), replace=False)
+    y = X[:, support] @ rng.uniform(-2.0, 2.0, support.size) + 0.3 * rng.normal(size=n)
+    return X, y
+
+
+def coordinate_descent(X, yc, lam, tol=1e-12, max_sweeps=200_000):
+    """Cyclic coordinate descent to a sweep that moves no coordinate by
+    tol: an independent dense reference for the homotopy."""
+    n, p = X.shape
+    rows, diag = np.ascontiguousarray(X.T), (X * X).sum(axis=0) / n
+    beta, r = np.zeros(p), yc.copy()
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in np.flatnonzero(diag > 0).tolist():
+            z = float(rows[j] @ r) / n + diag[j] * beta[j]
+            delta = np.sign(z) * max(abs(z) - lam / 2, 0.0) / diag[j] - beta[j]
+            if delta != 0.0:
+                r -= delta * rows[j]
+                beta[j] += delta
+                max_delta = max(max_delta, abs(delta))
+        if max_delta < tol:
+            return beta
+    raise AssertionError("the reference coordinate descent did not converge")
+
+
+def equicorrelation_independent(X, yc, beta, lam):
+    """Tibshirani (2013): the Lasso solution is unique when the columns
+    whose |X_j'r/n| reaches lam/2 (the equicorrelation set) are independent."""
+    n = X.shape[0]
+    corr = X.T @ (yc - X @ beta) / n
+    E = np.flatnonzero(np.abs(corr) >= lam / 2 - 1e-9)
+    return np.linalg.matrix_rank(X[:, E], tol=1e-8) == E.size
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(12, 30), (25, 60), (40, 10), (60, 25)]),
+    kind=st.sampled_from(["random", "duplicate", "combination"]),
+    where=st.sampled_from(["zero", "max", "between"]),
+    frac=st.floats(0.02, 0.95),
+)
+def test_homotopy_certifies_and_matches_coordinate_descent(seed, shape, kind, where, frac):
+    n, p = shape
+    X, y = make_problem(seed, n, p, kind)
+    yc = y - y.mean()
+    lam_max = 2.0 * float(np.abs(column_scores(X, y)).max())
+    lam = {"zero": 0.0, "max": lam_max, "between": frac * lam_max}[where]
+    config = LassoConfig(lam=lam)
+    fit = fit_lasso(X, y, config)
+
+    assert fit.converged
+    assert fit.kkt_zero_violation <= config.kkt_tol
+    assert fit.kkt_active_violation <= config.kkt_tol
+    r = yc - X @ fit.beta
+    if lam > 0 or n <= p:
+        assert fit.gap <= 1e-12
+    else:
+        # at lambda = 0 the scaled residual is dual-feasible only when X'r = 0
+        # exactly, so with n > p the gap stays at 1 - R^2; the fit is checked
+        # against least squares instead
+        assert np.abs(X.T @ r / n).max() <= config.kkt_tol
+    if where == "max":
+        assert np.all(fit.beta == 0.0)
+
+    if lam == 0.0:
+        if n > p and kind == "random":
+            assert np.abs(fit.beta - fit_ols(X, y).beta).max() < 1e-8
+        return
+    if not equicorrelation_independent(X, yc, fit.beta, lam):
+        return
+    assert np.abs(fit.beta - coordinate_descent(X, yc, lam)).max() < 1e-6

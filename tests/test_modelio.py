@@ -14,6 +14,7 @@ from ozolasso.features import (
     fit_standardizer,
 )
 from ozolasso.modelio import (
+    REQUIRED_KEYS,
     ModelIOError,
     build_model_dict,
     load_model,
@@ -21,7 +22,7 @@ from ozolasso.modelio import (
     save_model,
     standardization_digest,
 )
-from ozolasso.solvers import LassoConfig, fit_lasso
+from ozolasso.solvers import LassoConfig, fit_lasso, fit_ridge
 
 
 def make_rows(rng, n, p, beta=None, noise=0.0, anchor=50.0):
@@ -243,3 +244,39 @@ def test_edited_standardization_rejected(tmp_path, capsys):
     assert main(args) == 1
     assert "standardization_digest" in capsys.readouterr().err
     assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("key", REQUIRED_KEYS)
+def test_model_missing_a_key_rejected(tmp_path, capsys, key):
+    """A key that prediction reads is checked on load, before any input file
+    is read: the error names the key, not a file."""
+    rng = np.random.default_rng(10)
+    model, _, _ = fit_linear_model(make_rows(rng, 10, 2, beta=np.array([1.0, 0.5])))
+    del model[key]
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with pytest.raises(ModelIOError, match=key):
+        load_model(path)
+    args = ["predict", "--model", str(path), "--out-dir", str(tmp_path / "out"),
+            "--set", f"pollutant_file={tmp_path / 'absent.csv'}",
+            "--set", f"meteo_file={tmp_path / 'absent.csv'}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert key in err and "absent.csv" not in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+def test_lasso_model_records_its_duality_gap(tmp_path):
+    rng = np.random.default_rng(11)
+    rows = make_rows(rng, 30, 4, beta=np.array([1.0, -0.5, 0.0, 0.2]), noise=0.5)
+    model, fit, params = fit_linear_model(rows, lam=0.05)
+    save_model(model, tmp_path / "model.json")
+    kkt = load_model(tmp_path / "model.json")["kkt"]
+    assert kkt["gap"] == fit.gap and abs(fit.gap) <= 1e-12
+    assert kkt["zero_violation"] == fit.kkt_zero_violation
+    # a closed-form fit has no gap, and its model file keeps the old keys
+    X, y = apply_standardizer(params, rows.x, rows.target_raw)
+    names = [f"f{j}" for j in range(4)]
+    ridge = build_model_dict(fit_ridge(X, y, 0.1), params, names, names, variant="max",
+                             expansion="linear", target_mode="direct")
+    assert set(ridge["kkt"]) == {"zero_violation", "active_violation"}

@@ -35,7 +35,7 @@ def test_fit_at_grid_head_is_exactly_zero():
         grid = make_lambda_grid(design, y, n_points=10, ratio=1e-3)
         fit = fit_lasso(design, y, LassoConfig(lam=float(grid[0])))
         assert np.all(fit.beta == 0.0)
-        assert fit.converged and fit.sweeps_used == 1
+        assert fit.converged and fit.sweeps_used == 0  # no kink above lambda_max
 
 
 def test_first_activation_is_dominant_column():

@@ -1,4 +1,4 @@
-"""Closed-form OLS/ridge and the coordinate-descent Lasso."""
+"""Closed-form OLS/ridge and the homotopy Lasso."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from ozolasso.solvers import (
     _spd_solve,
     SingularDesignError,
     SolverError,
+    design_corr,
     design_diag,
     fit_lasso,
     fit_ols,
@@ -200,18 +201,20 @@ def test_kkt_certificate_at_convergence():
 
 
 def test_objective_descends_with_the_sweep_budget():
-    """Each coordinate step lowers the objective, and a larger sweep budget
-    only extends the same sequence of steps."""
+    """A fit cut short by the kink budget sits at the path's last kink
+    allowed; along the path down to lambda the lambda-objective falls, so a
+    larger budget never raises it."""
     rng = np.random.default_rng(9)
     X = standardized_matrix(rng, 30, 8)
     y = rng.normal(size=30)
+    yc = y - y.mean()
     expanded = ExpandedDesign.fit(standardized_matrix(rng, 30, 4))
     for design, dense in ((X, X), (expanded, expanded.materialize())):
         objectives = []
         for budget in range(1, 12):
-            fit = fit_lasso(design, y, LassoConfig(lam=0.1, max_sweeps=budget))
-            r = y - y.mean() - dense @ fit.beta
-            objectives.append(float(r @ r / 30 + 0.1 * np.abs(fit.beta).sum()))
+            beta = fit_lasso(design, y, LassoConfig(lam=0.1, max_sweeps=budget)).beta
+            r = yc - dense @ beta
+            objectives.append(float(r @ r / 30 + 0.1 * np.abs(beta).sum()))
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert objectives[-1] < objectives[0]
 
@@ -224,7 +227,9 @@ def test_kkt_violations_match_a_dense_oracle():
     y = base[:, 0] - base[:, 1] * base[:, 2] + 0.3 * rng.normal(size=30)
     for design in (standardized_matrix(rng, 30, 40), ExpandedDesign.fit(base)):
         X = design.materialize() if isinstance(design, ExpandedDesign) else design
-        for lam, sweeps in ((0.05, 1), (0.05, 2), (0.3, 1)):
+        # a path cut at its first kink is still at beta = 0, with no active
+        # coordinate to violate anything: the budgets start at two kinks
+        for lam, sweeps in ((0.05, 2), (0.05, 3), (0.3, 2)):
             fit = fit_lasso(design, y, LassoConfig(lam=lam, max_sweeps=sweeps))
             corr = X.T @ (y - y.mean() - X @ fit.beta) / 30
             zero = fit.beta == 0
@@ -252,7 +257,8 @@ def test_non_convergence_reported():
     y = rng.normal(size=50)
     fit = fit_lasso(X, y, LassoConfig(lam=0.001, max_sweeps=1))
     assert not fit.converged
-    assert fit.sweeps_used == 1
+    assert fit.sweeps_used == 1  # the path's first kink, at lambda_max
+    assert np.all(fit.beta == 0.0)
 
 
 def test_sparsity_contrast_noise_columns():
@@ -291,3 +297,160 @@ def test_active_set_property():
     fit = fit_lasso(X, y, LassoConfig(lam=0.5))
     assert set(fit.active_set) == {j for j in range(10) if fit.beta[j] != 0}
     assert 2 in fit.active_set
+
+
+def dense_certificate(X, y, beta, lam):
+    """(KKT zero violation, KKT active violation, relative duality gap) of
+    beta, formed densely from X."""
+    n = X.shape[0]
+    yc = y - y.mean()
+    r = yc - X @ beta
+    corr = X.T @ r / n
+    zero = beta == 0
+    zero_v = max(float(np.abs(corr[zero]).max(initial=0.0)) - lam / 2, 0.0)
+    active_v = float(np.abs(corr[~zero] - lam / 2 * np.sign(beta[~zero])).max(initial=0.0))
+    s = min(1.0, lam / 2 / float(np.abs(corr).max()))
+    primal = r @ r / n + lam * np.abs(beta).sum()
+    dual = (2 * s * (r @ yc) - s * s * (r @ r)) / n
+    return zero_v, active_v, float((primal - dual) / (yc @ yc / n))
+
+
+def test_duality_gap_matches_a_dense_oracle():
+    """Certified fits and fits cut short by the kink budget, on dense and
+    expanded designs."""
+    rng = np.random.default_rng(17)
+    base = standardized_matrix(rng, 30, 5)
+    y = base[:, 0] - base[:, 1] * base[:, 2] + 0.3 * rng.normal(size=30)
+    for design in (standardized_matrix(rng, 30, 40), ExpandedDesign.fit(base)):
+        X = design.materialize() if isinstance(design, ExpandedDesign) else design
+        for lam, budget in ((0.05, 10_000), (0.3, 10_000), (0.05, 2), (0.3, 1)):
+            fit = fit_lasso(design, y, LassoConfig(lam=lam, max_sweeps=budget))
+            zero_v, active_v, gap = dense_certificate(X, y, fit.beta, lam)
+            assert fit.gap == pytest.approx(gap, rel=1e-9, abs=1e-14)
+            assert fit.kkt_zero_violation == pytest.approx(zero_v, rel=1e-9, abs=1e-14)
+            assert fit.kkt_active_violation == pytest.approx(active_v, rel=1e-9, abs=1e-14)
+            if fit.converged:
+                assert gap <= 1e-12
+            else:
+                assert gap > 1e-6
+
+
+def test_gram_pass_within_its_bound_of_design_corr():
+    """The Gram-form pass against the streamed product, on the training rows
+    and on a row subset (whose columns are not centred), with zero-variance
+    expanded columns: the square of a +-1 column and a constant column."""
+    rng = np.random.default_rng(18)
+    base = standardized_matrix(rng, 40, 9)
+    base[:, 0] = np.resize([1.0, -1.0], 40)
+    base[:, 1] = 0.0
+    design = ExpandedDesign.fit(base)
+    constant = design.col_std == 0
+    assert constant[design.p0] and constant.sum() > 9
+    for d in (design, design.take_rows(rng.permutation(40)[:25])):
+        n = d.shape[0]
+        for v in (rng.normal(size=n), 1e6 * rng.normal(size=n), np.ones(n), np.zeros(n)):
+            corr, weights = d.gram_corr(v)
+            exact = design_corr(d, v)
+            err = np.abs(corr - exact)
+            assert np.all(err <= np.linalg.norm(v) * weights)
+            assert np.all(corr[constant] == 0.0) and np.all(exact[constant] == 0.0)
+            assert np.all(weights[constant] == 0.0)
+            if v.any():
+                assert err.max() > 0.0  # the two products do round differently
+
+
+def test_kink_budget_stops_the_path():
+    """sweeps_used counts kinks. When max_sweeps kinks run out, the fit is
+    the path's beta at the last kink allowed, certified exactly and not
+    converged."""
+    rng = np.random.default_rng(19)
+    X = standardized_matrix(rng, 40, 60)
+    y = X[:, :6] @ rng.normal(size=6) + 0.5 * rng.normal(size=40)
+
+    full = fit_lasso(X, y, LassoConfig(lam=0.05))
+    kinks = full.sweeps_used
+    assert full.converged and kinks > 10
+
+    grid = np.geomspace(1.0, 0.05, 8)
+    path = lasso_path(X, y, grid)
+    assert sum(f.sweeps_used for f in path) == kinks  # the same kinks, counted per grid point
+    assert np.abs(path[-1].beta - full.beta).max() < 1e-12
+
+    short = fit_lasso(X, y, LassoConfig(lam=0.05, max_sweeps=3))
+    assert short.sweeps_used == 3 and not short.converged
+    assert short.active_set.size == 2  # three joins; the third column is still at 0
+    short_path = lasso_path(X, y, grid, max_sweeps=3)
+    assert sum(f.sweeps_used for f in short_path) == 3
+    stopped = [f for f in short_path if not f.converged]
+    assert stopped and all(f.beta.tobytes() == short.beta.tobytes() for f in stopped)
+    assert all(f.converged for f in short_path[: len(grid) - len(stopped)])
+    for f in stopped:
+        zero_v, active_v, gap = dense_certificate(X, y, f.beta, f.lam)
+        assert f.kkt_zero_violation == pytest.approx(zero_v, rel=1e-9, abs=1e-14)
+        assert f.kkt_active_violation == pytest.approx(active_v, rel=1e-9, abs=1e-14)
+        assert f.gap == pytest.approx(gap, rel=1e-9, abs=1e-14)
+
+
+def test_converged_reads_the_certificate():
+    """converged is the certificate's verdict, not the solver's: an exact
+    fit whose KKT values (rounding, ~1e-16) exceed a tolerance set below
+    them reports converged=False, on a single fit and along a path."""
+    rng = np.random.default_rng(23)
+    X = standardized_matrix(rng, 40, 30)
+    y = X[:, :4] @ rng.normal(size=4) + 0.3 * rng.normal(size=40)
+    exact = fit_lasso(X, y, LassoConfig(lam=0.1))
+    assert exact.converged and 0.0 < exact.kkt_active_violation <= 1e-14
+    strict = fit_lasso(X, y, LassoConfig(lam=0.1, tol=1e-30))
+    assert strict.beta.tobytes() == exact.beta.tobytes()
+    assert strict.sweeps_used == exact.sweeps_used
+    assert not strict.converged
+    grid = np.geomspace(0.5, 0.1, 4)
+    assert all(f.converged for f in lasso_path(X, y, grid))
+    assert not any(f.converged for f in lasso_path(X, y, grid[1:], tol=1e-30))
+
+
+def test_streamed_homotopy_screens_with_the_gram_pass(monkeypatch):
+    """The streamed fit takes its correlations from gram_corr and still
+    matches the materialized fit bit for bit, along a path too."""
+    rng = np.random.default_rng(20)
+    base = standardized_matrix(rng, 50, 12)
+    y = base[:, 0] * base[:, 3] - base[:, 5] + 0.3 * rng.normal(size=50)
+    design = ExpandedDesign.fit(base)
+    dense = design.materialize()
+    calls = []
+    gram_corr = ExpandedDesign.gram_corr
+    monkeypatch.setattr(ExpandedDesign, "gram_corr", lambda self, v: calls.append(1) or gram_corr(self, v))
+    for lam in (0.02, 0.1, 0.4):
+        f_s = fit_lasso(design, y, LassoConfig(lam=lam))
+        n_calls = len(calls)
+        f_m = fit_lasso(dense, y, LassoConfig(lam=lam))
+        assert n_calls > 0 and len(calls) == n_calls
+        assert f_s.beta.tobytes() == f_m.beta.tobytes()
+        assert f_s.sweeps_used == f_m.sweeps_used
+        assert (f_s.kkt_zero_violation, f_s.kkt_active_violation, f_s.gap) == (
+            f_m.kkt_zero_violation, f_m.kkt_active_violation, f_m.gap)
+    grid = np.geomspace(0.5, 0.02, 6)
+    for p_s, p_m in zip(lasso_path(design, y, grid), lasso_path(dense, y, grid)):
+        assert p_s.beta.tobytes() == p_m.beta.tobytes()
+
+
+def test_path_certificates_from_the_homotopy_pass():
+    """A path fit's certificate comes from the homotopy's own pass; it must
+    agree with the exact certificate of the same beta."""
+    rng = np.random.default_rng(21)
+    base = standardized_matrix(rng, 40, 6)
+    y = base[:, 1] - base[:, 2] * base[:, 4] + 0.2 * rng.normal(size=40)
+    for design in (standardized_matrix(rng, 40, 70), ExpandedDesign.fit(base)):
+        X = design.materialize() if isinstance(design, ExpandedDesign) else design
+        for fit in lasso_path(design, y, np.geomspace(0.8, 0.01, 10)):
+            zero_v, active_v, gap = dense_certificate(X, y, fit.beta, fit.lam)
+            assert fit.converged
+            assert fit.kkt_zero_violation <= 1e-12 and fit.kkt_active_violation <= 1e-12
+            assert fit.gap <= 1e-12
+            assert max(zero_v, active_v, gap) <= 1e-12
+
+
+def test_lasso_path_rejects_an_ascending_grid():
+    X = standardized_matrix(np.random.default_rng(22), 20, 5)
+    with pytest.raises(SolverError, match="descend"):
+        lasso_path(X, np.arange(20.0), [0.1, 0.2])
