@@ -14,6 +14,11 @@ import numpy as np
 from .features import FeatureDescriptor
 
 
+# A column whose variance E[x^2] - E[x]^2 is at most this share of E[x^2]
+# takes its moments from a raw pass: the difference has lost its digits.
+_CANCEL = 1e-8
+
+
 def expansion_size(p0: int) -> int:
     return 2 * p0 + p0 * (p0 - 1) // 2
 
@@ -45,19 +50,35 @@ class ExpandedDesign:
 
     @classmethod
     def fit(cls, base: np.ndarray) -> "ExpandedDesign":
-        """Compute expansion moments on training rows."""
+        """Compute expansion moments on training rows.
+
+        Squares and cross products take E[x] = (B'B)_jk / n and E[x^2] =
+        ((B o B)'(B o B))_jk / n from two p0 x p0 GEMMs, and the variance
+        E[x^2] - E[x]^2. Base columns, and every column whose variance is at
+        most _CANCEL of E[x^2] (where the difference has lost its digits;
+        zero-variance columns included), take the two-pass mean and std of
+        their raw CHUNK block, so std == 0 is decided as a raw pass decides it.
+        """
         base = np.ascontiguousarray(base, dtype=float)
-        p = expansion_size(base.shape[1])
-        design = cls(base, np.zeros(p), np.ones(p))
-        mean = np.empty(p)
-        std = np.empty(p)
-        for j0 in range(0, p, cls.CHUNK):
-            j1 = min(j0 + cls.CHUNK, p)
-            raw = design._raw_block(j0, j1)
-            mean[j0:j1] = raw.mean(axis=0)
-            std[j0:j1] = raw.std(axis=0)
-        design.col_mean = mean
-        design.col_std = std
+        n, p0 = base.shape
+        p = expansion_size(p0)
+        design = cls(base, None, None)
+        gram = base.T @ base / n
+        sums = design._square_sums()
+        mean = np.concatenate([np.zeros(p0), gram.diagonal(), gram[design._jj, design._kk]])
+        del gram
+        ex2 = sums / n
+        var = ex2 - mean * mean
+        var[:p0] = 0.0  # base columns: the raw pass below
+        redo = np.flatnonzero(var <= _CANCEL * ex2)
+        del ex2
+        std = np.sqrt(np.maximum(var, 0.0))
+        for j0 in (np.unique(redo // cls.CHUNK) * cls.CHUNK).tolist():
+            raw = design._raw_block(j0, min(j0 + cls.CHUNK, p))
+            sel = redo[(redo >= j0) & (redo < j0 + cls.CHUNK)]
+            mean[sel], std[sel] = raw.mean(axis=0)[sel - j0], raw.std(axis=0)[sel - j0]
+        design.col_mean, design.col_std = mean, std
+        design._corr_err = design._error_weights(sums)
         return design
 
     @property
@@ -121,6 +142,20 @@ class ExpandedDesign:
     def column(self, j: int) -> np.ndarray:
         return self.block(j, j + 1)[:, 0]
 
+    def _square_sums(self) -> np.ndarray:
+        """sum_i raw_ij^2 for every expanded column; the squares and cross
+        products from one p0 x p0 GEMM, ((B o B)'(B o B))_jk."""
+        sq = self.base * self.base
+        gram = sq.T @ sq
+        return np.concatenate([sq.sum(axis=0), gram.diagonal(), gram[self._jj, self._kk]])
+
+    def _error_weights(self, square_sums: np.ndarray) -> np.ndarray:
+        """gram_corr's w from the raw column norms: 0 where std is 0."""
+        n = self.base.shape[0]
+        err = np.sqrt(square_sums) / n + np.abs(self.col_mean) / np.sqrt(n)
+        std = np.where(self.col_std > 0, self.col_std, np.inf)
+        return err * (4 * (n + 10) * np.finfo(float).eps) / std
+
     def gram_corr(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(X_j'v / n for every expanded column, weights w): entry j is within
         ||v||_2 w_j of the streamed product of ``solvers.design_corr``.
@@ -133,13 +168,7 @@ class ExpandedDesign:
         """
         n = self.base.shape[0]
         if self._corr_err is None:
-            sq = self.base * self.base
-            norm2 = sq.T @ sq  # sum_i raw_ij^2 of the squares and cross products
-            err = np.concatenate([sq.sum(axis=0), norm2.diagonal(), norm2[self._jj, self._kk]])
-            del norm2
-            err = np.sqrt(err) / n + np.abs(self.col_mean) / np.sqrt(n)
-            std = np.where(self.col_std > 0, self.col_std, np.inf)  # weight 0 where std is 0
-            self._corr_err = err * (4 * (n + 10) * np.finfo(float).eps) / std
+            self._corr_err = self._error_weights(self._square_sums())
         gram = (self.base * v[:, None]).T @ self.base / n
         corr = np.concatenate([self.base.T @ v / n, gram.diagonal(), gram[self._jj, self._kk]])
         del gram

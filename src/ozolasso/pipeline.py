@@ -125,6 +125,25 @@ def load_training(config: RunConfig):
     return prepare_training(config, train_rows, schema), test_rows
 
 
+def polynomial_working_bytes(n: int, p0: int) -> int:
+    """Peak bytes of a polynomial Lasso fit (CV and final fit) on n rows of
+    p0 base columns, counted in 8-byte values from what it holds:
+
+    - throughout, the design: its moments (2 per expanded column), gram_corr
+      weights (1), pair indices (2) and the base matrix;
+    - on top, the larger of two phases. ExpandedDesign.fit: the p-long E[x],
+      E[x^2], variance and their temporaries (6 per column) and a raw CHUNK
+      block with its two-pass temporaries (3 blocks). Solving: a homotopy
+      segment's correlations, steps, join bounds and Gram-pass temporaries,
+      a CV fold's own weights, one live beta and its certificate vector (12
+      per column), and a Gram pass's two p0 x p0 products.
+    """
+    p = expansion_size(p0)
+    moments = 6 * p + 3 * n * min(ExpandedDesign.CHUNK, p)
+    solving = 12 * p + 2 * p0 * p0
+    return 8 * (5 * p + n * p0 + max(moments, solving))
+
+
 def build_design(config: RunConfig, data: TrainingData, expansion: str | None = None):
     """Training design: base matrix, or the streamed quadratic expansion."""
     if expansion is None:
@@ -133,7 +152,7 @@ def build_design(config: RunConfig, data: TrainingData, expansion: str | None = 
         return data.base
     n, p0 = data.base.shape
     p = expansion_size(p0)
-    working_mb = (p * 2 * 8 + ExpandedDesign.CHUNK * n * 8) / 2**20
+    working_mb = polynomial_working_bytes(n, p0) / 2**20
     if working_mb > config.memory_budget_mb:
         logger.warning(
             "polynomial working set ~%.0f MiB exceeds budget %d MiB",

@@ -8,8 +8,8 @@ import numpy as np
 
 from .solvers import (
     _center,
+    corr_abs_max,
     design_block,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
-    design_corr,
     design_predict,
     design_take_rows,
     lasso_path,
@@ -31,22 +31,18 @@ class CvResult:
     seed: int | None
 
 
-def column_scores(design, y: np.ndarray) -> np.ndarray:
-    """X_j'yc / n per column: the product the homotopy takes lambda_max
-    from, so a fit at lambda_max is all-zero by construction."""
-    yc, _ = _center(np.asarray(y, dtype=float), True)
-    return design_corr(design, yc)
-
-
 def make_lambda_grid(
     design, y: np.ndarray, n_points: int = 100, ratio: float = 1e-4
 ) -> np.ndarray:
     """Log-spaced descending grid from lambda_max down to ratio*lambda_max.
 
     lambda_max = 2 * max_j |X_j'y/n| is the smallest lambda whose solution is
-    all-zero under the half-lambda threshold convention.
+    all-zero under the half-lambda threshold convention. It is taken from
+    solvers.corr_abs_max, as the homotopy takes its start, so a fit at
+    lambda_max is all-zero by construction.
     """
-    lam_max = 2.0 * float(np.abs(column_scores(design, y)).max())
+    yc, _ = _center(np.asarray(y, dtype=float), True)
+    lam_max = 2.0 * corr_abs_max(design, yc)
     if lam_max == 0.0:
         raise SelectionError("degenerate target: lambda_max is 0 (constant response)")
     return np.geomspace(lam_max, ratio * lam_max, n_points)
@@ -83,8 +79,10 @@ def kfold_cv(
     """Per-fold fits over the whole grid, squared error on the held-out
     fold, aggregated per lambda.
 
-    ``fit_path(design, y, grid)`` returns one fit per grid point, in grid
-    order: ``solvers.lasso_path`` (one homotopy) or ``solvers.ridge_path``.
+    ``fit_path(design, y, grid)`` gives one fit per grid point, in grid
+    order: ``solvers.lasso_path`` (one homotopy, yielding each fit as it is
+    made) or ``solvers.ridge_path``. Each fit is scored as it arrives, so a
+    fold never holds its whole path of dense betas.
     """
     y = np.asarray(y, dtype=float)
     n = design.shape[0]
@@ -99,9 +97,8 @@ def kfold_cv(
             raise SelectionError(f"fold {fold}: fewer than 2 training rows")
         d_tr = design_take_rows(design, train)
         d_te = design_take_rows(design, held)
-        fits = fit_path(d_tr, y[train], grid)
         y_te = y[held]
-        for i, fit in enumerate(fits):
+        for i, fit in enumerate(fit_path(d_tr, y[train], grid)):
             pred = fit.beta0 + design_predict(d_te, fit.beta)
             fold_errors[fold, i] = float(np.mean((pred - y_te) ** 2))
 

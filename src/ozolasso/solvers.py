@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +108,6 @@ def design_corr(design, v: np.ndarray) -> np.ndarray:
         block_t = _chunk_rows(design, j0)
         corr[j0 : j0 + block_t.shape[0]] = block_t @ v / n
     return corr
-
-
-def design_diag(design) -> np.ndarray:
-    """Sigma_jj = X_j'X_j / n for every column, chunk by chunk."""
-    n, p = design.shape
-    rows = (_chunk_rows(design, j0) for j0 in range(0, p, _CORR_CHUNK))
-    return np.concatenate([np.einsum("ij,ij->i", b, b) / n for b in rows])
 
 
 def design_predict(design, beta: np.ndarray) -> np.ndarray:
@@ -231,6 +225,27 @@ def _exact_corr(design, idx: np.ndarray, vectors) -> np.ndarray:
     return out
 
 
+def corr_abs_max(design, v: np.ndarray, exclude=None) -> float:
+    """max |X_j'v/n| over the columns not in ``exclude`` (0 if there are
+    none), bitwise as design_corr gives it.
+
+    One _screen pass; every column whose screened |c_j| + ||v|| w_j reaches
+    the largest |c_j| - ||v|| w_j is recomputed with _exact_corr, and the
+    true maximizer is always among them. On a dense design the screen is
+    design_corr itself and nothing is recomputed.
+    """
+    c, w = _screen(design, v)
+    c = np.abs(c, out=c)
+    err = float(np.linalg.norm(v)) * w
+    lo, hi = c - err, c + err
+    if exclude is not None:
+        lo[exclude] = hi[exclude] = -np.inf
+    if not err.any():  # the screen is exact
+        return float(lo.max(initial=0.0))
+    top = np.flatnonzero(hi >= lo.max(initial=0.0))
+    return float(np.abs(_exact_corr(design, top, [v])).max(initial=0.0))
+
+
 def _join_steps(h, c, a, c_err=0.0, a_err=0.0):
     """(lower, upper) bounds on the step t >= 0 at which |c_j - t a_j| first
     reaches h - t, for c and a known to within c_err and a_err; inf where it
@@ -265,7 +280,7 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     """
     n, p = design.shape
     active, signs, blocked, joined, dropped = [], [], set(), -1, -1
-    h, kinks, total = None, 0, 0
+    h, kinks, total = corr_abs_max(design, yc), 0, 0  # lambda_max / 2, as make_lambda_grid takes it
     lams = iter(lams)
     lam = next(lams, None)
     while lam is not None:
@@ -274,12 +289,9 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
         if active:
             factor = cho_factor(XT @ XT.T / n, lower=True)
             d, b = cho_solve(factor, np.stack([signs, XT @ yc / n], axis=1)).T
-        r, u = yc - XT.T @ (b - (h or 0.0) * d), XT.T @ d
+        r, u = yc - XT.T @ (b - h * d), XT.T @ d
         (c, w), (a, _) = _screen(design, r), _screen(design, u)
         r_norm, u_norm = float(np.linalg.norm(r)), float(np.linalg.norm(u))
-        if h is None:  # lambda_max / 2, exactly as make_lambda_grid computes it
-            top = np.flatnonzero(np.abs(c) + r_norm * w >= (np.abs(c) - r_norm * w).max())
-            h = float(np.abs(_exact_corr(design, top, [r])).max())
         lo, hi = np.empty(p), np.empty(p)
         for s in range(0, p, _SLICE):
             sl = slice(s, s + _SLICE)
@@ -335,22 +347,22 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
         total += 1
 
 
-def _certified(lam, beta0, beta, r, yc, corr, kinks, kkt_tol) -> ModelFit:
-    """The fit with its certificate, read from ``corr`` = X'r/n (overwritten).
+def _certified(lam, beta0, beta, r, yc, active_corr, zero_max, kinks, kkt_tol) -> ModelFit:
+    """The fit with its certificate, read from ``active_corr``, X_j'r/n at
+    the nonzero coordinates of beta in index order, and ``zero_max``, the
+    largest |X_j'r/n| over its zero coordinates (0 if there are none).
 
-    KKT: the max over zero coordinates of |X_j'r/n| - lam/2, floored at 0,
-    and over active ones of |X_j'r/n - (lam/2) sign(beta_j)|; the fit has
-    converged when both are within kkt_tol. Relative duality gap:
-    (P - D) / (y'y/n), P the criterion at beta and D the dual objective at r
-    scaled to s = min(1, (lam/2) / max|X'r/n|), the largest feasible
-    multiple: D = (2 s r'y - s^2 r'r) / n.
+    KKT: zero_max - lam/2, floored at 0, and the max over active coordinates
+    of |X_j'r/n - (lam/2) sign(beta_j)|; the fit has converged when both are
+    within kkt_tol. Relative duality gap: (P - D) / (y'y/n), P the criterion
+    at beta and D the dual objective at r scaled to s = min(1, (lam/2) /
+    max|X'r/n|), the largest feasible multiple: D = (2 s r'y - s^2 r'r) / n.
     """
     n, half_lam = r.size, lam / 2.0
-    active = np.flatnonzero(beta)
-    active_v = float(np.abs(corr[active] - half_lam * np.sign(beta[active])).max(initial=0.0))
-    # |corr| in place, with no masked copy: corr is as long as the design is wide
-    corr_max = float(np.abs(corr, out=corr).max(initial=0.0))
-    zero_v = max(float(corr.max(where=beta == 0, initial=0.0)) - half_lam, 0.0)
+    signs = np.sign(beta[beta != 0])
+    active_v = float(np.abs(active_corr - half_lam * signs).max(initial=0.0))
+    corr_max = max(zero_max, float(np.abs(active_corr).max(initial=0.0)))
+    zero_v = max(zero_max - half_lam, 0.0)
     s = 1.0 if corr_max <= half_lam else half_lam / corr_max
     rr, null = float(r @ r), float(yc @ yc)
     primal = rr + n * lam * float(np.abs(beta).sum())
@@ -359,12 +371,20 @@ def _certified(lam, beta0, beta, r, yc, corr, kinks, kkt_tol) -> ModelFit:
     return ModelFit("lasso", lam, beta0, beta, kinks, converged, zero_v, active_v, gap)
 
 
+def _exact_terms(design, beta, r) -> tuple[np.ndarray, float]:
+    """_certified's (active_corr, zero_max) for beta and its residual r,
+    bitwise as one design_corr pass gives them."""
+    active = np.flatnonzero(beta)
+    return _exact_corr(design, active, [r])[0], corr_abs_max(design, r, active)
+
+
 def fit_lasso(design, y: np.ndarray, config: LassoConfig) -> ModelFit:
-    """The Lasso at config.lam: the one-point path, certified from one exact
-    design_corr pass over its residual."""
+    """The Lasso at config.lam: the one-point path, certified exactly from
+    its residual (_exact_terms)."""
     yc, beta0 = _center(np.asarray(y, dtype=float), True)
     beta, r, kinks, _ = next(_homotopy(design, yc, [config.lam], config.max_sweeps))
-    return _certified(config.lam, beta0, beta, r, yc, design_corr(design, r), kinks, config.kkt_tol)
+    terms = _exact_terms(design, beta, r)
+    return _certified(config.lam, beta0, beta, r, yc, *terms, kinks, config.kkt_tol)
 
 
 def lasso_path(
@@ -373,27 +393,33 @@ def lasso_path(
     grid: np.ndarray,
     tol: float = 1e-7,
     max_sweeps: int = 10_000,
-) -> list[ModelFit]:
-    """Fits along a descending lambda grid from one homotopy.
+) -> Iterator[ModelFit]:
+    """Fits along a descending lambda grid from one homotopy, yielded as the
+    path reaches each lambda; the grid is validated before this returns.
 
     Each fit is one solve on the active columns at its lambda, certified
     from the homotopy's own screen there. ``sweeps_used`` counts the kinks
     passed since the previous grid point. If the path needs more than
     ``max_sweeps`` kinks, it stops at the last kink allowed: every lambda
-    left gets that beta, certified from one exact design_corr pass, and
-    reports converged only if the certificate holds.
+    left gets that beta, certified exactly once (_exact_terms), and reports
+    converged only if the certificate holds.
     """
     lams = [LassoConfig(float(lam), tol, max_sweeps).lam for lam in grid]  # validated
     if any(b > a for a, b in zip(lams, lams[1:])):
         raise SolverError("the lambda grid must descend")
     yc, beta0 = _center(np.asarray(y, dtype=float), True)
+    return _path_fits(design, yc, beta0, lams, KKT_TOL_FACTOR * tol, max_sweeps)
+
+
+def _path_fits(design, yc, beta0, lams, kkt_tol, max_sweeps) -> Iterator[ModelFit]:
     path = _homotopy(design, yc, lams, max_sweeps)
-    fits, beta, r, exact = [], None, None, None
+    beta, r, exact = None, None, None
     for lam in lams:
         beta, r, kinks, corr = next(path, (beta, r, 0, None))
-        if corr is None:  # out of kinks
-            if exact is None:
-                exact = design_corr(design, r)
-            corr = exact.copy()
-        fits.append(_certified(lam, beta0, beta, r, yc, corr, kinks, KKT_TOL_FACTOR * tol))
-    return fits
+        if corr is not None:
+            active_corr = corr[np.flatnonzero(beta)]
+            terms = active_corr, float(np.abs(corr, out=corr).max(where=beta == 0, initial=0.0))
+        else:  # out of kinks: every lambda left has this beta, certified once
+            exact = exact or _exact_terms(design, beta, r)
+            terms = exact
+        yield _certified(lam, beta0, beta, r, yc, *terms, kinks, kkt_tol)

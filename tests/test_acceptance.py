@@ -59,7 +59,7 @@ def path_run():
     yc = y - y.mean()
     lam_max = 2.0 * float(np.abs(X.T @ yc / 80).max())
     grid = np.geomspace(lam_max, lam_max * 1e-4, 100)
-    fits = lasso_path(X, y, grid)
+    fits = list(lasso_path(X, y, grid))
     return X, y, grid, fits
 
 

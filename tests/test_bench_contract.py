@@ -49,10 +49,22 @@ def child_hooks(counts: Counter) -> dict:
     return child._layer_hooks(counts, Counter())
 
 
+# Traced names whose functions the program no longer has: their metrics read
+# 0 calls by design until the benchmark's FUNCTIONS table drops them. Each
+# must really be gone, so that its 0 cannot hide a live, renamed function.
+RETIRED = {
+    "solvers.design_diag",  # no caller since the homotopy replaced coordinate descent
+    "selection.column_scores",  # lambda_max comes from solvers.corr_abs_max
+}
+
+
 @pytest.mark.parametrize("name", traced_names())
 def test_traced_name_resolves(name):
     module, *attrs = name.split(".")
     owner = importlib.import_module(f"ozolasso.{module}")
+    if name in RETIRED:
+        assert not hasattr(owner, attrs[0]), f"{name} is listed as retired but exists"
+        return
     for attr in attrs:
         assert not attr.startswith("_"), name  # the tracer wraps public names only
         owner = getattr(owner, attr)

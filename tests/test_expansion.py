@@ -97,3 +97,46 @@ def test_take_rows_keeps_training_moments():
     np.testing.assert_array_equal(sub.col_std, design.col_std)
     np.testing.assert_array_equal(sub.materialize(), design.materialize()[:10])
 
+
+
+def two_pass_moments(design):
+    """Mean and std of every raw column, CHUNK columns at a time: the
+    reference arithmetic for the Gram-form moments."""
+    p = design.n_features
+    mean, std = np.empty(p), np.empty(p)
+    for j0 in range(0, p, ExpandedDesign.CHUNK):
+        raw = design._raw_block(j0, min(j0 + ExpandedDesign.CHUNK, p))
+        mean[j0 : j0 + raw.shape[1]], std[j0 : j0 + raw.shape[1]] = raw.mean(axis=0), raw.std(axis=0)
+    return mean, std
+
+
+def test_gram_moments_match_the_two_pass_moments():
+    """Squares and products take their moments from two p0 x p0 GEMMs,
+    within 1e-12 of the two-pass values in units of the column's std. Base
+    columns, and columns whose variance cancels (zero-variance ones among
+    them, in both raw blocks), keep the two-pass bits, so the zero-variance
+    columns are the same ones."""
+    rng = np.random.default_rng(7)
+    n, p0 = 40, 95  # 4,655 expanded columns: two raw blocks
+    base = standardized_matrix(rng, n, p0)
+    signs = np.resize([1.0, -1.0], n)
+    base[:, 0] = signs  # its square is the constant 1
+    base[:, 1] = 0.0  # every product with it is 0
+    base[:, 2] = signs + 1e-6 * rng.normal(size=n)  # its square barely varies
+    base[:, 93] = base[:, 94] = rng.permutation(signs)  # their product, in the second block, is 1
+    design = ExpandedDesign.fit(base)
+    mean, std = two_pass_moments(design)
+
+    late = 2 * p0 + int(np.flatnonzero((design._jj == 93) & (design._kk == 94))[0])
+    assert late >= ExpandedDesign.CHUNK and std[late] == 0.0
+    zero = std == 0
+    assert zero[p0] and zero[p0 + 1] and zero.sum() > p0
+    np.testing.assert_array_equal(design.col_std == 0, zero)
+    low = design.col_std <= 1e-4 * np.sqrt(design.col_std**2 + design.col_mean**2)
+    kept = np.concatenate([np.ones(p0, bool), np.zeros(design.n_features - p0, bool)]) | low
+    assert low[p0 + 2] and not zero[p0 + 2]
+    assert design.col_mean[kept].tobytes() == mean[kept].tobytes()
+    assert design.col_std[kept].tobytes() == std[kept].tobytes()
+    live = ~zero
+    assert (np.abs(design.col_mean - mean)[live] / std[live]).max() <= 1e-12
+    assert (np.abs(design.col_std - std)[live] / std[live]).max() <= 1e-12

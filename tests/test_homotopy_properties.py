@@ -12,8 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import standardized_matrix
-from ozolasso.selection import column_scores
-from ozolasso.solvers import LassoConfig, fit_lasso, fit_ols
+from ozolasso.solvers import LassoConfig, design_corr, fit_lasso, fit_ols
 
 
 def make_problem(seed, n, p, kind):
@@ -70,7 +69,7 @@ def test_homotopy_certifies_and_matches_coordinate_descent(seed, shape, kind, wh
     n, p = shape
     X, y = make_problem(seed, n, p, kind)
     yc = y - y.mean()
-    lam_max = 2.0 * float(np.abs(column_scores(X, y)).max())
+    lam_max = 2.0 * float(np.abs(design_corr(X, yc)).max())
     lam = {"zero": 0.0, "max": lam_max, "between": frac * lam_max}[where]
     config = LassoConfig(lam=lam)
     fit = fit_lasso(X, y, config)

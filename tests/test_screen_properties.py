@@ -1,0 +1,62 @@
+"""Property test of the exact maximum behind lambda_max and the certificates.
+
+``solvers.corr_abs_max`` screens with a Gram-form pass and recomputes only
+the columns that may hold the maximum; it must give the bits of a full
+``design_corr`` pass, on expanded designs with zero-variance columns, exact
+ties, a zero vector, row subsets and excluded columns, and on their dense
+copies.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import standardized_matrix
+from ozolasso.expansion import ExpandedDesign
+from ozolasso.solvers import corr_abs_max, design_corr
+
+
+def make_design(seed, n, p0, kind, subset):
+    rng = np.random.default_rng(seed)
+    base = standardized_matrix(rng, n, p0)
+    if kind == "zero-variance":  # a +-1 column squares to a constant; a 0 column zeroes its products
+        base[:, 0] = np.resize([1.0, -1.0], n)
+        base[:, 1] = 0.0
+    elif kind == "ties":  # a duplicated base column duplicates its squares and products
+        base[:, 1] = base[:, 0]
+    design = ExpandedDesign.fit(base)
+    if subset:
+        design = design.take_rows(np.sort(rng.permutation(n)[: max(3, n // 2)]))
+    return design, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 40),
+    p0=st.sampled_from([2, 5, 12, 70]),  # 70: 2,555 columns, two design_corr chunks
+    kind=st.sampled_from(["random", "zero-variance", "ties"]),
+    subset=st.booleans(),
+    vector=st.sampled_from(["normal", "zero", "column", "large"]),
+    exclude=st.sampled_from(["none", "random", "argmax", "all"]),
+)
+def test_corr_abs_max_is_the_full_pass_max(seed, n, p0, kind, subset, vector, exclude):
+    design, rng = make_design(seed, n, p0, kind, subset)
+    m, p = design.shape
+    v = {
+        "normal": lambda: rng.normal(size=m),
+        "zero": lambda: np.zeros(m),
+        "column": lambda: 0.7 * design.column(int(rng.integers(p))),  # its own max, tied with any copies
+        "large": lambda: 1e6 * rng.normal(size=m),
+    }[vector]()
+    full = np.abs(design_corr(design, v))
+    excluded = {
+        "none": None,
+        "random": rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False),
+        "argmax": np.flatnonzero(full == full.max()),
+        "all": np.arange(p),
+    }[exclude]
+    kept = full if excluded is None else np.delete(full, excluded)
+    expected = float(kept.max(initial=0.0))
+    for d in (design, design.materialize()):
+        got = corr_abs_max(d, v, excluded)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()

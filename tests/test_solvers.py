@@ -5,14 +5,15 @@ import pytest
 
 from conftest import orthonormal_design, standardized_matrix
 from ozolasso.expansion import ExpandedDesign
-from ozolasso.selection import column_scores
 from ozolasso.solvers import (
     LassoConfig,
+    _center,
+    _certified,
+    _homotopy,
     _spd_solve,
     SingularDesignError,
     SolverError,
     design_corr,
-    design_diag,
     fit_lasso,
     fit_ols,
     fit_ridge,
@@ -281,13 +282,15 @@ def test_streamed_vs_materialized_exact():
     assert np.array_equal(f_s.beta, f_m.beta)
     assert f_s.kkt_zero_violation == f_m.kkt_zero_violation
     assert f_s.kkt_active_violation == f_m.kkt_active_violation
-    assert np.array_equal(column_scores(design, y), column_scores(design.materialize(), y))
+    yc = y - y.mean()
+    assert np.array_equal(design_corr(design, yc), design_corr(design.materialize(), yc))
 
 
-def test_design_diag_matches_column_norms():
+def test_design_corr_matches_column_norms():
     rng = np.random.default_rng(15)
     X = standardized_matrix(rng, 25, 7)
-    np.testing.assert_allclose(design_diag(X), (X * X).sum(axis=0) / 25, rtol=1e-14)
+    norms = [design_corr(X, X[:, j])[j] for j in range(7)]
+    np.testing.assert_allclose(norms, (X * X).sum(axis=0) / 25, rtol=1e-14)
 
 
 def test_active_set_property():
@@ -372,14 +375,14 @@ def test_kink_budget_stops_the_path():
     assert full.converged and kinks > 10
 
     grid = np.geomspace(1.0, 0.05, 8)
-    path = lasso_path(X, y, grid)
+    path = list(lasso_path(X, y, grid))
     assert sum(f.sweeps_used for f in path) == kinks  # the same kinks, counted per grid point
     assert np.abs(path[-1].beta - full.beta).max() < 1e-12
 
     short = fit_lasso(X, y, LassoConfig(lam=0.05, max_sweeps=3))
     assert short.sweeps_used == 3 and not short.converged
     assert short.active_set.size == 2  # three joins; the third column is still at 0
-    short_path = lasso_path(X, y, grid, max_sweeps=3)
+    short_path = list(lasso_path(X, y, grid, max_sweeps=3))
     assert sum(f.sweeps_used for f in short_path) == 3
     stopped = [f for f in short_path if not f.converged]
     assert stopped and all(f.beta.tobytes() == short.beta.tobytes() for f in stopped)
@@ -454,3 +457,27 @@ def test_lasso_path_rejects_an_ascending_grid():
     X = standardized_matrix(np.random.default_rng(22), 20, 5)
     with pytest.raises(SolverError, match="descend"):
         lasso_path(X, np.arange(20.0), [0.1, 0.2])
+
+
+def test_fit_lasso_certificate_matches_a_full_pass():
+    """fit_lasso certifies from the active columns' chunks and a screened
+    maximum over the rest; KKT, gap and converged must be the bits that a
+    full design_corr pass over the same residual gives, on fits that
+    converge and on fits the kink budget cuts short."""
+    rng = np.random.default_rng(24)
+    base = standardized_matrix(rng, 50, 70)  # 2,555 expanded columns, two chunks
+    base[:, 5] = np.resize([1.0, -1.0], 50)  # a zero-variance square
+    y = base[:, 0] * base[:, 1] - base[:, 2] + 0.3 * rng.normal(size=50)
+    design = ExpandedDesign.fit(base)
+    yc, beta0 = _center(y, True)
+    for lam, budget in ((0.02, 10_000), (0.1, 10_000), (0.3, 10_000), (0.02, 4), (0.1, 1)):
+        config = LassoConfig(lam=lam, max_sweeps=budget)
+        fit = fit_lasso(design, y, config)
+        beta, r, kinks, _ = next(_homotopy(design, yc, [lam], budget))
+        corr = design_corr(design, r)
+        zero_max = float(np.abs(corr).max(where=beta == 0, initial=0.0))
+        full = _certified(lam, beta0, beta, r, yc, corr[beta != 0], zero_max, kinks, config.kkt_tol)
+        assert fit.beta.tobytes() == full.beta.tobytes()
+        assert (fit.kkt_zero_violation, fit.kkt_active_violation, fit.gap, fit.converged) == (
+            full.kkt_zero_violation, full.kkt_active_violation, full.gap, full.converged)
+    assert not fit.converged  # the last fit stops at its only kink
