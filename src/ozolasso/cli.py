@@ -240,15 +240,10 @@ def cmd_report(config: RunConfig) -> int:
             weight_rows,
         )
         if kind == "lasso":
-            if expansion == "polynomial":
-                top = sorted(
-                    ((w["weight"], w["name"]) for w in model["weights"]),
-                    key=lambda t: (-abs(t[0]), t[1]),
-                )[:10]
-            else:
-                top = evaluation.top_weights(fit, data.kept_names, 10)
             top_dump.append(f"top weights ({method}):")
-            top_dump.extend(f"  {w:+.4f}  {name}" for w, name in top)
+            top_dump.extend(
+                f"  {w:+.4f}  {name}" for w, name in evaluation.top_weights(model["weights"], 10)
+            )
 
     table = evaluation.comparison_report(results, n_test=len(test_rows))
     text = table + "\n" + "\n".join(top_dump) + ("\n" if top_dump else "")

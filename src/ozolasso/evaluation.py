@@ -8,7 +8,6 @@ from datetime import date as Date
 import numpy as np
 
 from .features import FeatureRows
-from .solvers import ModelFit
 
 TRIMESTER_LABELS = ("Jan-Mar", "Apr-Jun", "Jul-Sep", "Oct-Dec")
 
@@ -110,13 +109,11 @@ def persistence_baseline(rows: FeatureRows) -> EvalMetrics:
     return evaluate_predictions(rows.current_anchor, rows.target_raw, rows.dates.tolist())
 
 
-def top_weights(fit: ModelFit, names: list[str], k: int) -> list[tuple[float, str]]:
-    """The k largest-magnitude nonzero weights, signed, ties broken by index."""
-    active = fit.active_set
-    if active.size == 0:
-        return []
-    order = sorted(active, key=lambda j: (-abs(fit.beta[j]), j))
-    return [(float(fit.beta[j]), names[j]) for j in order[:k]]
+def top_weights(weights: list[dict], k: int) -> list[tuple[float, str]]:
+    """(weight, name) of the k largest-magnitude model weight entries, ties
+    broken by index."""
+    ranked = sorted(weights, key=lambda w: (-abs(w["weight"]), w["index"]))
+    return [(w["weight"], w["name"]) for w in ranked[:k]]
 
 
 @dataclass

@@ -43,6 +43,10 @@ N_BASE_MAX = N_POLLUTANT_FEATURES + N_METEO_FEATURES  # 918
 N_8H_WINDOWS = 17
 N_BASE_MAX8H = N_BASE_MAX + N_8H_WINDOWS + 3  # 938
 
+# variables a modeling day needs complete on the current and on the next day
+CURRENT_DAY_VARS = POLLUTANTS + METEO_VARS
+NEXT_DAY_VARS = METEO_VARS + ("o3",)
+
 _EPOCH = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
@@ -146,13 +150,6 @@ def build_schema(variant: str) -> list[FeatureDescriptor]:
     return descriptors
 
 
-def required_variables(variant: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(current-day, next-day) variables a modeling day needs complete."""
-    current = POLLUTANTS + METEO_VARS
-    nxt = METEO_VARS + ("o3",)
-    return current, nxt
-
-
 def _aggs(grid: np.ndarray) -> np.ndarray:
     """(n, 3): max, min and mean of each row."""
     return np.column_stack([grid.max(axis=1), grid.min(axis=1), grid.mean(axis=1)])
@@ -176,12 +173,11 @@ def build_base_features(
     always comes from the observed next day.
     """
     schema = build_schema(variant)
-    need_cur, need_nxt = required_variables(variant)
     ordinals, fc = days.ordinals, forecast_days
     # day i against day i + 1; the last day wraps round and has no successor
     has_next = np.roll(ordinals, -1) == ordinals + 1
-    cur_ok = _complete(days.values, need_cur)
-    nxt_ok = np.roll(_complete(days.values, need_nxt), -1)
+    cur_ok = _complete(days.values, CURRENT_DAY_VARS)
+    nxt_ok = np.roll(_complete(days.values, NEXT_DAY_VARS), -1)
     from_fc = np.zeros(len(ordinals), dtype=bool)
     if fc is not None and len(fc):
         at = np.minimum(np.searchsorted(fc.ordinals, ordinals + 1), len(fc) - 1)
@@ -198,7 +194,7 @@ def build_base_features(
         logger.info("skipping %s: %s", Date.fromordinal(int(ordinals[i])), reason)
 
     rows = np.flatnonzero(keep)
-    now = {v: days.values[v][rows] for v in need_cur}
+    now = {v: days.values[v][rows] for v in CURRENT_DAY_VARS}
     nxt_meteo = {v: days.values[v][rows + 1] for v in METEO_VARS}
     if from_fc.any():
         sel = from_fc[rows]

@@ -1,9 +1,10 @@
 """Hourly pollutant/meteorology file parsing and per-day assembly.
 
-Input files are delimited text with a header row, one row per station-hour.
-Timestamps are local standard time, hour-beginning. Values failing numeric
-parsing (or matching a declared sentinel) become missing; incompleteness is
-carried as data, not raised as an error.
+Input files are comma-separated with a header row naming ``date``, ``hour``
+and the variables, one row per station-hour, in local standard time,
+hour-beginning. Blank cells are missing, and values that are not finite
+numbers or are out of range become missing; incompleteness is carried as
+data, not raised as an error.
 """
 
 from __future__ import annotations
@@ -45,28 +46,6 @@ class DuplicateTimestampError(IngestError):
         self.hour = hour
 
 
-@dataclass(frozen=True)
-class FileSchema:
-    """Column mapping for one delimited hourly file.
-
-    ``columns`` maps variable names (subset of ALL_VARS) to header names.
-    """
-
-    columns: dict[str, str]
-    date_column: str = "date"
-    hour_column: str = "hour"
-    missing_tokens: tuple[str, ...] = ("",)
-    delimiter: str = ","
-
-    @classmethod
-    def canonical(cls, variables=ALL_VARS, missing_tokens=("",), delimiter=","):
-        return cls(
-            columns={v: v for v in variables},
-            missing_tokens=tuple(missing_tokens),
-            delimiter=delimiter,
-        )
-
-
 @dataclass
 class HourlyTable:
     """Hourly values in columns: ``keys`` are sorted, unique int64
@@ -88,7 +67,7 @@ class HourlyTable:
 class ParseResult:
     records: HourlyTable  # len() is the number of rows parsed
     rejected: list[tuple[int, str]]  # (line number, reason)
-    coerced_missing: int = 0  # cells turned missing (sentinel/unparseable/range)
+    coerced_missing: int = 0  # non-blank cells turned missing (unparseable/range)
 
 
 @dataclass
@@ -106,23 +85,6 @@ class DayGrid:
         return len(self.ordinals)
 
 
-def _parse_cell(token: str, var: str, sentinels: tuple[str, ...]) -> float | None:
-    token = token.strip()
-    if token in sentinels:
-        return None
-    try:
-        value = float(token)
-    except ValueError:
-        return None
-    if not math.isfinite(value):
-        return None
-    if var == "rel_humidity" and not (0.0 <= value <= 100.0):
-        return None
-    if var == "wind_direction":
-        value = value % 360.0
-    return value
-
-
 def _parse_distinct(tokens, parse) -> list:
     """parse() applied once per distinct token; None where it raises ValueError."""
     parsed = {}
@@ -134,37 +96,30 @@ def _parse_distinct(tokens, parse) -> list:
     return [parsed[token] for token in tokens]
 
 
-def _parse_column(tokens, var: str, sentinels: tuple[str, ...]) -> tuple[np.ndarray, int]:
-    """One column of cells as float64 (nan where missing) and the count of
-    cells coerced to missing, by the rules of ``_parse_cell``.
-
-    Sentinel cells are found by text and read as nan, the rest with
-    ``float``; only a column holding a token that is neither a number nor a
-    sentinel is parsed cell by cell."""
-    sentinels = frozenset(sentinels)
-    sentinel = np.fromiter(
-        (token.strip() in sentinels for token in tokens), dtype=bool, count=len(tokens)
-    )
-    if sentinel.any():
-        tokens = ["nan" if s else token for s, token in zip(sentinel.tolist(), tokens)]
+def _parse_column(tokens, var: str) -> tuple[np.ndarray, int]:
+    """One column of cells as float64, nan where missing, and the count of
+    non-blank cells coerced to missing: not a finite number, or a humidity
+    outside [0, 100]. Wind direction is taken mod 360. A column holding a
+    token ``float`` rejects is parsed once per distinct token."""
+    blank = np.fromiter((not token.strip() for token in tokens), dtype=bool, count=len(tokens))
+    if blank.any():
+        tokens = ["nan" if b else token for b, token in zip(blank.tolist(), tokens)]
     try:
         values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
     except ValueError:
-        cells = [_parse_cell(token, var, ()) for token in tokens]  # sentinels read "nan"
-        coerced = sum(cell is None for cell in cells) - int(sentinel.sum())
-        return np.array([np.nan if c is None else c for c in cells], dtype=float), coerced
+        values = np.array([np.nan if c is None else c for c in _parse_distinct(tokens, float)])
     coerced = ~np.isfinite(values)
     if var == "rel_humidity":
         coerced |= ~((0.0 <= values) & (values <= 100.0))
-    coerced &= ~sentinel
-    values[coerced | sentinel] = np.nan
+    coerced &= ~blank
+    values[coerced] = np.nan
     if var == "wind_direction":
         values = np.remainder(values, 360.0)
     return values, int(coerced.sum())
 
 
-def parse_hourly_file(path: str | Path, schema: FileSchema) -> ParseResult:
-    """Parse one hourly file into an hourly table.
+def parse_hourly_file(path: str | Path, variables) -> ParseResult:
+    """Parse the ``variables`` of one hourly file into an hourly table.
 
     Rows with unparseable timestamps are rejected (line-numbered); duplicate
     (date, hour) pairs are a hard error; unparseable numeric cells become
@@ -175,13 +130,13 @@ def parse_hourly_file(path: str | Path, schema: FileSchema) -> ParseResult:
         raise FileNotFoundError(path)
 
     with path.open(newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
-        needed = [schema.date_column, schema.hour_column] + list(schema.columns.values())
+        needed = ["date", "hour", *variables]
         for name in needed:
             if name not in header:
                 raise IngestError(f"{path}: malformed header, missing column {name!r}")
@@ -217,10 +172,10 @@ def parse_hourly_file(path: str | Path, schema: FileSchema) -> ParseResult:
 
     values: dict[str, np.ndarray] = {}
     coerced = 0
-    for (var, _), tokens in zip(schema.columns.items(), columns[2:]):
+    for var, tokens in zip(variables, columns[2:]):
         if len(kept) < len(tokens):
             tokens = [tokens[i] for i in kept]
-        column, n = _parse_column(tokens, var, schema.missing_tokens)
+        column, n = _parse_column(tokens, var)
         values[var] = column[order]
         coerced += n
     return ParseResult(HourlyTable(keys[order], values), rejected, coerced)

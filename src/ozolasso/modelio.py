@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +110,19 @@ def save_model(model: dict, path: str | Path) -> None:
     write_text(path, json.dumps(model, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
-# every key that predict_rows and the predict command read
+# every key that predict_rows and the predict command read, and those of a weight entry
 REQUIRED_KEYS = ("target_mode", "variant", "n_base_features", "expansion", "weights",
                  "beta0", "standardization")
+ENTRY_KEYS = ("index", "weight")
+POLYNOMIAL_ENTRY_KEYS = ENTRY_KEYS + ("parents", "col_mean", "col_std")
+
+
+def _weight_index(entry: dict, at: int, p: int) -> int:
+    """Weight entry ``at``'s column index: an int in [0, p), the design's width."""
+    j = entry["index"]
+    if type(j) is not int or not 0 <= j < p:
+        raise ModelIOError(f"weights[{at}]: index {j!r} outside the {p} columns of the design")
+    return j
 
 
 def load_model(path: str | Path) -> dict:
@@ -125,6 +136,19 @@ def load_model(path: str | Path) -> dict:
     digest = standardization_digest(_params_from_dict(model["standardization"]))
     if digest != model.get("standardization_digest"):
         raise ModelIOError("standardization does not match standardization_digest")
+    p0, kept = model["n_base_features"], len(model["standardization"]["kept"])
+    if p0 != kept:
+        raise ModelIOError(f"n_base_features {p0!r} != {kept} kept standardization columns")
+    polynomial = model["expansion"] == "polynomial"
+    keys, p = (POLYNOMIAL_ENTRY_KEYS, expansion_size(p0)) if polynomial else (ENTRY_KEYS, p0)
+    for at, entry in enumerate(model["weights"]):
+        lacks = [key for key in keys if key not in entry]
+        if lacks:
+            raise ModelIOError(f"weights[{at}] lacks {', '.join(lacks)}")
+        _weight_index(entry, at, p)
+        weight = entry["weight"]
+        if type(weight) not in (int, float) or not math.isfinite(weight):
+            raise ModelIOError(f"weights[{at}]: weight {weight!r} is not a finite number")
     return model
 
 
@@ -134,10 +158,8 @@ def _saved_design(model: dict, base: np.ndarray) -> ExpandedDesign:
     p = expansion_size(base.shape[1])
     col_mean, col_std = np.zeros(p), np.ones(p)
     design = ExpandedDesign(base, col_mean, col_std)
-    for entry in model["weights"]:
-        j = entry["index"]
-        if not 0 <= j < p:
-            raise ModelIOError(f"weight index {j} outside the {p} expanded columns")
+    for at, entry in enumerate(model["weights"]):
+        j = _weight_index(entry, at, p)
         parents = list(design.parents(j)) if j >= base.shape[1] else None
         if entry["parents"] != parents:
             raise ModelIOError(f"weight {j}: saved parents {entry['parents']} != {parents}")
@@ -155,10 +177,6 @@ def predict_rows(model: dict, rows: FeatureRows) -> np.ndarray:
             f"model expects {params.mu.shape[0]}"
         )
     base, _ = apply_standardizer(params, X_raw)
-    p0 = model["n_base_features"]
-    if base.shape[1] != p0:
-        raise ModelIOError("dropped-column manifest mismatch")
-
     design = _saved_design(model, base) if model["expansion"] == "polynomial" else None
     yhat = np.full(base.shape[0], model["beta0"])
     for entry in model["weights"]:

@@ -46,10 +46,8 @@ def load_day_blocks(config: RunConfig):
     """Parse the pollutant and meteorology files into assembled day grids."""
     if not config.pollutant_file or not config.meteo_file:
         raise ConfigError("pollutant_file and meteo_file are required")
-    pol_schema = ingest.FileSchema.canonical(ingest.POLLUTANTS)
-    met_schema = ingest.FileSchema.canonical(ingest.METEO_VARS)
-    pol = ingest.parse_hourly_file(config.pollutant_file, pol_schema)
-    met = ingest.parse_hourly_file(config.meteo_file, met_schema)
+    pol = ingest.parse_hourly_file(config.pollutant_file, ingest.POLLUTANTS)
+    met = ingest.parse_hourly_file(config.meteo_file, ingest.METEO_VARS)
     hourly = ingest.merge_records(pol.records, met.records)
     if not len(hourly):
         raise PipelineError("input files contain no usable rows")
@@ -57,7 +55,7 @@ def load_day_blocks(config: RunConfig):
 
     forecast_days = None
     if config.forecast_file:
-        fc = ingest.parse_hourly_file(config.forecast_file, met_schema)
+        fc = ingest.parse_hourly_file(config.forecast_file, ingest.METEO_VARS)
         forecast_days = ingest.assemble_days(
             fc.records, config.max_gap_hours, variables=ingest.METEO_VARS
         )

@@ -225,19 +225,21 @@ def _exact_corr(design, idx: np.ndarray, vectors) -> np.ndarray:
     return out
 
 
-def corr_abs_max(design, v: np.ndarray, exclude=None) -> float:
+def corr_abs_max(design, v: np.ndarray, exclude=None, screen=None) -> float:
     """max |X_j'v/n| over the columns not in ``exclude`` (0 if there are
     none), bitwise as design_corr gives it.
 
-    One _screen pass; every column whose screened |c_j| + ||v|| w_j reaches
-    the largest |c_j| - ||v|| w_j is recomputed with _exact_corr, and the
-    true maximizer is always among them. On a dense design the screen is
-    design_corr itself and nothing is recomputed.
+    One _screen pass, or ``screen``, that pass already made, left unmodified;
+    every column whose screened |c_j| + ||v|| w_j reaches the largest
+    |c_j| - ||v|| w_j is recomputed with _exact_corr, and the true maximizer
+    is always among them. On a dense design the screen is design_corr itself
+    and nothing is recomputed.
     """
-    c, w = _screen(design, v)
-    c = np.abs(c, out=c)
+    c, w = _screen(design, v) if screen is None else screen
     err = float(np.linalg.norm(v)) * w
-    lo, hi = c - err, c + err
+    hi = np.abs(c)
+    lo = hi - err
+    hi += err
     if exclude is not None:
         lo[exclude] = hi[exclude] = -np.inf
     if not err.any():  # the screen is exact
@@ -265,13 +267,14 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     Along a segment the active correlations stay at +-h, h = lambda/2, and
     beta_A(h) = b - h d, where G_A [d, b] = [s_A, X_A'y/n], G_A = X_A'X_A/n.
     It ends where an inactive |c_j| reaches h (a join) or a beta_k reaches
-    zero (a drop). Each segment screens c = X'r/n and a = X'X_A d/n once
-    (_screen); every column whose join step may lie within the screen's
-    bound of the minimum is recomputed exactly before the decision, so a
-    streamed design and its materialized copy pass the same kinks. A column
-    that just joined may not drop at the next kink, one that just dropped
-    may rejoin there only with the other sign, and a joining column in the
-    span of the active set stays out until a drop.
+    zero (a drop). Each segment screens c = X'r/n and, with an active
+    column, a = X'X_A d/n once (_screen); the opening segment's screen of
+    r = y gives lambda_max / 2. Every column whose join step may lie within
+    the screen's bound of the minimum is recomputed exactly before the
+    decision, so a streamed design and its materialized copy pass the same
+    kinks. A column that just joined may not drop at the next kink, one that
+    just dropped may rejoin there only with the other sign, and a joining
+    column in the span of the active set stays out until a drop.
 
     Yields (beta, r, kinks since the previous yield, X'r/n from the screen)
     at each lambda of the descending ``lams``. If more than ``max_kinks``
@@ -280,7 +283,7 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     """
     n, p = design.shape
     active, signs, blocked, joined, dropped = [], [], set(), -1, -1
-    h, kinks, total = corr_abs_max(design, yc), 0, 0  # lambda_max / 2, as make_lambda_grid takes it
+    h, kinks, total = 0.0, 0, 0  # h is set from the opening segment's screen
     lams = iter(lams)
     lam = next(lams, None)
     while lam is not None:
@@ -290,7 +293,10 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
             factor = cho_factor(XT @ XT.T / n, lower=True)
             d, b = cho_solve(factor, np.stack([signs, XT @ yc / n], axis=1)).T
         r, u = yc - XT.T @ (b - h * d), XT.T @ d
-        (c, w), (a, _) = _screen(design, r), _screen(design, u)
+        c, w = _screen(design, r)
+        if not total:  # r = y: lambda_max / 2, as make_lambda_grid takes it
+            h = corr_abs_max(design, r, screen=(c, w))
+        a = _screen(design, u)[0] if active else np.zeros(p)  # u = 0 with no active column
         r_norm, u_norm = float(np.linalg.norm(r)), float(np.linalg.norm(u))
         lo, hi = np.empty(p), np.empty(p)
         for s in range(0, p, _SLICE):
@@ -373,9 +379,12 @@ def _certified(lam, beta0, beta, r, yc, active_corr, zero_max, kinks, kkt_tol) -
 
 def _exact_terms(design, beta, r) -> tuple[np.ndarray, float]:
     """_certified's (active_corr, zero_max) for beta and its residual r,
-    bitwise as one design_corr pass gives them."""
+    bitwise as one design_corr pass gives them, from one _screen pass: on a
+    dense design the screen holds both."""
     active = np.flatnonzero(beta)
-    return _exact_corr(design, active, [r])[0], corr_abs_max(design, r, active)
+    c, w = screen = _screen(design, r)
+    active_corr = _exact_corr(design, active, [r])[0] if w.any() else c[active]
+    return active_corr, corr_abs_max(design, r, active, screen)
 
 
 def fit_lasso(design, y: np.ndarray, config: LassoConfig) -> ModelFit:

@@ -10,7 +10,13 @@ from datetime import date as Date, timedelta
 
 import numpy as np
 
-from ozolasso.features import METEO_CHANNELS, N_8H_WINDOWS, FeatureError, required_variables
+from ozolasso.features import (
+    CURRENT_DAY_VARS,
+    METEO_CHANNELS,
+    N_8H_WINDOWS,
+    NEXT_DAY_VARS,
+    FeatureError,
+)
 from ozolasso.ingest import METEO_VARS, POLLUTANTS
 
 logger = logging.getLogger(__name__)
@@ -108,7 +114,6 @@ def build_base_features(
     """Build one row per modeling day from consecutive complete day pairs."""
     by_date = {d.date: d for d in days}
     forecast_by_date = {d.date: d for d in (forecast_days or [])}
-    need_cur, need_nxt = required_variables(variant)
 
     rows: list[DailyFeatureRow] = []
     for date in sorted(by_date):
@@ -119,10 +124,10 @@ def build_base_features(
             logger.info("skipping %s: no successor day", date)
             continue
         nxt_meteo = forecast_by_date.get(nxt_date, nxt)
-        if not all(current.complete[v] for v in need_cur):
+        if not all(current.complete[v] for v in CURRENT_DAY_VARS):
             logger.info("skipping %s: incomplete current day", date)
             continue
-        if not all(nxt.complete[v] for v in need_nxt) or not all(
+        if not all(nxt.complete[v] for v in NEXT_DAY_VARS) or not all(
             nxt_meteo.complete[v] for v in METEO_VARS
         ):
             logger.info("skipping %s: incomplete next day", date)

@@ -13,12 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ozolasso.ingest import (
-    ALL_VARS,
-    DuplicateTimestampError,
-    FileSchema,
-    IngestError,
-)
+from ozolasso.ingest import ALL_VARS, DuplicateTimestampError, IngestError
+
+SENTINELS = ("",)  # blank cells are the one missing marker
+DELIMITER = ","
 
 
 @dataclass
@@ -62,8 +60,8 @@ def _parse_cell(token: str, var: str, sentinels: tuple[str, ...]) -> float | Non
     return value
 
 
-def parse_hourly_file(path: str | Path, schema: FileSchema) -> RowParseResult:
-    """Parse one hourly file into records.
+def parse_hourly_file(path: str | Path, variables) -> RowParseResult:
+    """Parse the ``variables`` of one hourly file into records.
 
     Rows with unparseable timestamps are rejected (line-numbered); duplicate
     (date, hour) pairs are a hard error; unparseable numeric cells become
@@ -79,14 +77,14 @@ def parse_hourly_file(path: str | Path, schema: FileSchema) -> RowParseResult:
     seen: set[tuple[Date, int]] = set()
 
     with path.open(newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        reader = csv.reader(fh, delimiter=DELIMITER)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
         positions: dict[str, int] = {}
-        needed = [schema.date_column, schema.hour_column] + list(schema.columns.values())
+        needed = ["date", "hour", *variables]
         for name in needed:
             if name not in header:
                 raise IngestError(f"{path}: malformed header, missing column {name!r}")
@@ -96,8 +94,8 @@ def parse_hourly_file(path: str | Path, schema: FileSchema) -> RowParseResult:
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                day = Date.fromisoformat(row[positions[schema.date_column]].strip())
-                hour = int(row[positions[schema.hour_column]].strip())
+                day = Date.fromisoformat(row[positions["date"]].strip())
+                hour = int(row[positions["hour"]].strip())
             except (ValueError, IndexError):
                 rejected.append((lineno, "unparseable timestamp"))
                 continue
@@ -109,12 +107,12 @@ def parse_hourly_file(path: str | Path, schema: FileSchema) -> RowParseResult:
             seen.add((day, hour))
 
             values: dict[str, float] = {}
-            for var, col in schema.columns.items():
-                pos = positions[col]
+            for var in variables:
+                pos = positions[var]
                 token = row[pos] if pos < len(row) else ""
-                parsed = _parse_cell(token, var, schema.missing_tokens)
+                parsed = _parse_cell(token, var, SENTINELS)
                 if parsed is None:
-                    if token.strip() not in schema.missing_tokens:
+                    if token.strip() not in SENTINELS:
                         coerced += 1
                 else:
                     values[var] = parsed

@@ -86,7 +86,7 @@ def test_hooks_count_rows_parsed_and_built(tmp_path):
     counts = Counter()
     hooks = child_hooks(counts)
 
-    parsed = ingest.parse_hourly_file(tmp_path / "pol.csv", ingest.FileSchema.canonical(ingest.POLLUTANTS))
+    parsed = ingest.parse_hourly_file(tmp_path / "pol.csv", ingest.POLLUTANTS)
     assert len(parsed.records) == 72 and len(parsed.rejected) == 1
     hooks["ingest.parse_hourly_file"]((), parsed, None)
     assert counts["ingest.rows_parsed"] == 72 and counts["ingest.rows_rejected"] == 1

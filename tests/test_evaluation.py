@@ -152,12 +152,15 @@ def test_persistence_equals_zero_beta_delta_model():
 
 
 def test_top_weights():
-    fit = ModelFit("lasso", 0.1, 0.0, np.array([0.2, -0.5, 0.0]), np.zeros(2))
-    names = ["a", "b", "c"]
-    assert top_weights(fit, names, 2) == [(-0.5, "b"), (0.2, "a")]
-    assert top_weights(fit, names, 10) == [(-0.5, "b"), (0.2, "a")]
-    zero = ModelFit("lasso", 0.1, 0.0, np.zeros(3), np.zeros(2))
-    assert top_weights(zero, names, 3) == []
+    weights = [
+        {"index": 0, "name": "a", "weight": 0.2},
+        {"index": 1, "name": "b", "weight": -0.5},
+        {"index": 4, "name": "c", "weight": 0.5},
+        {"index": 2, "name": "d", "weight": 0.1},
+    ]
+    assert top_weights(weights, 2) == [(-0.5, "b"), (0.5, "c")]  # a tie goes by index
+    assert top_weights(weights, 10) == [(-0.5, "b"), (0.5, "c"), (0.2, "a"), (0.1, "d")]
+    assert top_weights([], 3) == []
 
 
 def metrics_stub(n):

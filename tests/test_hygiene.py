@@ -1,8 +1,11 @@
-"""No module in ``src/`` or ``tests/`` imports a name it never uses.
+"""No module in ``src/`` or ``tests/`` imports a name it never uses, and no
+function in ``src/`` has a parameter it never reads.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
-exempt: it keeps a binding that code outside the module reads.
+exempt: it keeps a binding that code outside the module reads. A parameter
+is read when its name is loaded anywhere in the function's body, nested
+functions included.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -61,3 +65,35 @@ def test_the_scan_finds_an_unused_import(tmp_path):
         "from typing import List\n\n\ndef f(x: 'List[int]'):\n    return os.path.sep\n"
     )
     assert unused_imports(module) == ["line 1: json"]
+
+
+def unread_parameters(path: Path) -> list[str]:
+    """function.parameter for each parameter its function never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id for stmt in body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}.{a.arg}" for a in params if a is not None and a.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_parameters(path):
+    assert unread_parameters(path) == []
+
+
+def test_the_scan_finds_an_unread_parameter(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(a, b, *args, c=1, **kw):\n    def g():\n        return b + c\n"
+        "    a = 2\n    return g(), args, kw\n\n\nh = lambda x, y: x\n"
+    )
+    assert unread_parameters(module) == ["f.a", "<lambda>.y"]

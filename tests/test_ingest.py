@@ -9,8 +9,8 @@ from ozolasso import ingest
 from ozolasso.ingest import (
     ALL_VARS,
     CANONICAL_COLUMNS,
+    POLLUTANTS,
     DuplicateTimestampError,
-    FileSchema,
     HourlyTable,
     IngestError,
     assemble_days,
@@ -27,10 +27,6 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
-
-
-def pol_schema(**kwargs):
-    return FileSchema.canonical(("o3", "so2", "no", "no2", "nox", "co", "pm25"), **kwargs)
 
 
 def record(table, i):
@@ -51,7 +47,7 @@ def table(rows):
 
 def test_parse_full_row(tmp_path):
     path = write(tmp_path, POL_HEADER + "\n2016-07-01,14,48.0,2,3,4,7,0.2,8\n")
-    result = parse_hourly_file(path, pol_schema())
+    result = parse_hourly_file(path, POLLUTANTS)
     assert len(result.records) == 1
     day, hour, values = record(result.records, 0)
     assert day == Date(2016, 7, 1)
@@ -61,18 +57,9 @@ def test_parse_full_row(tmp_path):
     assert result.rejected == []
 
 
-def test_sentinel_becomes_missing(tmp_path):
-    path = write(tmp_path, POL_HEADER + "\n2016-07-01,14,9999,2,3,4,7,0.2,8\n")
-    result = parse_hourly_file(path, pol_schema(missing_tokens=("", "9999")))
-    _, _, values = record(result.records, 0)
-    assert "o3" not in values
-    assert values["so2"] == 2.0
-    assert result.coerced_missing == 0  # declared sentinel is not a coercion
-
-
 def test_unparseable_cell_coerced(tmp_path):
     path = write(tmp_path, POL_HEADER + "\n2016-07-01,14,oops,2,3,4,7,0.2,8\n")
-    result = parse_hourly_file(path, pol_schema())
+    result = parse_hourly_file(path, POLLUTANTS)
     assert "o3" not in record(result.records, 0)[2]
     assert result.coerced_missing == 1
 
@@ -80,17 +67,18 @@ def test_unparseable_cell_coerced(tmp_path):
 def test_only_unparseable_tokens_leave_the_column_parse(tmp_path, monkeypatch):
     rows = ["2016-07-01,0,1,2,3,4,7,0.2,8", "2016-07-01,1,,  ,3,9999,7,0.2,oops"]
     path = write(tmp_path, POL_HEADER + "\n" + "\n".join(rows) + "\n")
-    per_cell = []
-    real = ingest._parse_cell
+    per_token = []
+    real = ingest._parse_distinct
 
-    def counted(token, *args):
-        per_cell.append(token)
-        return real(token, *args)
+    def counted(tokens, parse):
+        if parse is float:
+            per_token.append(list(tokens))
+        return real(tokens, parse)
 
-    monkeypatch.setattr(ingest, "_parse_cell", counted)
-    result = parse_hourly_file(path, pol_schema(missing_tokens=("", "9999")))
-    assert per_cell == ["8", "oops"]  # the pm25 column alone, cell by cell
-    assert record(result.records, 1)[2] == {"no": 3.0, "nox": 7.0, "co": 0.2}
+    monkeypatch.setattr(ingest, "_parse_distinct", counted)
+    result = parse_hourly_file(path, POLLUTANTS)
+    assert per_token == [["8", "oops"]]  # the pm25 column alone, token by token
+    assert record(result.records, 1)[2] == {"no": 3.0, "no2": 9999.0, "nox": 7.0, "co": 0.2}
     assert result.coerced_missing == 1
 
 
@@ -98,7 +86,7 @@ def test_duplicate_timestamp_is_hard_error(tmp_path):
     rows = "2016-07-01,14,1,2,3,4,7,0.2,8\n" * 2
     path = write(tmp_path, POL_HEADER + "\n" + rows)
     with pytest.raises(DuplicateTimestampError) as exc:
-        parse_hourly_file(path, pol_schema())
+        parse_hourly_file(path, POLLUTANTS)
     assert "2016-07-01" in str(exc.value)
     assert "14" in str(exc.value)
 
@@ -108,7 +96,7 @@ def test_bad_timestamp_rejected_with_line_number(tmp_path):
         tmp_path,
         POL_HEADER + "\nnot-a-date,14,1,2,3,4,7,0.2,8\n2016-07-01,25,1,2,3,4,7,0.2,8\n",
     )
-    result = parse_hourly_file(path, pol_schema())
+    result = parse_hourly_file(path, POLLUTANTS)
     assert len(result.records) == 0
     assert [line for line, _ in result.rejected] == [2, 3]
 
@@ -120,38 +108,37 @@ def test_records_length_counts_parsed_rows(tmp_path):
         + "\n2016-07-01,3,1,2,3,4,7,0.2,8\n,,,,,,,,\n2016-07-01,x,1,2,3,4,7,0.2,8"
         + "\n2016-07-01,1,oops,2\n\n2016-07-02,0,1,2,3,4,7,0.2,8\n",
     )
-    result = parse_hourly_file(path, pol_schema())
+    result = parse_hourly_file(path, POLLUTANTS)
     assert len(result.records) == 3  # blank rows skipped, line 4 rejected
     assert result.rejected == [(4, "unparseable timestamp")]
     assert [record(result.records, i)[:2] for i in range(3)] == [
         (Date(2016, 7, 1), 1), (Date(2016, 7, 1), 3), (Date(2016, 7, 2), 0),
     ]
     assert record(result.records, 0)[2] == {"so2": 2.0}  # short row: cells past it missing
-    assert result.coerced_missing == 1  # "oops"; empty cells are the sentinel
+    assert result.coerced_missing == 1  # "oops"; blank cells are missing, not coerced
 
 
 def test_missing_header_column(tmp_path):
     path = write(tmp_path, "date,hour,o3\n2016-07-01,1,5\n")
     with pytest.raises(IngestError, match="malformed header"):
-        parse_hourly_file(path, pol_schema())
+        parse_hourly_file(path, POLLUTANTS)
 
 
 def test_empty_file(tmp_path):
     path = write(tmp_path, "")
     with pytest.raises(IngestError, match="header row required"):
-        parse_hourly_file(path, pol_schema())
+        parse_hourly_file(path, POLLUTANTS)
 
 
 def test_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
-        parse_hourly_file(tmp_path / "nope.csv", pol_schema())
+        parse_hourly_file(tmp_path / "nope.csv", POLLUTANTS)
 
 
 def test_rel_humidity_range_and_wind_direction_wrap(tmp_path):
     header = "date,hour,rel_humidity,wind_direction"
     path = write(tmp_path, header + "\n2016-07-01,0,150,370\n")
-    schema = FileSchema.canonical(("rel_humidity", "wind_direction"))
-    result = parse_hourly_file(path, schema)
+    result = parse_hourly_file(path, ("rel_humidity", "wind_direction"))
     _, _, values = record(result.records, 0)
     assert "rel_humidity" not in values  # out of [0,100] -> missing
     assert values["wind_direction"] == pytest.approx(10.0)
@@ -273,7 +260,7 @@ def test_write_canonical_round_trip(tmp_path):
     write_canonical(days, path)
     assert path.read_text().splitlines()[0] == ",".join(CANONICAL_COLUMNS)
 
-    parsed = parse_hourly_file(path, FileSchema.canonical())
+    parsed = parse_hourly_file(path, ALL_VARS)
     days2 = assemble_days(parsed.records)
     for var in ALL_VARS:
         np.testing.assert_array_equal(days.values[var][0], days2.values[var][0])

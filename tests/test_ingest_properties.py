@@ -11,13 +11,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ingest_oracle as oracle
 from ozolasso import ingest
-from ozolasso.ingest import DuplicateTimestampError, FileSchema
+from ozolasso.ingest import DuplicateTimestampError
 
 VARIABLES = ("o3", "rel_humidity", "wind_direction", "temperature")
-# Tokens float() accepts, empty cells, and other tokens float() rejects. A
-# column holding only numbers and declared sentinels takes the column-at-once
-# parse; a token that is neither sends the whole column through the per-cell
-# parse.
+# Tokens float() accepts, blank cells, and other tokens float() rejects. A
+# column holding only numbers and blank cells takes the column-at-once parse;
+# a token that is neither sends the whole column through the parse of each
+# distinct token.
 NUMERIC_TOKENS = (
     "9999", " 9999 ", " 7 ", "1_0", "nan", "NaN", "inf", "-inf", "1e400",
     "-0", "0", "150", "-3", "100", "370", "-30", "360", "720.5", "-1e-20",
@@ -26,7 +26,6 @@ EMPTY_TOKENS = ("", "  ")
 OTHER_TOKENS = ("oops", "1__0", "7 7")
 BAD_HOURS = ("-1", "24", "x", "", " 5 ", "1_2", "+3")
 BAD_DATES = ("2016-13-01", "not-a-date", "", " 2016-02-28 ", "20160228", "2016-02-30")
-SENTINELS = (("",), ("", "9999"), ("", "9999", "nan", "-0"), ("oops", "0"))
 FIRST_DAY = Date(2016, 2, 27)  # three days cross the leap day
 
 
@@ -85,12 +84,12 @@ def write_file(path, lines):
         csv.writer(fh).writerows(lines)
 
 
-def parse_both(path, schema):
+def parse_both(path, variables):
     """(columnar result, row-wise result), or the two duplicate errors."""
     results = []
     for module in (ingest, oracle):
         try:
-            results.append(module.parse_hourly_file(path, schema))
+            results.append(module.parse_hourly_file(path, variables))
         except DuplicateTimestampError as exc:
             results.append(exc)
     return results
@@ -120,9 +119,8 @@ def test_columnar_ingest_matches_row_wise(tmp_path, data, max_gap_hours):
     parsed = []
     for name in ("first.csv", "second.csv"):
         variables, lines = data.draw(hourly_file(max_gap_hours), label=name)
-        schema = FileSchema.canonical(variables, missing_tokens=data.draw(st.sampled_from(SENTINELS)))
         write_file(tmp_path / name, lines)
-        got, want = parse_both(tmp_path / name, schema)
+        got, want = parse_both(tmp_path / name, variables)
         if isinstance(want, DuplicateTimestampError):
             assert isinstance(got, DuplicateTimestampError)
             assert (got.day, got.hour) == (want.day, want.hour)
@@ -150,8 +148,7 @@ def test_columnar_ingest_matches_row_wise(tmp_path, data, max_gap_hours):
 def test_wind_direction_wrap_matches_float_modulo(tmp_path, token):
     path = tmp_path / "wind.csv"
     write_file(path, [["date", "hour", "wind_direction"], ["2016-07-01", "0", token]])
-    schema = FileSchema.canonical(("wind_direction",))
-    got, want = parse_both(path, schema)
+    got, want = parse_both(path, ("wind_direction",))
     assert got.records.values["wind_direction"].tobytes() == np.array(
         [want.records[0].values["wind_direction"]]
     ).tobytes()

@@ -1,5 +1,6 @@
 """Model file round trips and prediction from saved models."""
 
+import json
 from datetime import date as Date, timedelta
 
 import numpy as np
@@ -263,6 +264,53 @@ def test_model_missing_a_key_rejected(tmp_path, capsys, key):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert key in err and "absent.csv" not in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+def _last_weight(model):
+    return model["weights"][-1]
+
+
+MALFORMED = {
+    "negative index": (False, lambda m: _last_weight(m).update(index=-1), "index -1"),
+    "index past the base": (False, lambda m: _last_weight(m).update(index=2), "index 2"),
+    "float index": (False, lambda m: _last_weight(m).update(index=1.0), "index 1.0"),
+    "nan weight": (False, lambda m: _last_weight(m).update(weight=float("nan")), "weight nan"),
+    "infinite weight": (False, lambda m: _last_weight(m).update(weight=-float("inf")), "weight -inf"),
+    "no weight": (False, lambda m: _last_weight(m).pop("weight"), "lacks weight"),
+    "base width": (False, lambda m: m.update(n_base_features=3), "n_base_features 3"),
+    "index past the expansion": (True, lambda m: _last_weight(m).update(index=9), "index 9"),
+    "no parents": (True, lambda m: _last_weight(m).pop("parents"), "lacks parents"),
+    "no col_mean": (True, lambda m: _last_weight(m).pop("col_mean"), "lacks col_mean"),
+    "no col_std": (True, lambda m: _last_weight(m).pop("col_std"), "lacks col_std"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_weight_entry_rejected(tmp_path, capsys, case):
+    """A weight entry that prediction cannot use is rejected on load, before
+    any input file is read: the error names the entry, not a file."""
+    polynomial, edit, message = MALFORMED[case]
+    rng = np.random.default_rng(10)
+    if polynomial:
+        X = rng.uniform(0, 10, size=(20, 2))
+        rows = feature_rows(X, X[:, 0] * X[:, 1] + rng.normal(size=20))
+        model = fit_polynomial_model(rows, lam=0.01)[0]
+    else:
+        model = fit_linear_model(make_rows(rng, 10, 2, beta=np.array([1.0, 0.5])))[0]
+    at = len(model["weights"]) - 1
+    edit(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))  # json.loads reads NaN and Infinity back
+    with pytest.raises(ModelIOError, match=message):
+        load_model(path)
+    args = ["predict", "--model", str(path), "--out-dir", str(tmp_path / "out"),
+            "--set", f"pollutant_file={tmp_path / 'absent.csv'}",
+            "--set", f"meteo_file={tmp_path / 'absent.csv'}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert message in err and "absent.csv" not in err
+    assert case == "base width" or f"weights[{at}]" in err
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
