@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, modelio, pipeline, selection, solvers, synth
-from .atomic import write_csv, write_text
+from .atomic import atomic_open, write_csv, write_text
 from .config import ConfigError, RunConfig, load_config, set_option, write_effective_config
+from .features import N_BASE
 from .ingest import write_canonical
 
 logger = logging.getLogger(__name__)
@@ -74,21 +75,24 @@ def cmd_ingest(config: RunConfig) -> int:
 def cmd_featurize(config: RunConfig) -> int:
     out = _out_dir(config)
     rows, schema, _ = pipeline.build_rows(config)
+    header = ["date"] + [d.name for d in schema] + ["target_raw", "current_anchor"]
+    # Lines joined as csv.writer would write them: no cell needs quoting, as
+    # repr floats and ISO dates never do, once the names are checked.
+    quoted = [name for name in header if any(ch in name for ch in ',"\r\n')]
+    if quoted:
+        raise pipeline.PipelineError(f"feature names need CSV quoting: {quoted}")
     manifest_lines = ["index\tname\tcategory\tparents"]
     for d in schema:
         parents = "" if d.parents is None else f"{d.parents[0]},{d.parents[1]}"
         manifest_lines.append(f"{d.index}\t{d.name}\t{d.category}\t{parents}")
     write_text(out / "feature_manifest.txt", "\n".join(manifest_lines) + "\n")
-
-    header = ["date"] + [d.name for d in schema] + ["target_raw", "current_anchor"]
-    # formatted row by row as written: all rows' text at once set the peak memory
-    data_rows = (
-        [d.isoformat()] + [repr(v) for v in x.tolist()] + [repr(target), repr(anchor)]
+    with atomic_open(out / "features.csv") as fh:
+        fh.write(",".join(header) + "\r\n")
+        # formatted row by row as written: all rows' text at once set the peak memory
         for d, x, target, anchor in zip(
             rows.dates, rows.x, rows.target_raw.tolist(), rows.current_anchor.tolist()
-        )
-    )
-    write_csv(out / "features.csv", header, data_rows)
+        ):
+            fh.write(f"{d.isoformat()},{','.join(map(repr, x.tolist()))},{target!r},{anchor!r}\r\n")
     print(f"featurized {len(rows)} modeling days, {len(schema)} base features")
     return 0
 
@@ -145,6 +149,12 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
     if model["variant"] != config.variant:
         raise ConfigError(
             f"variant is {config.variant!r} but the model was trained on {model['variant']!r}"
+        )
+    p0, dropped = model["n_base_features"], len(model["standardization"]["dropped"])
+    if p0 + dropped != N_BASE[config.variant]:
+        raise modelio.ModelIOError(
+            f"n_base_features {p0!r} with {dropped} dropped columns is not the "
+            f"{N_BASE[config.variant]} base features of variant {config.variant!r}"
         )
     rows, _, _ = pipeline.build_rows(config)
     _, test_rows = pipeline.split_rows(config, rows)

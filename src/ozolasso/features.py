@@ -42,6 +42,7 @@ N_METEO_FEATURES = len(METEO_CHANNELS) * 27 * 3  # 729
 N_BASE_MAX = N_POLLUTANT_FEATURES + N_METEO_FEATURES  # 918
 N_8H_WINDOWS = 17
 N_BASE_MAX8H = N_BASE_MAX + N_8H_WINDOWS + 3  # 938
+N_BASE = {"max": N_BASE_MAX, "max8h": N_BASE_MAX8H}  # base features per variant
 
 # variables a modeling day needs complete on the current and on the next day
 CURRENT_DAY_VARS = POLLUTANTS + METEO_VARS
@@ -145,8 +146,7 @@ def build_schema(variant: str) -> list[FeatureDescriptor]:
         for agg in AGGS:
             add(f"current-day o3 8h-mean {agg}", "eighth-hour-mean")
 
-    expected = N_BASE_MAX if variant == "max" else N_BASE_MAX8H
-    assert len(descriptors) == expected
+    assert len(descriptors) == N_BASE[variant]
     return descriptors
 
 

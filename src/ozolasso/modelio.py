@@ -113,6 +113,7 @@ def save_model(model: dict, path: str | Path) -> None:
 # every key that predict_rows and the predict command read, and those of a weight entry
 REQUIRED_KEYS = ("target_mode", "variant", "n_base_features", "expansion", "weights",
                  "beta0", "standardization")
+PARAM_KEYS = ("mu", "sigma", "kept", "dropped", "y_mu", "y_sigma")
 ENTRY_KEYS = ("index", "weight")
 POLYNOMIAL_ENTRY_KEYS = ENTRY_KEYS + ("parents", "col_mean", "col_std")
 
@@ -125,6 +126,25 @@ def _weight_index(entry: dict, at: int, p: int) -> int:
     return j
 
 
+def _check_standardization(params) -> None:
+    """The saved standardization has every key _params_from_dict reads, and
+    kept and dropped split the columns of mu and sigma between them."""
+    if not isinstance(params, dict):
+        raise ModelIOError("standardization is not an object")
+    lacks = [key for key in PARAM_KEYS if key not in params]
+    if lacks:
+        raise ModelIOError(f"standardization lacks {', '.join(lacks)}")
+    for key in ("mu", "sigma", "kept", "dropped"):
+        if not isinstance(params[key], list):
+            raise ModelIOError(f"standardization.{key} is not a list")
+    width, columns = len(params["mu"]), params["kept"] + params["dropped"]
+    if len(params["sigma"]) != width or not all(type(j) is int for j in columns) \
+            or sorted(columns) != list(range(width)):
+        raise ModelIOError(
+            f"standardization: sigma, kept and dropped do not match the {width} columns of mu"
+        )
+
+
 def load_model(path: str | Path) -> dict:
     model = json.loads(Path(path).read_text())
     version = model.get("schema_version")
@@ -133,6 +153,7 @@ def load_model(path: str | Path) -> dict:
     missing = [key for key in REQUIRED_KEYS if key not in model]
     if missing:
         raise ModelIOError(f"model file lacks {', '.join(missing)}")
+    _check_standardization(model["standardization"])
     digest = standardization_digest(_params_from_dict(model["standardization"]))
     if digest != model.get("standardization_digest"):
         raise ModelIOError("standardization does not match standardization_digest")
@@ -141,7 +162,11 @@ def load_model(path: str | Path) -> dict:
         raise ModelIOError(f"n_base_features {p0!r} != {kept} kept standardization columns")
     polynomial = model["expansion"] == "polynomial"
     keys, p = (POLYNOMIAL_ENTRY_KEYS, expansion_size(p0)) if polynomial else (ENTRY_KEYS, p0)
+    if not isinstance(model["weights"], list):
+        raise ModelIOError("weights is not a list")
     for at, entry in enumerate(model["weights"]):
+        if not isinstance(entry, dict):
+            raise ModelIOError(f"weights[{at}] is not an object")
         lacks = [key for key in keys if key not in entry]
         if lacks:
             raise ModelIOError(f"weights[{at}] lacks {', '.join(lacks)}")

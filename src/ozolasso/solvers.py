@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, eigh, lapack, solve_triangular
 
 from .expansion import ExpandedDesign
 
@@ -28,11 +28,11 @@ class SolverError(Exception):
 
 
 class SingularDesignError(SolverError):
-    def __init__(self, pivot: int):
-        super().__init__(
-            f"X'X is rank deficient: Cholesky failed at pivot {pivot} "
-            "(leading minor not positive definite)"
-        )
+    """X'X (+ n*lambda*I) is not positive definite. ``pivot`` is the
+    Cholesky pivot that failed, or None when an eigenvalue showed it."""
+
+    def __init__(self, message: str, pivot: int | None = None):
+        super().__init__(message)
         self.pivot = pivot
 
 
@@ -123,25 +123,35 @@ def design_predict(design, beta: np.ndarray) -> np.ndarray:
 
 # --- closed-form solvers ---
 
+def _warn_if_ill_conditioned(cond: float, stacklevel: int) -> None:
+    """Warn when the condition number passes COND_WARN_THRESHOLD, naming the
+    line ``stacklevel`` frames above the function that calls this one."""
+    if cond > COND_WARN_THRESHOLD:
+        warnings.warn(
+            f"ill-conditioned normal equations (condition {cond:.3e})",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
     Raises SingularDesignError naming the failing pivot; no pseudo-inverse
-    fallback. The ill-conditioning warning names the line that called the
-    public solver, three frames up through ``_ridge_path``.
+    fallback. The ill-conditioning warning (from dpocon's 1-norm estimate)
+    names the line that called fit_ridge or fit_ols, three frames up through
+    ``_ridge_solve``.
     """
     factor, info = lapack.dpotrf(A, lower=1)
     if info != 0:
-        raise SingularDesignError(pivot=int(info))
+        raise SingularDesignError(
+            f"X'X is rank deficient: Cholesky failed at pivot {info} "
+            "(leading minor not positive definite)",
+            pivot=int(info),
+        )
     anorm = float(np.abs(A).sum(axis=0).max())
     rcond, _ = lapack.dpocon(factor, anorm, uplo=b"L")
-    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
-    if cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"ill-conditioned normal equations (condition ~ {cond:.3e})",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+    _warn_if_ill_conditioned(np.inf if rcond == 0 else 1.0 / float(rcond), stacklevel=4)
     x, _ = lapack.dpotrs(factor, b[:, None], lower=1)
     return x[:, 0]
 
@@ -156,40 +166,64 @@ def _center(y: np.ndarray, fit_intercept: bool) -> tuple[np.ndarray, float]:
 def fit_ols(X: np.ndarray, y: np.ndarray, fit_intercept: bool = True) -> ModelFit:
     """Normal-equation solution, the lambda=0 ridge solve; intercept is the
     response mean."""
-    return _ridge_path(X, y, [0.0], fit_intercept, "ols")[0]
-
-
-def ridge_path(
-    X: np.ndarray, y: np.ndarray, grid, fit_intercept: bool = True
-) -> list[ModelFit]:
-    """beta = (X'X + n*lambda*I)^-1 X'y, the n-scaled penalty as printed,
-    for each lambda of the grid; X'X and X'y are formed once."""
-    return _ridge_path(X, y, grid, fit_intercept)
+    return _ridge_solve(X, y, 0.0, fit_intercept, "ols")
 
 
 def fit_ridge(
     X: np.ndarray, y: np.ndarray, lam: float, fit_intercept: bool = True
 ) -> ModelFit:
-    """Ridge fit at one lambda: the one-point ridge path."""
-    return _ridge_path(X, y, [lam], fit_intercept)[0]
+    """beta = (X'X + n*lambda*I)^-1 X'y, the n-scaled penalty as printed:
+    one Cholesky solve."""
+    return _ridge_solve(X, y, lam, fit_intercept, "ridge")
 
 
-def _ridge_path(X, y, grid, fit_intercept, method="ridge") -> list[ModelFit]:
-    # Shared by ridge_path, fit_ridge and fit_ols, so a warning from
-    # _spd_solve is the same number of frames below each one's caller.
+def _ridge_solve(X, y, lam, fit_intercept, method) -> ModelFit:
+    # Shared by fit_ridge and fit_ols, so a warning from _spd_solve is the
+    # same number of frames below each one's caller.
+    lam = float(lam)
+    if not 0.0 <= lam < math.inf:
+        raise SolverError(f"lambda must be finite and >= 0, got {lam!r}")
+    yc, beta0 = _center(y, fit_intercept)
+    A = X.T @ X
+    # the penalty written into the diagonal in place: a second p x p matrix
+    # would raise peak memory by that much
+    np.fill_diagonal(A, A.diagonal() + X.shape[0] * lam)
+    return ModelFit(method, lam, beta0, _spd_solve(A, X.T @ yc))
+
+
+def ridge_path(
+    X: np.ndarray, y: np.ndarray, grid, fit_intercept: bool = True
+) -> list[ModelFit]:
+    """fit_ridge at each lambda > 0 of the grid, from one symmetric
+    eigendecomposition X'X = V diag(d) V' (ESL 3.4.1): beta = V (z / s) with
+    z = V'X'y and s = d + n*lambda. lambda = 0 is fit_ols.
+
+    Warns, naming the caller's line, when the exact 2-norm condition
+    max(s) / min(s) passes COND_WARN_THRESHOLD. Raises SingularDesignError
+    when min(s) <= 0, which rounding in d can give at a tiny lambda on a
+    rank-deficient design.
+    """
     grid = [float(lam) for lam in grid]
-    if any(lam < 0 for lam in grid):
-        raise SolverError("lambda must be >= 0")
+    if not all(0.0 < lam < math.inf for lam in grid):
+        raise SolverError("ridge_path takes finite lambda > 0; lambda = 0 is fit_ols")
     yc, beta0 = _center(y, fit_intercept)
     n = X.shape[0]
-    A, b = X.T @ X, X.T @ yc
-    diagonal = A.diagonal().copy()
+    # A.T is the symmetric A in the column order LAPACK reads, so the evr
+    # driver works in place: a copy of X'X, or syevd's 2p^2 workspace, would
+    # raise peak memory by one or two more p x p matrices
+    A = X.T @ X
+    d, V = eigh(A.T, overwrite_a=True, check_finite=False, driver="evr")
+    z = V.T @ (X.T @ yc)
     fits = []
     for lam in grid:
-        # X'X + n*lam*I with the penalty written into the diagonal in place:
-        # a second p x p matrix would raise peak memory by that much.
-        np.fill_diagonal(A, diagonal + n * lam)
-        fits.append(ModelFit(method, lam, beta0, _spd_solve(A, b)))
+        s = d + n * lam  # ascending, as d is
+        if not s[0] > 0:
+            raise SingularDesignError(
+                f"X'X + n*lambda*I is not positive definite at lambda={lam!r}: "
+                f"smallest eigenvalue {s[0]:.3e}"
+            )
+        _warn_if_ill_conditioned(s[-1] / s[0], stacklevel=2)
+        fits.append(ModelFit("ridge", lam, beta0, V @ (z / s)))
     return fits
 
 

@@ -7,6 +7,7 @@ from datetime import date as Date, timedelta
 import numpy as np
 
 from ozolasso.ingest import ALL_VARS, DayGrid
+from ozolasso.solvers import fit_ridge
 
 
 def standardized_matrix(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -51,3 +52,27 @@ def make_day_pair(seed: int = 0) -> DayGrid:
         day["wind_direction"] = rng.uniform(0.0, 360.0, 24)
         values.append(day)
     return make_days([Date(2016, 7, 1) + timedelta(days=d) for d in range(2)], values)
+
+
+def assert_ridge_solution(X: np.ndarray, y: np.ndarray, fit) -> None:
+    """``fit`` (from solvers.ridge_path) solves (A + n*lam*I) beta = X'yc,
+    A = X'X, as a backward-stable solver must.
+
+    With M = A + n*lam*I, kappa its 2-norm condition and eps the double
+    epsilon: the residual ||M beta - X'yc|| is at most
+    8 p eps (||M|| ||beta|| + ||X'yc||), and beta agrees with fit_ridge's
+    Cholesky solve to 16 p kappa eps relative (both solves are backward
+    stable, so each is within about p kappa eps of the exact beta).
+    """
+    n, p = X.shape
+    eps = np.finfo(float).eps
+    yc = y - y.mean()
+    M = X.T @ X + n * fit.lam * np.eye(p)
+    b = X.T @ yc
+    s = np.linalg.eigvalsh(M)
+    norm_m, kappa = float(s[-1]), float(s[-1] / s[0])
+    residual = float(np.linalg.norm(M @ fit.beta - b))
+    assert residual <= 8 * p * eps * (norm_m * np.linalg.norm(fit.beta) + np.linalg.norm(b))
+    cholesky = fit_ridge(X, y, fit.lam).beta
+    gap = float(np.linalg.norm(fit.beta - cholesky))
+    assert gap <= 16 * p * kappa * eps * float(np.linalg.norm(cholesky))

@@ -1,10 +1,15 @@
 """Integration tests driving the command-line interface end to end."""
 
+import csv
+import io
 import json
 
 import pytest
 
+from ozolasso import pipeline
 from ozolasso.cli import main
+from ozolasso.config import RunConfig
+from ozolasso.features import FeatureDescriptor
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +98,40 @@ def test_featurize(synth_dir, tmp_path):
     assert features[0].split(",")[0] == "date"
     assert len(features[0].split(",")) == 1 + 918 + 2
     assert len(features) == 1 + 59  # 60 days give 59 (current, next) pairs
+
+
+def test_featurize_writes_what_csv_writer_writes(synth_dir, tmp_path):
+    """features.csv is byte for byte the csv.writer rendering of the repr
+    cells (the writer joins the lines itself)."""
+    out = tmp_path / "out"
+    assert main(["featurize"] + base_args(synth_dir, out)) == 0
+    config = RunConfig(pollutant_file=str(synth_dir / "pollutants.csv"),
+                       meteo_file=str(synth_dir / "meteorology.csv"))
+    rows, schema, _ = pipeline.build_rows(config)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["date"] + [d.name for d in schema] + ["target_raw", "current_anchor"])
+    for d, x, target, anchor in zip(rows.dates, rows.x, rows.target_raw, rows.current_anchor):
+        writer.writerow([d.isoformat()] + [repr(v) for v in x.tolist()]
+                        + [repr(float(target)), repr(float(anchor))])
+    assert (out / "features.csv").read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", ['a,b', 'say "hi"', "a\rb", "a\nb"])
+def test_featurize_rejects_a_name_that_needs_quoting(synth_dir, tmp_path, capsys,
+                                                     monkeypatch, name):
+    build_rows = pipeline.build_rows
+
+    def renamed(config):
+        rows, schema, stats = build_rows(config)
+        return rows, [FeatureDescriptor(0, name, "test")] + schema[1:], stats
+
+    monkeypatch.setattr(pipeline, "build_rows", renamed)
+    out = tmp_path / "out"
+    assert main(["featurize"] + base_args(synth_dir, out)) == 1
+    assert "feature names need CSV quoting" in capsys.readouterr().err
+    assert not (out / "features.csv").exists()
+    assert not (out / "feature_manifest.txt").exists()
 
 
 def test_cv_outputs(synth_dir, tmp_path):

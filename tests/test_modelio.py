@@ -17,6 +17,7 @@ from ozolasso.features import (
 from ozolasso.modelio import (
     REQUIRED_KEYS,
     ModelIOError,
+    _params_from_dict,
     build_model_dict,
     load_model,
     predict_rows,
@@ -328,3 +329,69 @@ def test_lasso_model_records_its_duality_gap(tmp_path):
     ridge = build_model_dict(fit_ridge(X, y, 0.1), params, names, names, variant="max",
                              expansion="linear", target_mode="direct")
     assert set(ridge["kkt"]) == {"zero_violation", "active_violation"}
+
+
+def _refresh_digest(model):
+    model["standardization_digest"] = standardization_digest(
+        _params_from_dict(model["standardization"])
+    )
+
+
+MALFORMED_STRUCTURE = {
+    "standardization not an object": (lambda m: m.update(standardization=[1.0]),
+                                      "standardization is not an object"),
+    "no kept": (lambda m: m["standardization"].pop("kept"), "standardization lacks kept"),
+    "no mu or sigma": (lambda m: [m["standardization"].pop(k) for k in ("mu", "sigma")],
+                       "standardization lacks mu, sigma"),
+    "kept not a list": (lambda m: m["standardization"].update(kept=0),
+                        "standardization.kept is not a list"),
+    "kept past mu": (lambda m: (m["standardization"].update(kept=[0, 2]), _refresh_digest(m)),
+                     "do not match the 2 columns of mu"),
+    "weights not a list": (lambda m: m.update(weights={"0": 1.0}), "weights is not a list"),
+    "entry not an object": (lambda m: m["weights"].append(0.5), "weights[2] is not an object"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_STRUCTURE)
+def test_malformed_model_structure_rejected(tmp_path, capsys, case):
+    """A standardization or weights block of the wrong shape is rejected on
+    load, naming the field, before any input file is read."""
+    edit, message = MALFORMED_STRUCTURE[case]
+    rng = np.random.default_rng(10)
+    model = fit_linear_model(make_rows(rng, 10, 2, beta=np.array([1.0, 0.5])))[0]
+    assert len(model["weights"]) == 2
+    edit(model)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with pytest.raises(ModelIOError, match=message.replace("[", r"\[")):
+        load_model(path)
+    assert main(_predict_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert message in err and "absent.csv" not in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["max", "max8h"])
+def test_model_of_another_base_width_rejected(tmp_path, capsys, variant):
+    """A model whose kept and dropped columns do not make up the variant's
+    918/938 base features is rejected before any input file is read."""
+    rng = np.random.default_rng(10)
+    X = rng.uniform(10, 40, size=(10, 3))
+    X[:, 1] = 7.0  # a zero-variance column, dropped
+    model = fit_linear_model(feature_rows(X, X[:, 0]))[0]
+    model["variant"] = variant
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert load_model(path) == model
+    assert main(_predict_args(tmp_path) + ["--variant", variant]) == 1
+    err = capsys.readouterr().err
+    width = {"max": 918, "max8h": 938}[variant]
+    assert f"n_base_features 2 with 1 dropped columns is not the {width} base features" in err
+    assert "absent.csv" not in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
+def _predict_args(tmp_path):
+    return ["predict", "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "out"),
+            "--set", f"pollutant_file={tmp_path / 'absent.csv'}",
+            "--set", f"meteo_file={tmp_path / 'absent.csv'}"]

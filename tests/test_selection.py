@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import standardized_matrix
+from ozolasso import pipeline, solvers
+from ozolasso.config import RunConfig
 from ozolasso.expansion import ExpandedDesign
 from ozolasso.selection import (
     SelectionError,
@@ -13,6 +15,7 @@ from ozolasso.selection import (
     select_lambda,
 )
 from ozolasso.solvers import LassoConfig, fit_lasso, lasso_path, ridge_path
+from ozolasso.synth import SynthConfig, write_files
 
 
 def test_lambda_max_perfect_correlation():
@@ -210,3 +213,32 @@ def test_blocked_fold_mode():
     grid = make_lambda_grid(X, y, n_points=4, ratio=0.1)
     cv = kfold_cv(X, y, 3, grid, seed=None, fold_mode="blocked")
     np.testing.assert_array_equal(cv.fold_assignment, np.repeat([0, 1, 2], 10))
+
+
+def test_ridge_train_solves_once_and_cv_picks_the_cholesky_lambda(tmp_path, monkeypatch):
+    """A ridge train with CV makes one Cholesky solve, the final fit: the CV
+    path comes from one eigendecomposition per fold. It picks the lambda that
+    a per-lambda Cholesky path over the same folds picks."""
+    write_files(SynthConfig(n_days=60, seed=9), tmp_path)
+    config = RunConfig(
+        pollutant_file=str(tmp_path / "pollutants.csv"),
+        meteo_file=str(tmp_path / "meteorology.csv"),
+        method="ridge", lam="cv", cv_k=3, cv_points=12, seed=1,
+        train_start="2015-01-01", train_end="2015-02-17",
+        test_start="2015-02-18", test_end="2015-03-01",
+    )
+    solves = []
+    spd_solve = solvers._spd_solve
+    monkeypatch.setattr(solvers, "_spd_solve", lambda A, b: solves.append(b.size) or spd_solve(A, b))
+    model, cv, _ = pipeline.train(config)
+    assert len(solves) == 1
+    assert model["lambda"] == cv.lambda_min
+
+    data, _ = pipeline.load_training(config)
+    reference = kfold_cv(
+        data.base, data.y, config.cv_k, cv.grid, config.seed,
+        fit_path=lambda X, y, grid: [solvers.fit_ridge(X, y, lam) for lam in grid],
+    )
+    assert len(solves) == 1 + config.cv_k * config.cv_points
+    assert reference.lambda_min == cv.lambda_min
+    np.testing.assert_allclose(cv.cv_mean, reference.cv_mean, rtol=1e-9)

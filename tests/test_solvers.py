@@ -1,16 +1,17 @@
 """Closed-form OLS/ridge and the homotopy Lasso."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import orthonormal_design, standardized_matrix
+from conftest import assert_ridge_solution, orthonormal_design, standardized_matrix
 from ozolasso.expansion import ExpandedDesign
 from ozolasso.solvers import (
     LassoConfig,
     _center,
     _certified,
     _homotopy,
-    _spd_solve,
     SingularDesignError,
     SolverError,
     design_corr,
@@ -53,21 +54,26 @@ def test_ols_duplicate_column_singular():
 
 
 def test_ols_is_the_lambda_zero_ridge_solve():
+    """fit_ols is fit_ridge at lambda = 0, bit for bit, and both name the same
+    Cholesky pivot on a singular design; ridge_path takes lambda > 0 only."""
     rng = np.random.default_rng(2)
     X = standardized_matrix(rng, 30, 5)
     y = rng.normal(size=30)
-    ols, ridge = fit_ols(X, y), ridge_path(X, y, [0.0])[0]
+    ols, ridge = fit_ols(X, y), fit_ridge(X, y, 0.0)
     assert (ols.method, ridge.method) == ("ols", "ridge")
     assert (ols.lam, ols.beta0) == (ridge.lam, ridge.beta0)
     assert ols.beta.tobytes() == ridge.beta.tobytes()
     col = rng.normal(size=10)
     singular = np.column_stack([rng.normal(size=10), col, col, rng.normal(size=10)])
     pivots = []
-    for solve in (fit_ols, lambda X, y: ridge_path(X, y, [0.0])):
+    for solve in (fit_ols, lambda X, y: fit_ridge(X, y, 0.0)):
         with pytest.raises(SingularDesignError) as exc:
             solve(singular, rng.normal(size=10))
         pivots.append(exc.value.pivot)
     assert pivots[0] == pivots[1] >= 1
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(SolverError, match="fit_ols"):
+            ridge_path(X, y, [1.0, bad])
 
 
 def test_ridge_lambda_zero_equals_ols():
@@ -87,21 +93,40 @@ def test_ridge_identity_design_value():
 
 
 def test_ridge_path_matches_one_solve_per_lambda():
-    """Each point of the path is bitwise the solve of X'X + n*lam*I formed
-    afresh, in grid order, whatever the points before it."""
+    """Each point of the eigen path is a ridge solution to the tolerances of
+    assert_ridge_solution, whatever the points before it."""
     rng = np.random.default_rng(4)
     X = standardized_matrix(rng, 30, 12)
     y = rng.normal(size=30)
-    grid = [3.0, 0.1, 0.0, 0.1]
+    grid = [3.0, 0.1, 1e-6, 0.1]
     path = ridge_path(X, y, grid)
-    yc = y - y.mean()
-    for lam, fit in zip(grid, path):
-        beta = _spd_solve(X.T @ X + 30 * lam * np.eye(12), X.T @ yc)
-        assert fit.lam == lam
-        assert fit.beta.tobytes() == beta.tobytes()
-        assert fit.beta.tobytes() == fit_ridge(X, y, lam).beta.tobytes()
+    assert [(fit.method, fit.lam) for fit in path] == [("ridge", lam) for lam in grid]
+    for fit in path:
+        assert fit.beta0 == y.mean()
+        assert_ridge_solution(X, y, fit)
+    assert path[1].beta.tobytes() == path[3].beta.tobytes()
     with pytest.raises(SolverError):
         ridge_path(X, y, [1.0, -1e-3])
+
+
+def test_ridge_path_not_positive_definite_names_no_pivot():
+    """At a lambda far too small to lift X'X's null space, the smallest
+    eigenvalue of a duplicated-column design is rounding, of either sign; a
+    non-positive one raises SingularDesignError, which names no pivot."""
+    raised = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        col = rng.normal(size=10)
+        X = np.column_stack([rng.normal(size=10), col, col, rng.normal(size=10)])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                ridge_path(X, rng.normal(size=10), [1e-300])
+        except SingularDesignError as exc:
+            assert exc.pivot is None and "smallest eigenvalue" in str(exc)
+            assert "pivot" not in str(exc)
+            raised += 1
+    assert raised > 0
 
 
 def test_ridge_norm_shrinks_with_lambda():
@@ -133,7 +158,7 @@ def test_ill_conditioned_warning():
 @pytest.mark.parametrize("solve", [
     lambda X, y: fit_ols(X, y),
     lambda X, y: fit_ridge(X, y, 0.0),
-    lambda X, y: ridge_path(X, y, [0.0]),
+    lambda X, y: ridge_path(X, y, [1e-16]),
 ], ids=["fit_ols", "fit_ridge", "ridge_path"])
 def test_ill_conditioned_warning_names_the_caller(solve):
     rng = np.random.default_rng(4)
@@ -141,7 +166,8 @@ def test_ill_conditioned_warning_names_the_caller(solve):
     X = np.column_stack([col, col + 1e-7 * rng.normal(size=50)])
     with pytest.warns(RuntimeWarning, match="ill-conditioned") as caught:
         solve(X, rng.normal(size=50))
-    assert [w.filename for w in caught] == [__file__]
+    # the line of the lambda that called the solver, not of this test
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, solve.__code__.co_firstlineno)]
 
 
 def test_lasso_config_validation():
