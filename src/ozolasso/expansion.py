@@ -3,8 +3,7 @@
 Expanded ordering: base columns 0..p0-1, squares p0..2p0-1 (square of base j at
 p0+j), then cross products in lexicographic (j, k), j<k order. Expanded columns
 are products of standardized base columns, re-standardized with training-set
-moments, and are never materialized as a full matrix unless explicitly asked
-for on a small fixture.
+moments, and are never materialized as a full matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ def cross_pairs(p0: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ExpandedDesign:
-    """Lazy column access to the quadratic expansion of a base matrix.
+    """Lazy column access to the quadratic expansion of a base matrix, with
+    the members the solvers read of a design (see solvers.DenseDesign).
 
     ``col_mean``/``col_std`` are training-set moments over all expanded
     columns; zero-variance expanded columns yield an all-zero standardized
@@ -46,7 +46,7 @@ class ExpandedDesign:
         self.col_mean = col_mean
         self.col_std = col_std
         self._jj, self._kk = cross_pairs(self.p0) if pairs is None else pairs
-        self._corr_err = None  # gram_corr's error weights, formed on first use
+        self._corr_err = None  # screen's error weights, formed on first use
 
     @classmethod
     def fit(cls, base: np.ndarray) -> "ExpandedDesign":
@@ -62,7 +62,8 @@ class ExpandedDesign:
         base = np.ascontiguousarray(base, dtype=float)
         n, p0 = base.shape
         p = expansion_size(p0)
-        design = cls(base, None, None)
+        # mean 0 and std 1: x - 0 and x / 1 keep every bit, so its blocks are raw
+        design = cls(base, np.broadcast_to(0.0, p), np.broadcast_to(1.0, p))
         gram = base.T @ base / n
         sums = design._square_sums()
         mean = np.concatenate([np.zeros(p0), gram.diagonal(), gram[design._jj, design._kk]])
@@ -74,7 +75,8 @@ class ExpandedDesign:
         del ex2
         std = np.sqrt(np.maximum(var, 0.0))
         for j0 in (np.unique(redo // cls.CHUNK) * cls.CHUNK).tolist():
-            raw = design._raw_block(j0, min(j0 + cls.CHUNK, p))
+            # C order, as the sums along axis 0 of a raw pass take it
+            raw = np.ascontiguousarray(design.block(j0, min(j0 + cls.CHUNK, p)))
             sel = redo[(redo >= j0) & (redo < j0 + cls.CHUNK)]
             mean[sel], std[sel] = raw.mean(axis=0)[sel - j0], raw.std(axis=0)[sel - j0]
         design.col_mean, design.col_std = mean, std
@@ -111,36 +113,29 @@ class ExpandedDesign:
             index, f"({base_names[j]}) x ({base_names[k]})", "interaction", (j, k)
         )
 
-    def _raw_block(self, j0: int, j1: int) -> np.ndarray:
-        """Unstandardized columns [j0, j1): products of standardized base."""
-        p0 = self.p0
-        pieces = []
-        a = j0
-        if a < p0:
-            b = min(j1, p0)
-            pieces.append(self.base[:, a:b])
-            a = b
-        if a < j1 and a < 2 * p0:
-            b = min(j1, 2 * p0)
-            pieces.append(self.base[:, a - p0 : b - p0] ** 2)
-            a = b
-        if a < j1:
-            t0, t1 = a - 2 * p0, j1 - 2 * p0
-            pieces.append(self.base[:, self._jj[t0:t1]] * self.base[:, self._kk[t0:t1]])
-        return pieces[0] if len(pieces) == 1 else np.hstack(pieces)
-
-    def block(self, j0: int, j1: int) -> np.ndarray:
-        """Standardized columns [j0, j1) as a dense (n, j1-j0) array."""
-        raw = np.array(self._raw_block(j0, j1), dtype=float, copy=True)
-        mean = self.col_mean[j0:j1]
-        std = self.col_std[j0:j1]
-        safe = np.where(std > 0, std, 1.0)
-        out = (raw - mean) / safe
-        out[:, std == 0] = 0.0
+    def rows(self, idx) -> np.ndarray:
+        """Standardized columns ``idx`` as the rows of a C-ordered
+        (len(idx), n) array: products of gathered base rows."""
+        idx = np.asarray(idx, dtype=np.int64)
+        p0, base_t = self.p0, self.base.T
+        left = np.where(idx < p0, idx, idx - p0)  # a base column's own row, a square's parent
+        right = left.copy()
+        cross = np.flatnonzero(idx >= 2 * p0)
+        left[cross], right[cross] = self._jj[idx[cross] - 2 * p0], self._kk[idx[cross] - 2 * p0]
+        out = base_t[left]
+        out *= base_t[right]
+        linear = np.flatnonzero(idx < p0)
+        out[linear] = base_t[idx[linear]]
+        std = self.col_std[idx]
+        out -= self.col_mean[idx][:, None]
+        out /= np.where(std > 0, std, 1.0)[:, None]
+        out[std == 0] = 0.0
         return out
 
-    def column(self, j: int) -> np.ndarray:
-        return self.block(j, j + 1)[:, 0]
+    def block(self, j0: int, j1: int) -> np.ndarray:
+        """Standardized columns [j0, j1) as an (n, j1-j0) array, the
+        transpose of their rows."""
+        return self.rows(np.arange(j0, j1)).T
 
     def _square_sums(self) -> np.ndarray:
         """sum_i raw_ij^2 for every expanded column; the squares and cross
@@ -150,13 +145,13 @@ class ExpandedDesign:
         return np.concatenate([sq.sum(axis=0), gram.diagonal(), gram[self._jj, self._kk]])
 
     def _error_weights(self, square_sums: np.ndarray) -> np.ndarray:
-        """gram_corr's w from the raw column norms: 0 where std is 0."""
+        """screen's w from the raw column norms: 0 where std is 0."""
         n = self.base.shape[0]
         err = np.sqrt(square_sums) / n + np.abs(self.col_mean) / np.sqrt(n)
         std = np.where(self.col_std > 0, self.col_std, np.inf)
         return err * (4 * (n + 10) * np.finfo(float).eps) / std
 
-    def gram_corr(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def screen(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(X_j'v / n for every expanded column, weights w): entry j is within
         ||v||_2 w_j of the streamed product of ``solvers.design_corr``.
 
@@ -177,15 +172,14 @@ class ExpandedDesign:
         corr[self.col_std == 0] = 0.0
         return corr, self._corr_err
 
+    def predict(self, beta: np.ndarray) -> np.ndarray:
+        """X @ beta, summed over the nonzero coordinates of beta in index order."""
+        nonzero = np.flatnonzero(beta)
+        out = np.zeros(self.base.shape[0])
+        for weight, row in zip(beta[nonzero], self.rows(nonzero)):
+            out += weight * row
+        return out
+
     def take_rows(self, idx: np.ndarray) -> "ExpandedDesign":
         """Row subset sharing the training expansion moments."""
         return ExpandedDesign(self.base[idx], self.col_mean, self.col_std, (self._jj, self._kk))
-
-    def materialize(self) -> np.ndarray:
-        """Full dense expansion; only sensible for small p0 fixtures."""
-        n, p = self.shape
-        out = np.empty((n, p))
-        for j0 in range(0, p, self.CHUNK):
-            j1 = min(j0 + self.CHUNK, p)
-            out[:, j0:j1] = self.block(j0, j1)
-        return out

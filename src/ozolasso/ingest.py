@@ -101,13 +101,16 @@ def _parse_column(tokens, var: str) -> tuple[np.ndarray, int]:
     non-blank cells coerced to missing: not a finite number, or a humidity
     outside [0, 100]. Wind direction is taken mod 360. A column holding a
     token ``float`` rejects is parsed once per distinct token."""
-    blank = np.fromiter((not token.strip() for token in tokens), dtype=bool, count=len(tokens))
-    if blank.any():
-        tokens = ["nan" if b else token for b, token in zip(blank.tolist(), tokens)]
+    blank = np.zeros(len(tokens), dtype=bool)
     try:
         values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:
-        values = np.array([np.nan if c is None else c for c in _parse_distinct(tokens, float)])
+    except ValueError:  # a blank cell, or a token float rejects: blanks read as nan
+        blank = np.fromiter((not token.strip() for token in tokens), dtype=bool, count=len(tokens))
+        tokens = ["nan" if b else token for b, token in zip(blank.tolist(), tokens)]
+        try:
+            values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+        except ValueError:
+            values = np.array([np.nan if c is None else c for c in _parse_distinct(tokens, float)])
     coerced = ~np.isfinite(values)
     if var == "rel_humidity":
         coerced |= ~((0.0 <= values) & (values <= 100.0))

@@ -17,7 +17,7 @@ import numpy as np
 from .atomic import write_text
 from .expansion import ExpandedDesign, expansion_size
 from .features import FeatureRows, StandardizationParams, apply_standardizer
-from .solvers import LAMBDA_CONVENTION, ModelFit
+from .solvers import LAMBDA_CONVENTION, DenseDesign, ModelFit
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -202,11 +202,10 @@ def predict_rows(model: dict, rows: FeatureRows) -> np.ndarray:
             f"model expects {params.mu.shape[0]}"
         )
     base, _ = apply_standardizer(params, X_raw)
-    design = _saved_design(model, base) if model["expansion"] == "polynomial" else None
+    design = _saved_design(model, base) if model["expansion"] == "polynomial" else DenseDesign(base)
+    columns = design.rows([entry["index"] for entry in model["weights"]])
     yhat = np.full(base.shape[0], model["beta0"])
-    for entry in model["weights"]:
-        j = entry["index"]
-        col = base[:, j] if design is None else design.column(j)
+    for entry, col in zip(model["weights"], columns):
         yhat = yhat + entry["weight"] * col
 
     yhat = yhat * params.y_sigma + params.y_mu

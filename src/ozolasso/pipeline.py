@@ -127,7 +127,7 @@ def polynomial_working_bytes(n: int, p0: int) -> int:
     """Peak bytes of a polynomial Lasso fit (CV and final fit) on n rows of
     p0 base columns, counted in 8-byte values from what it holds:
 
-    - throughout, the design: its moments (2 per expanded column), gram_corr
+    - throughout, the design: its moments (2 per expanded column), screen
       weights (1), pair indices (2) and the base matrix;
     - on top, the larger of two phases. ExpandedDesign.fit: the p-long E[x],
       E[x^2], variance and their temporaries (6 per column) and a raw CHUNK
@@ -143,11 +143,12 @@ def polynomial_working_bytes(n: int, p0: int) -> int:
 
 
 def build_design(config: RunConfig, data: TrainingData, expansion: str | None = None):
-    """Training design: base matrix, or the streamed quadratic expansion."""
+    """Training design: a DenseDesign of the base matrix, or its streamed
+    quadratic expansion."""
     if expansion is None:
         expansion = config.expansion
     if expansion == "linear":
-        return data.base
+        return solvers.DenseDesign(data.base)
     n, p0 = data.base.shape
     p = expansion_size(p0)
     working_mb = polynomial_working_bytes(n, p0) / 2**20

@@ -10,8 +10,6 @@ from .solvers import (
     _center,
     corr_abs_max,
     design_block,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
-    design_predict,
-    design_take_rows,
     lasso_path,
 )
 
@@ -95,11 +93,10 @@ def kfold_cv(
         train = np.flatnonzero(assignment != fold)
         if train.size < 2:
             raise SelectionError(f"fold {fold}: fewer than 2 training rows")
-        d_tr = design_take_rows(design, train)
-        d_te = design_take_rows(design, held)
+        d_tr, d_te = design.take_rows(train), design.take_rows(held)
         y_te = y[held]
         for i, fit in enumerate(fit_path(d_tr, y[train], grid)):
-            pred = fit.beta0 + design_predict(d_te, fit.beta)
+            pred = fit.beta0 + d_te.predict(fit.beta)
             fold_errors[fold, i] = float(np.mean((pred - y_te) ** 2))
 
     cv_mean = fold_errors.mean(axis=0)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, lapack, solve_triangular
 
-from .expansion import ExpandedDesign
-
 LAMBDA_CONVENTION = "eq7-halflambda"
 COND_WARN_THRESHOLD = 1e12
 KKT_TOL_FACTOR = 10.0  # certificate tolerance, in units of tol
@@ -70,7 +68,8 @@ class ModelFit:
         return np.flatnonzero(self.beta)
 
 
-# --- design adapters (plain ndarray or ExpandedDesign) ---
+# --- designs: shape, block, rows, take_rows, predict and screen ---
+# DenseDesign holds its columns; expansion.ExpandedDesign generates them.
 
 # Columns per chunk of a design_corr pass. A separate decision from
 # ExpandedDesign.CHUNK, and changing either width moves bits (the expansion
@@ -78,25 +77,39 @@ class ModelFit:
 _CORR_CHUNK = 2048
 
 
+class DenseDesign:
+    """A stored (n, p) design matrix X."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = np.asarray(X, dtype=float)
+        self.shape = self.X.shape
+
+    def block(self, j0: int, j1: int) -> np.ndarray:
+        """Columns [j0, j1) as an (n, j1-j0) view."""
+        return self.X[:, j0:j1]
+
+    def rows(self, idx) -> np.ndarray:
+        """The columns ``idx`` as the rows of a C-ordered (len(idx), n) array."""
+        return self.X.T[idx]
+
+    def take_rows(self, idx: np.ndarray) -> "DenseDesign":
+        return DenseDesign(self.X[idx])
+
+    def predict(self, beta: np.ndarray) -> np.ndarray:
+        return self.X @ beta
+
+    def screen(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(design_corr, weights 0): the dense screen is exact."""
+        return design_corr(self, v), np.zeros(self.shape[1])
+
+
 def design_block(design, j0: int, j1: int) -> np.ndarray:
-    if isinstance(design, ExpandedDesign):
-        return design.block(j0, j1)
-    return design[:, j0:j1]
-
-
-def design_take_rows(design, idx: np.ndarray):
-    if isinstance(design, ExpandedDesign):
-        return design.take_rows(idx)
-    return design[idx]
-
-
-def design_column(design, j: int) -> np.ndarray:
-    return design_block(design, j, j + 1)[:, 0]
+    return design.block(j0, j1)
 
 
 def _chunk_rows(design, j0: int) -> np.ndarray:
     """The chunk of columns starting at j0 as contiguous rows: the layout
-    that makes products bitwise equal for streamed and materialized designs."""
+    that makes products bitwise equal for streamed and stored designs."""
     return np.ascontiguousarray(design_block(design, j0, min(j0 + _CORR_CHUNK, design.shape[1])).T)
 
 
@@ -108,17 +121,6 @@ def design_corr(design, v: np.ndarray) -> np.ndarray:
         block_t = _chunk_rows(design, j0)
         corr[j0 : j0 + block_t.shape[0]] = block_t @ v / n
     return corr
-
-
-def design_predict(design, beta: np.ndarray) -> np.ndarray:
-    """X @ beta: one product on a dense design, streamed over the nonzero
-    coordinates of an ExpandedDesign."""
-    if not isinstance(design, ExpandedDesign):
-        return design @ beta
-    out = np.zeros(design.shape[0])
-    for j in np.flatnonzero(beta).tolist():
-        out += beta[j] * np.ascontiguousarray(design_column(design, j))
-    return out
 
 
 # --- closed-form solvers ---
@@ -163,27 +165,26 @@ def _center(y: np.ndarray, fit_intercept: bool) -> tuple[np.ndarray, float]:
     return y, 0.0
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, fit_intercept: bool = True) -> ModelFit:
+def fit_ols(design, y: np.ndarray, fit_intercept: bool = True) -> ModelFit:
     """Normal-equation solution, the lambda=0 ridge solve; intercept is the
     response mean."""
-    return _ridge_solve(X, y, 0.0, fit_intercept, "ols")
+    return _ridge_solve(design, y, 0.0, fit_intercept, "ols")
 
 
-def fit_ridge(
-    X: np.ndarray, y: np.ndarray, lam: float, fit_intercept: bool = True
-) -> ModelFit:
+def fit_ridge(design, y: np.ndarray, lam: float, fit_intercept: bool = True) -> ModelFit:
     """beta = (X'X + n*lambda*I)^-1 X'y, the n-scaled penalty as printed:
     one Cholesky solve."""
-    return _ridge_solve(X, y, lam, fit_intercept, "ridge")
+    return _ridge_solve(design, y, lam, fit_intercept, "ridge")
 
 
-def _ridge_solve(X, y, lam, fit_intercept, method) -> ModelFit:
+def _ridge_solve(design, y, lam, fit_intercept, method) -> ModelFit:
     # Shared by fit_ridge and fit_ols, so a warning from _spd_solve is the
     # same number of frames below each one's caller.
     lam = float(lam)
     if not 0.0 <= lam < math.inf:
         raise SolverError(f"lambda must be finite and >= 0, got {lam!r}")
     yc, beta0 = _center(y, fit_intercept)
+    X = design.block(0, design.shape[1])
     A = X.T @ X
     # the penalty written into the diagonal in place: a second p x p matrix
     # would raise peak memory by that much
@@ -191,9 +192,7 @@ def _ridge_solve(X, y, lam, fit_intercept, method) -> ModelFit:
     return ModelFit(method, lam, beta0, _spd_solve(A, X.T @ yc))
 
 
-def ridge_path(
-    X: np.ndarray, y: np.ndarray, grid, fit_intercept: bool = True
-) -> list[ModelFit]:
+def ridge_path(design, y: np.ndarray, grid, fit_intercept: bool = True) -> list[ModelFit]:
     """fit_ridge at each lambda > 0 of the grid, from one symmetric
     eigendecomposition X'X = V diag(d) V' (ESL 3.4.1): beta = V (z / s) with
     z = V'X'y and s = d + n*lambda. lambda = 0 is fit_ols.
@@ -207,6 +206,7 @@ def ridge_path(
     if not all(0.0 < lam < math.inf for lam in grid):
         raise SolverError("ridge_path takes finite lambda > 0; lambda = 0 is fit_ols")
     yc, beta0 = _center(y, fit_intercept)
+    X = design.block(0, design.shape[1])
     n = X.shape[0]
     # A.T is the symmetric A in the column order LAPACK reads, so the evr
     # driver works in place: a copy of X'X, or syevd's 2p^2 workspace, would
@@ -237,14 +237,6 @@ _SPAN_TOL = 1e-10
 _SLICE = 1 << 16
 
 
-def _screen(design, v):
-    """(X'v/n, weights w bounding its distance from design_corr by ||v|| w):
-    a Gram-form pass on an ExpandedDesign, design_corr itself on a dense one."""
-    if isinstance(design, ExpandedDesign):
-        return design.gram_corr(v)
-    return design_corr(design, v), np.zeros(design.shape[1])
-
-
 def _exact_corr(design, idx: np.ndarray, vectors) -> np.ndarray:
     """X_j'v/n at the columns ``idx`` for each of ``vectors``, bitwise as
     design_corr forms them: each chunk holding one of ``idx`` is multiplied
@@ -263,13 +255,13 @@ def corr_abs_max(design, v: np.ndarray, exclude=None, screen=None) -> float:
     """max |X_j'v/n| over the columns not in ``exclude`` (0 if there are
     none), bitwise as design_corr gives it.
 
-    One _screen pass, or ``screen``, that pass already made, left unmodified;
-    every column whose screened |c_j| + ||v|| w_j reaches the largest
-    |c_j| - ||v|| w_j is recomputed with _exact_corr, and the true maximizer
-    is always among them. On a dense design the screen is design_corr itself
-    and nothing is recomputed.
+    One design.screen pass, or ``screen``, that pass already made, left
+    unmodified; every column whose screened |c_j| + ||v|| w_j reaches the
+    largest |c_j| - ||v|| w_j is recomputed with _exact_corr, and the true
+    maximizer is always among them. On a dense design the screen is
+    design_corr itself and nothing is recomputed.
     """
-    c, w = _screen(design, v) if screen is None else screen
+    c, w = design.screen(v) if screen is None else screen
     err = float(np.linalg.norm(v)) * w
     hi = np.abs(c)
     lo = hi - err
@@ -302,13 +294,14 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     beta_A(h) = b - h d, where G_A [d, b] = [s_A, X_A'y/n], G_A = X_A'X_A/n.
     It ends where an inactive |c_j| reaches h (a join) or a beta_k reaches
     zero (a drop). Each segment screens c = X'r/n and, with an active
-    column, a = X'X_A d/n once (_screen); the opening segment's screen of
-    r = y gives lambda_max / 2. Every column whose join step may lie within
-    the screen's bound of the minimum is recomputed exactly before the
-    decision, so a streamed design and its materialized copy pass the same
-    kinks. A column that just joined may not drop at the next kink, one that
-    just dropped may rejoin there only with the other sign, and a joining
-    column in the span of the active set stays out until a drop.
+    column, a = X'X_A d/n once (design.screen); the opening segment's
+    screen of r = y gives lambda_max / 2. Every column whose join step may
+    lie within the screen's bound of the minimum is recomputed exactly
+    before the decision, so a streamed design and a DenseDesign of its
+    columns pass the same kinks. A column that just joined may not drop at
+    the next kink, one that just dropped may rejoin there only with the
+    other sign, and a joining column in the span of the active set stays
+    out until a drop.
 
     Yields (beta, r, kinks since the previous yield, X'r/n from the screen)
     at each lambda of the descending ``lams``. If more than ``max_kinks``
@@ -321,16 +314,16 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     lams = iter(lams)
     lam = next(lams, None)
     while lam is not None:
-        XT = np.array([design_column(design, j) for j in active]).reshape(len(active), n)
+        XT = design.rows(active)
         d = b = np.zeros(0)
         if active:
             factor = cho_factor(XT @ XT.T / n, lower=True)
             d, b = cho_solve(factor, np.stack([signs, XT @ yc / n], axis=1)).T
         r, u = yc - XT.T @ (b - h * d), XT.T @ d
-        c, w = _screen(design, r)
+        c, w = design.screen(r)
         if not total:  # r = y: lambda_max / 2, as make_lambda_grid takes it
             h = corr_abs_max(design, r, screen=(c, w))
-        a = _screen(design, u)[0] if active else np.zeros(p)  # u = 0 with no active column
+        a = design.screen(u)[0] if active else np.zeros(p)  # u = 0 with no active column
         r_norm, u_norm = float(np.linalg.norm(r)), float(np.linalg.norm(u))
         lo, hi = np.empty(p), np.empty(p)
         for s in range(0, p, _SLICE):
@@ -353,7 +346,7 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
             t_join = float(steps[i]) if idx.size else np.inf
             if t_join >= t_drop:
                 break
-            x = design_column(design, int(idx[i]))
+            x = design.rows(idx[i : i + 1])[0]
             g = solve_triangular(factor[0], XT @ x / n, lower=True) if active else d
             if float(x @ x - n * (g @ g)) > _SPAN_TOL * float(x @ x):
                 break
@@ -413,10 +406,10 @@ def _certified(lam, beta0, beta, r, yc, active_corr, zero_max, kinks, kkt_tol) -
 
 def _exact_terms(design, beta, r) -> tuple[np.ndarray, float]:
     """_certified's (active_corr, zero_max) for beta and its residual r,
-    bitwise as one design_corr pass gives them, from one _screen pass: on a
-    dense design the screen holds both."""
+    bitwise as one design_corr pass gives them, from one design.screen
+    pass: on a dense design the screen holds both."""
     active = np.flatnonzero(beta)
-    c, w = screen = _screen(design, r)
+    c, w = screen = design.screen(r)
     active_corr = _exact_corr(design, active, [r])[0] if w.any() else c[active]
     return active_corr, corr_abs_max(design, r, active, screen)
 

@@ -7,7 +7,7 @@ from datetime import date as Date, timedelta
 import numpy as np
 
 from ozolasso.ingest import ALL_VARS, DayGrid
-from ozolasso.solvers import fit_ridge
+from ozolasso.solvers import DenseDesign, fit_ridge
 
 
 def standardized_matrix(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -73,6 +73,6 @@ def assert_ridge_solution(X: np.ndarray, y: np.ndarray, fit) -> None:
     norm_m, kappa = float(s[-1]), float(s[-1] / s[0])
     residual = float(np.linalg.norm(M @ fit.beta - b))
     assert residual <= 8 * p * eps * (norm_m * np.linalg.norm(fit.beta) + np.linalg.norm(b))
-    cholesky = fit_ridge(X, y, fit.lam).beta
+    cholesky = fit_ridge(DenseDesign(X), y, fit.lam).beta
     gap = float(np.linalg.norm(fit.beta - cholesky))
     assert gap <= 16 * p * kappa * eps * float(np.linalg.norm(cholesky))

@@ -17,7 +17,7 @@ from ozolasso.config import RunConfig
 from ozolasso.evaluation import mae, rmse, scatter_fit
 from ozolasso.expansion import ExpandedDesign, expansion_size
 from ozolasso.features import build_schema, compute_8h_means
-from ozolasso.solvers import LassoConfig, fit_lasso, fit_ols, fit_ridge, lasso_path
+from ozolasso.solvers import DenseDesign, LassoConfig, fit_lasso, fit_ols, fit_ridge, lasso_path
 from ozolasso.synth import SynthConfig, write_files
 
 
@@ -32,7 +32,7 @@ def ols_equiv_fits():
         rng = np.random.default_rng(seed)
         X = standardized_matrix(rng, 50, 10)
         y = rng.normal(size=50)
-        out.append((X, y, fit_lasso(X, y, LassoConfig(lam=0.0))))
+        out.append((X, y, fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.0))))
     return out, time.perf_counter() - t0
 
 
@@ -46,7 +46,7 @@ def ortho_fits():
         X = orthonormal_design(rng, 32, 8)
         y = rng.normal(size=32)
         lam = float(rng.uniform(0.1, 0.8))
-        out.append((X, y, lam, fit_lasso(X, y, LassoConfig(lam=lam))))
+        out.append((X, y, lam, fit_lasso(DenseDesign(X), y, LassoConfig(lam=lam))))
     return out, time.perf_counter() - t0
 
 
@@ -59,7 +59,7 @@ def path_run():
     yc = y - y.mean()
     lam_max = 2.0 * float(np.abs(X.T @ yc / 80).max())
     grid = np.geomspace(lam_max, lam_max * 1e-4, 100)
-    fits = list(lasso_path(X, y, grid))
+    fits = list(lasso_path(DenseDesign(X), y, grid))
     return X, y, grid, fits
 
 
@@ -80,9 +80,9 @@ def synth_run(tmp_path_factory):
     rows, schema, _ = pipeline.build_rows(cfg)
     train_rows, test_rows = pipeline.split_rows(cfg, rows)
     data = pipeline.prepare_training(cfg, train_rows, schema)
-    lam, _ = pipeline.choose_lambda(cfg, data.base, data.y)
-    fit = fit_lasso(data.base, data.y, LassoConfig(lam=lam))
-    ridge = fit_ridge(data.base, data.y, lam)
+    lam, _ = pipeline.choose_lambda(cfg, DenseDesign(data.base), data.y)
+    fit = fit_lasso(DenseDesign(data.base), data.y, LassoConfig(lam=lam))
+    ridge = fit_ridge(DenseDesign(data.base), data.y, lam)
     model = modelio.build_model_dict(
         fit, data.params, data.kept_names, data.all_names,
         variant="max", expansion="linear", target_mode="direct",
@@ -120,7 +120,7 @@ def test_criterion_01_feature_counts():
 def test_criterion_02_lasso_ols_equivalence(ols_equiv_fits):
     fits, elapsed = ols_equiv_fits
     for X, y, fit in fits:
-        beta_ols = fit_ols(X, y).beta
+        beta_ols = fit_ols(DenseDesign(X), y).beta
         assert float(np.abs(fit.beta - beta_ols).max()) < 1e-6
     assert elapsed < 5.0
 
@@ -128,7 +128,7 @@ def test_criterion_02_lasso_ols_equivalence(ols_equiv_fits):
 def test_criterion_03_orthonormal_soft_threshold(ortho_fits):
     fits, elapsed = ortho_fits
     for X, y, lam, fit in fits:
-        beta_ols = fit_ols(X, y).beta
+        beta_ols = fit_ols(DenseDesign(X), y).beta
         expected = np.sign(beta_ols) * np.maximum(np.abs(beta_ols) - lam / 2, 0.0)
         assert float(np.abs(fit.beta - expected).max()) < 1e-8
     assert elapsed < 5.0
@@ -144,7 +144,7 @@ def test_criterion_04_kkt_certificate(ols_equiv_fits, ortho_fits, path_run, synt
     design = ExpandedDesign.fit(base)
     y = rng.normal(size=40)
     for lam in (0.02, 0.2, 1.0):
-        fits.append(fit_lasso(base, y, LassoConfig(lam=lam)))
+        fits.append(fit_lasso(DenseDesign(base), y, LassoConfig(lam=lam)))
         fits.append(fit_lasso(design, y, LassoConfig(lam=lam)))
     checked = 0
     for fit in fits:
@@ -158,7 +158,7 @@ def test_criterion_04_kkt_certificate(ols_equiv_fits, ortho_fits, path_run, synt
 
 def test_criterion_05_lambda_max_and_path_monotonicity(path_run):
     X, y, grid, fits = path_run
-    fit_top = fit_lasso(X, y, LassoConfig(lam=float(grid[0])))
+    fit_top = fit_lasso(DenseDesign(X), y, LassoConfig(lam=float(grid[0])))
     assert np.all(fit_top.beta == 0.0)
     norms = [float(np.abs(f.beta).sum()) for f in fits]
     assert len(norms) == 100
@@ -173,16 +173,17 @@ def test_criterion_06_ridge_closed_form():
         X = standardized_matrix(rng, n, p)
         y = rng.normal(size=n)
         lam = float(rng.uniform(0.0, 2.0))
-        fit = fit_ridge(X, y, lam)
+        fit = fit_ridge(DenseDesign(X), y, lam)
         yc = y - y.mean()
         oracle = np.linalg.solve(X.T @ X + n * lam * np.eye(p), X.T @ yc)
         assert float(np.abs(fit.beta - oracle).max()) < 1e-8
     X = standardized_matrix(rng, 30, 5)
     y = rng.normal(size=30)
-    assert float(np.abs(fit_ridge(X, y, 0.0).beta - fit_ols(X, y).beta).max()) < 1e-8
+    design = DenseDesign(X)
+    assert float(np.abs(fit_ridge(design, y, 0.0).beta - fit_ols(design, y).beta).max()) < 1e-8
     eye = np.eye(4)
     y4 = rng.normal(size=4)
-    fit = fit_ridge(eye, y4, 0.5, fit_intercept=False)
+    fit = fit_ridge(DenseDesign(eye), y4, 0.5, fit_intercept=False)
     np.testing.assert_allclose(fit.beta, y4 / (1 + 4 * 0.5), atol=1e-8)
 
 
@@ -206,7 +207,7 @@ def test_criterion_08_streamed_vs_materialized():
     design = ExpandedDesign.fit(base)
     for lam in (0.05, 0.3):
         f_stream = fit_lasso(design, y, LassoConfig(lam=lam))
-        f_dense = fit_lasso(design.materialize(), y, LassoConfig(lam=lam))
+        f_dense = fit_lasso(DenseDesign(design.block(0, design.shape[1])), y, LassoConfig(lam=lam))
         assert np.array_equal(f_stream.beta, f_dense.beta)
         assert f_stream.beta0 == f_dense.beta0
     assert time.perf_counter() - t0 < 10.0

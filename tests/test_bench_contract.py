@@ -55,6 +55,7 @@ def child_hooks(counts: Counter) -> dict:
 RETIRED = {
     "solvers.design_diag",  # no caller since the homotopy replaced coordinate descent
     "selection.column_scores",  # lambda_max comes from solvers.corr_abs_max
+    "solvers.design_predict",  # each design predicts itself: DenseDesign/ExpandedDesign.predict
 }
 
 

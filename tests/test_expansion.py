@@ -4,11 +4,19 @@ import numpy as np
 
 from conftest import standardized_matrix
 from ozolasso.expansion import ExpandedDesign, cross_pairs, expansion_size
+from ozolasso.solvers import DenseDesign
 
 
 def small_design(seed=0, n=30, p0=5):
     rng = np.random.default_rng(seed)
     return ExpandedDesign.fit(standardized_matrix(rng, n, p0))
+
+
+def raw_design(design):
+    """The same expansion with mean 0 and std 1: its columns are the raw
+    products, bit for bit."""
+    p = design.n_features
+    return ExpandedDesign(design.base, np.zeros(p), np.ones(p))
 
 
 def test_expansion_size_closed_form():
@@ -55,25 +63,61 @@ def test_raw_columns_are_parent_products():
     design = small_design(seed=3, p0=6)
     base = design.base
     p = design.n_features
-    raw = design._raw_block(0, p)
+    raw = raw_design(design).block(0, p)
     for j in range(p):
         pj, pk = design.parents(j)
         expected = base[:, pj] if j < design.p0 else base[:, pj] * base[:, pk]
         np.testing.assert_array_equal(raw[:, j], expected)
 
 
+def designs_to_check():
+    """An ExpandedDesign and a DenseDesign on p0 in {1, 2, 5} base columns,
+    with and without a zero-variance column (the square of a +-1 column; a
+    constant dense column)."""
+    rng = np.random.default_rng(4)
+    for p0 in (1, 2, 5):
+        for zero_variance in (False, True):
+            base = standardized_matrix(rng, 12, p0)
+            if zero_variance:
+                base[:, 0] = np.resize([1.0, -1.0], 12)
+            expanded = ExpandedDesign.fit(base)
+            assert (expanded.col_std == 0).any() == zero_variance
+            yield expanded
+            yield DenseDesign(np.column_stack([base, np.zeros(12)]) if zero_variance else base)
+
+
+def assert_rows_and_blocks_agree(design, rng):
+    """rows(idx)[i] is block(j, j + 1)[:, 0] for j = idx[i], for idx sorted,
+    unsorted, repeated and empty, and block(0, p) is the blocks of any width
+    side by side."""
+    n, p = design.shape
+    full = design.block(0, p)
+    assert full.shape == (n, p)
+    for width in (1, 3, ExpandedDesign.CHUNK):
+        chunks = [design.block(j0, min(j0 + width, p)) for j0 in range(0, p, width)]
+        assert np.hstack(chunks).tobytes() == full.tobytes()
+    for idx in (np.arange(p), rng.permutation(p), rng.integers(0, p, 2 * p), [], [p - 1, 0, p - 1]):
+        rows = design.rows(idx)
+        assert rows.shape == (len(idx), n) and rows.flags.c_contiguous
+        for row, j in zip(rows, idx):
+            assert row.tobytes() == design.block(j, j + 1)[:, 0].tobytes()
+    return full
+
+
 def test_block_column_materialize_agree_bitwise():
-    design = small_design(seed=4, p0=5)
-    full = design.materialize()
-    assert full.shape == design.shape
-    for j in (0, 5, 9, 12, design.n_features - 1):
-        np.testing.assert_array_equal(design.column(j), full[:, j])
-    np.testing.assert_array_equal(design.block(3, 11), full[:, 3:11])
+    """Both designs, and a row subset of each, whose columns are the rows
+    of the full design's."""
+    rng = np.random.default_rng(5)
+    for design in designs_to_check():
+        full = assert_rows_and_blocks_agree(design, rng)
+        subset = np.array([5, 0, 11, 5, 7])
+        sub = design.take_rows(subset)
+        assert assert_rows_and_blocks_agree(sub, rng).tobytes() == full[subset].tobytes()
 
 
 def test_expanded_columns_standardized_on_training_rows():
     design = small_design(seed=5, n=50, p0=6)
-    full = design.materialize()
+    full = design.block(0, design.n_features)
     live = design.col_std > 0
     assert np.abs(full[:, live].mean(axis=0)).max() < 1e-12
     assert np.abs(full[:, live].var(axis=0) - 1).max() < 1e-10
@@ -86,7 +130,7 @@ def test_zero_variance_expanded_column_yields_zeros():
     design = ExpandedDesign.fit(base)
     sq0 = design.p0  # index of (col 0)^2
     assert design.col_std[sq0] == 0.0
-    np.testing.assert_array_equal(design.column(sq0), 0.0)
+    np.testing.assert_array_equal(design.rows([sq0])[0], 0.0)
 
 
 def test_take_rows_keeps_training_moments():
@@ -95,7 +139,8 @@ def test_take_rows_keeps_training_moments():
     assert sub.shape == (10, design.n_features)
     np.testing.assert_array_equal(sub.col_mean, design.col_mean)
     np.testing.assert_array_equal(sub.col_std, design.col_std)
-    np.testing.assert_array_equal(sub.materialize(), design.materialize()[:10])
+    p = design.n_features
+    np.testing.assert_array_equal(sub.block(0, p), design.block(0, p)[:10])
 
 
 
@@ -104,8 +149,9 @@ def two_pass_moments(design):
     reference arithmetic for the Gram-form moments."""
     p = design.n_features
     mean, std = np.empty(p), np.empty(p)
+    raw_columns = raw_design(design)
     for j0 in range(0, p, ExpandedDesign.CHUNK):
-        raw = design._raw_block(j0, min(j0 + ExpandedDesign.CHUNK, p))
+        raw = np.ascontiguousarray(raw_columns.block(j0, min(j0 + ExpandedDesign.CHUNK, p)))
         mean[j0 : j0 + raw.shape[1]], std[j0 : j0 + raw.shape[1]] = raw.mean(axis=0), raw.std(axis=0)
     return mean, std
 

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import standardized_matrix
-from ozolasso.solvers import LassoConfig, design_corr, fit_lasso, fit_ols
+from ozolasso.solvers import DenseDesign, LassoConfig, design_corr, fit_lasso, fit_ols
 
 
 def make_problem(seed, n, p, kind):
@@ -69,10 +69,10 @@ def test_homotopy_certifies_and_matches_coordinate_descent(seed, shape, kind, wh
     n, p = shape
     X, y = make_problem(seed, n, p, kind)
     yc = y - y.mean()
-    lam_max = 2.0 * float(np.abs(design_corr(X, yc)).max())
+    lam_max = 2.0 * float(np.abs(design_corr(DenseDesign(X), yc)).max())
     lam = {"zero": 0.0, "max": lam_max, "between": frac * lam_max}[where]
     config = LassoConfig(lam=lam)
-    fit = fit_lasso(X, y, config)
+    fit = fit_lasso(DenseDesign(X), y, config)
 
     assert fit.converged
     assert fit.kkt_zero_violation <= config.kkt_tol
@@ -90,7 +90,7 @@ def test_homotopy_certifies_and_matches_coordinate_descent(seed, shape, kind, wh
 
     if lam == 0.0:
         if n > p and kind == "random":
-            assert np.abs(fit.beta - fit_ols(X, y).beta).max() < 1e-8
+            assert np.abs(fit.beta - fit_ols(DenseDesign(X), y).beta).max() < 1e-8
         return
     if not equicorrelation_independent(X, yc, fit.beta, lam):
         return

@@ -1,5 +1,6 @@
-"""No module in ``src/`` or ``tests/`` imports a name it never uses, and no
-function in ``src/`` has a parameter it never reads.
+"""No module in ``src/`` or ``tests/`` imports a name it never uses, no
+function in ``src/`` has a parameter it never reads, and the solvers reach
+every design through its own members.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
@@ -97,3 +98,41 @@ def test_the_scan_finds_an_unread_parameter(tmp_path):
         "    a = 2\n    return g(), args, kw\n\n\nh = lambda x, y: x\n"
     )
     assert unread_parameters(module) == ["f.a", "<lambda>.y"]
+
+
+def design_adapters(path: Path) -> list[str]:
+    """Each isinstance call in the module, and each import of the expansion
+    module or of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            found.append(f"line {node.lineno}: isinstance")
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("expansion" in module.split(".") for module in modules):
+            found.append(f"line {node.lineno}: imports expansion")
+    return found
+
+
+def test_solvers_read_designs_only_through_their_members():
+    """A dense and an expanded design answer the same members, so solvers.py
+    branches on neither: it calls no isinstance and imports nothing from
+    expansion."""
+    assert design_adapters(ROOT / "src" / "ozolasso" / "solvers.py") == []
+
+
+def test_the_scan_finds_a_design_adapter(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .expansion import ExpandedDesign\nfrom . import expansion\n"
+        "import ozolasso.expansion\nfrom .features import expansion_names\n\n\n"
+        "def f(d):\n    return isinstance(d, ExpandedDesign)\n"
+    )
+    assert design_adapters(module) == [
+        "line 1: imports expansion", "line 2: imports expansion",
+        "line 3: imports expansion", "line 8: isinstance",
+    ]

@@ -82,6 +82,20 @@ def test_only_unparseable_tokens_leave_the_column_parse(tmp_path, monkeypatch):
     assert result.coerced_missing == 1
 
 
+def test_a_column_float_reads_whole_is_not_searched_for_blanks():
+    """Cells are stripped to find blanks only after the one-pass float read
+    of the column has failed: a clean column never strips a cell."""
+
+    class Cell(str):
+        def strip(self, chars=None):
+            raise AssertionError(f"cell {str(self)!r} stripped")
+
+    tokens = [Cell(t) for t in ("1.5", " 20 ", "nan", "120", "-0")]
+    values, coerced = ingest._parse_column(tokens, "rel_humidity")
+    np.testing.assert_array_equal(values, [1.5, 20.0, np.nan, np.nan, -0.0])
+    assert coerced == 2  # nan is not a finite number, 120 is past 100
+
+
 def test_duplicate_timestamp_is_hard_error(tmp_path):
     rows = "2016-07-01,14,1,2,3,4,7,0.2,8\n" * 2
     path = write(tmp_path, POL_HEADER + "\n" + rows)

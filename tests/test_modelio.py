@@ -24,7 +24,7 @@ from ozolasso.modelio import (
     save_model,
     standardization_digest,
 )
-from ozolasso.solvers import LassoConfig, fit_lasso, fit_ridge
+from ozolasso.solvers import DenseDesign, LassoConfig, fit_lasso, fit_ridge
 
 
 def make_rows(rng, n, p, beta=None, noise=0.0, anchor=50.0):
@@ -48,7 +48,7 @@ def fit_linear_model(rows, lam=0.0, target_mode="direct"):
         y = rows.target_raw - rows.current_anchor
     params = fit_standardizer(X, y)
     Xs, ys = apply_standardizer(params, X, y)
-    fit = fit_lasso(Xs, ys, LassoConfig(lam=lam))
+    fit = fit_lasso(DenseDesign(Xs), ys, LassoConfig(lam=lam))
     names = [f"f{int(j)}" for j in params.kept]
     all_names = [f"f{j}" for j in range(X.shape[1])]
     return build_model_dict(fit, params, names, all_names, variant="max",
@@ -131,7 +131,8 @@ def test_polynomial_model_round_trip(tmp_path):
     save_model(model, path)
     model = load_model(path)
     pred = predict_rows(model, rows)
-    oracle = (fit.beta0 + design.materialize() @ fit.beta) * params.y_sigma + params.y_mu
+    dense = design.block(0, design.shape[1])
+    oracle = (fit.beta0 + dense @ fit.beta) * params.y_sigma + params.y_mu
     np.testing.assert_allclose(pred, oracle, atol=1e-10)
 
 
@@ -198,7 +199,8 @@ def test_saved_model_predicts_bitwise_like_in_memory(
     if polynomial:
         model, fit, design, params = fit_polynomial_model(rows, lam, target_mode)
         base, _ = apply_standardizer(params, test.x)
-        oracle = ExpandedDesign(base, design.col_mean, design.col_std).materialize() @ fit.beta
+        expanded = ExpandedDesign(base, design.col_mean, design.col_std)
+        oracle = expanded.block(0, expanded.shape[1]) @ fit.beta
     else:
         model, fit, params = fit_linear_model(rows, lam=lam, target_mode=target_mode)
         base, _ = apply_standardizer(params, test.x)
@@ -326,7 +328,7 @@ def test_lasso_model_records_its_duality_gap(tmp_path):
     # a closed-form fit has no gap, and its model file keeps the old keys
     X, y = apply_standardizer(params, rows.x, rows.target_raw)
     names = [f"f{j}" for j in range(4)]
-    ridge = build_model_dict(fit_ridge(X, y, 0.1), params, names, names, variant="max",
+    ridge = build_model_dict(fit_ridge(DenseDesign(X), y, 0.1), params, names, names, variant="max",
                              expansion="linear", target_mode="direct")
     assert set(ridge["kkt"]) == {"zero_violation", "active_violation"}
 

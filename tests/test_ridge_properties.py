@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_ridge_solution, standardized_matrix
-from ozolasso.solvers import ridge_path
+from ozolasso.solvers import DenseDesign, ridge_path
 
 
 @settings(max_examples=150, deadline=None)
@@ -28,7 +28,7 @@ def test_ridge_path_solves_each_lambda(seed, n, p, duplicates, lams):
     for k in range(min(duplicates, p - 1)):  # rank-deficient: column k copies column 0
         X[:, p - 1 - k] = X[:, 0]
     y = X[:, 0] + rng.normal(size=n)
-    fits = ridge_path(X, y, lams)
+    fits = ridge_path(DenseDesign(X), y, lams)
     assert [fit.lam for fit in fits] == lams
     for fit in fits:
         assert fit.beta0 == y.mean()

@@ -14,7 +14,7 @@ from ozolasso.selection import (
     make_lambda_grid,
     select_lambda,
 )
-from ozolasso.solvers import LassoConfig, fit_lasso, lasso_path, ridge_path
+from ozolasso.solvers import DenseDesign, LassoConfig, fit_lasso, lasso_path, ridge_path
 from ozolasso.synth import SynthConfig, write_files
 
 
@@ -22,7 +22,7 @@ def test_lambda_max_perfect_correlation():
     rng = np.random.default_rng(0)
     X = standardized_matrix(rng, 30, 1)
     y = X[:, 0].copy()
-    grid = make_lambda_grid(X, y, n_points=5, ratio=0.1)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=5, ratio=0.1)
     assert grid[0] == pytest.approx(2.0, abs=1e-12)
     assert grid.shape == (5,)
     assert np.all(np.diff(grid) < 0)
@@ -34,7 +34,7 @@ def test_fit_at_grid_head_is_exactly_zero():
     X = standardized_matrix(rng, 40, 8)
     y = rng.normal(size=40)
     expanded = ExpandedDesign.fit(standardized_matrix(rng, 40, 70))  # 2555 columns, 2 chunks
-    for design in (X, expanded):
+    for design in (DenseDesign(X), expanded):
         grid = make_lambda_grid(design, y, n_points=10, ratio=1e-3)
         fit = fit_lasso(design, y, LassoConfig(lam=float(grid[0])))
         assert np.all(fit.beta == 0.0)
@@ -48,8 +48,8 @@ def test_first_activation_is_dominant_column():
     yc = y - y.mean()
     scores = np.abs(X.T @ yc / 60)
     dominant = int(np.argmax(scores))
-    grid = make_lambda_grid(X, y, n_points=3, ratio=0.999)
-    fit = fit_lasso(X, y, LassoConfig(lam=float(grid[0]) * 0.999))
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=3, ratio=0.999)
+    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=float(grid[0]) * 0.999))
     assert list(fit.active_set) == [dominant]
 
 
@@ -57,7 +57,7 @@ def test_constant_target_degenerate():
     rng = np.random.default_rng(3)
     X = standardized_matrix(rng, 20, 4)
     with pytest.raises(SelectionError, match="degenerate"):
-        make_lambda_grid(X, np.full(20, 7.0))
+        make_lambda_grid(DenseDesign(X), np.full(20, 7.0))
 
 
 def test_make_folds_partition_and_balance():
@@ -96,8 +96,8 @@ def test_leave_one_out_runs():
     rng = np.random.default_rng(4)
     X = standardized_matrix(rng, 6, 2)
     y = rng.normal(size=6)
-    grid = make_lambda_grid(X, y, n_points=4, ratio=0.1)
-    cv = kfold_cv(X, y, 6, grid, seed=0)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=4, ratio=0.1)
+    cv = kfold_cv(DenseDesign(X), y, 6, grid, seed=0)
     assert np.bincount(cv.fold_assignment).tolist() == [1] * 6
     assert cv.lambda_min in grid
 
@@ -106,8 +106,8 @@ def test_noiseless_sparse_fixture_drives_cv_error_down():
     rng = np.random.default_rng(5)
     X = standardized_matrix(rng, 200, 50)
     y = 2 * X[:, 1] - 1.5 * X[:, 10] + X[:, 33]
-    grid = make_lambda_grid(X, y, n_points=30, ratio=1e-6)
-    cv = kfold_cv(X, y, 5, grid, seed=0)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=30, ratio=1e-6)
+    cv = kfold_cv(DenseDesign(X), y, 5, grid, seed=0)
     # held-out error cannot reach exactly zero because each fold fixes its
     # intercept at the fold-train response mean while the columns are only
     # globally centered; it must still collapse far below the null error
@@ -120,10 +120,10 @@ def test_cv_determinism_and_seed_sensitivity():
     rng = np.random.default_rng(6)
     X = standardized_matrix(rng, 40, 5)
     y = rng.normal(size=40)
-    grid = make_lambda_grid(X, y, n_points=8, ratio=1e-2)
-    a = kfold_cv(X, y, 4, grid, seed=1)
-    b = kfold_cv(X, y, 4, grid, seed=1)
-    c = kfold_cv(X, y, 4, grid, seed=2)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=8, ratio=1e-2)
+    a = kfold_cv(DenseDesign(X), y, 4, grid, seed=1)
+    b = kfold_cv(DenseDesign(X), y, 4, grid, seed=1)
+    c = kfold_cv(DenseDesign(X), y, 4, grid, seed=2)
     np.testing.assert_array_equal(a.cv_mean, b.cv_mean)
     assert a.lambda_min == b.lambda_min
     assert not np.array_equal(a.fold_assignment, c.fold_assignment)
@@ -133,8 +133,8 @@ def test_cv_result_invariants_and_one_se_rule():
     rng = np.random.default_rng(7)
     X = standardized_matrix(rng, 60, 10)
     y = X[:, 0] + rng.normal(size=60)
-    grid = make_lambda_grid(X, y, n_points=15, ratio=1e-3)
-    cv = kfold_cv(X, y, 5, grid, seed=3)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=15, ratio=1e-3)
+    cv = kfold_cv(DenseDesign(X), y, 5, grid, seed=3)
     assert np.all(cv.cv_se >= 0)
     assert cv.lambda_1se >= cv.lambda_min
     assert cv.lambda_min in cv.grid and cv.lambda_1se in cv.grid
@@ -153,8 +153,8 @@ def test_cv_mean_at_lambda_max_is_null_model_error():
     rng = np.random.default_rng(8)
     X = standardized_matrix(rng, 400, 3)
     y = rng.normal(size=400)
-    grid = make_lambda_grid(X, y, n_points=5, ratio=1e-2)
-    cv = kfold_cv(X, y, 5, grid, seed=0)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=5, ratio=1e-2)
+    cv = kfold_cv(DenseDesign(X), y, 5, grid, seed=0)
     # at lambda_max every fold predicts its training mean
     assert cv.cv_mean[0] == pytest.approx(float(y.var()), rel=0.1)
 
@@ -163,10 +163,10 @@ def test_warm_path_matches_cold_fits():
     rng = np.random.default_rng(9)
     X = standardized_matrix(rng, 50, 12)
     y = rng.normal(size=50)
-    grid = make_lambda_grid(X, y, n_points=12, ratio=1e-3)
-    warm = lasso_path(X, y, grid)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=12, ratio=1e-3)
+    warm = lasso_path(DenseDesign(X), y, grid)
     for lam, fit in zip(grid, warm):
-        cold = fit_lasso(X, y, LassoConfig(lam=float(lam)))
+        cold = fit_lasso(DenseDesign(X), y, LassoConfig(lam=float(lam)))
         assert np.abs(fit.beta - cold.beta).max() < 1e-6
 
 
@@ -174,8 +174,8 @@ def test_ridge_solver_cv():
     rng = np.random.default_rng(10)
     X = standardized_matrix(rng, 40, 6)
     y = X[:, 0] + 0.3 * rng.normal(size=40)
-    grid = make_lambda_grid(X, y, n_points=6, ratio=1e-2)
-    cv = kfold_cv(X, y, 4, grid, seed=0, fit_path=ridge_path)
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=6, ratio=1e-2)
+    cv = kfold_cv(DenseDesign(X), y, 4, grid, seed=0, fit_path=ridge_path)
     assert cv.cv_mean.shape == (6,)
     assert np.isfinite(cv.cv_mean).all()
 
@@ -184,14 +184,14 @@ def test_ridge_solver_cv():
 def test_kfold_cv_fits_each_fold_on_its_training_rows(expanded):
     rng = np.random.default_rng(12)
     base = standardized_matrix(rng, 23, 4)
-    design = ExpandedDesign.fit(base) if expanded else base
-    dense = design.materialize() if expanded else design
+    design = ExpandedDesign.fit(base) if expanded else DenseDesign(base)
+    dense = design.block(0, design.shape[1])
     y = base[:, 0] + rng.normal(size=23)
     grid = make_lambda_grid(design, y, n_points=5, ratio=1e-2)
     calls = []
 
     def fit_path(d_tr, y_tr, g):
-        calls.append((d_tr.materialize() if expanded else d_tr.copy(), y_tr.copy(), g))
+        calls.append((d_tr.block(0, d_tr.shape[1]).copy(), y_tr.copy(), g))
         return lasso_path(d_tr, y_tr, g)
 
     cv = kfold_cv(design, y, 4, grid, seed=5, fit_path=fit_path)
@@ -210,8 +210,8 @@ def test_blocked_fold_mode():
     rng = np.random.default_rng(11)
     X = standardized_matrix(rng, 30, 4)
     y = rng.normal(size=30)
-    grid = make_lambda_grid(X, y, n_points=4, ratio=0.1)
-    cv = kfold_cv(X, y, 3, grid, seed=None, fold_mode="blocked")
+    grid = make_lambda_grid(DenseDesign(X), y, n_points=4, ratio=0.1)
+    cv = kfold_cv(DenseDesign(X), y, 3, grid, seed=None, fold_mode="blocked")
     np.testing.assert_array_equal(cv.fold_assignment, np.repeat([0, 1, 2], 10))
 
 
@@ -236,7 +236,7 @@ def test_ridge_train_solves_once_and_cv_picks_the_cholesky_lambda(tmp_path, monk
 
     data, _ = pipeline.load_training(config)
     reference = kfold_cv(
-        data.base, data.y, config.cv_k, cv.grid, config.seed,
+        DenseDesign(data.base), data.y, config.cv_k, cv.grid, config.seed,
         fit_path=lambda X, y, grid: [solvers.fit_ridge(X, y, lam) for lam in grid],
     )
     assert len(solves) == 1 + config.cv_k * config.cv_points

@@ -13,6 +13,7 @@ from ozolasso.solvers import (
     _certified,
     _homotopy,
     SingularDesignError,
+    DenseDesign,
     SolverError,
     design_corr,
     fit_lasso,
@@ -27,7 +28,7 @@ def test_ols_exact_fit_single_column():
     rng = np.random.default_rng(0)
     X = standardized_matrix(rng, 20, 1)
     y = X[:, 0].copy()
-    fit = fit_ols(X, y)
+    fit = fit_ols(DenseDesign(X), y)
     np.testing.assert_allclose(fit.beta, [1.0], atol=1e-12)
     np.testing.assert_allclose(X @ fit.beta, y - fit.beta0, atol=1e-12)
     assert fit.beta0 == pytest.approx(y.mean())
@@ -38,7 +39,7 @@ def test_ols_one_dimensional_closed_form():
     x = x / x.std()
     X = x[:, None]
     y = np.array([2.0, 4.0, 6.0])
-    fit = fit_ols(X, y)
+    fit = fit_ols(DenseDesign(X), y)
     yc = y - y.mean()
     assert fit.beta[0] == pytest.approx((x @ yc) / (x @ x), abs=1e-12)
 
@@ -48,7 +49,7 @@ def test_ols_duplicate_column_singular():
     col = rng.normal(size=10)
     X = np.column_stack([col, col])
     with pytest.raises(SingularDesignError) as exc:
-        fit_ols(X, rng.normal(size=10))
+        fit_ols(DenseDesign(X), rng.normal(size=10))
     assert exc.value.pivot >= 1
     assert "pivot" in str(exc.value)
 
@@ -59,7 +60,7 @@ def test_ols_is_the_lambda_zero_ridge_solve():
     rng = np.random.default_rng(2)
     X = standardized_matrix(rng, 30, 5)
     y = rng.normal(size=30)
-    ols, ridge = fit_ols(X, y), fit_ridge(X, y, 0.0)
+    ols, ridge = fit_ols(DenseDesign(X), y), fit_ridge(DenseDesign(X), y, 0.0)
     assert (ols.method, ridge.method) == ("ols", "ridge")
     assert (ols.lam, ols.beta0) == (ridge.lam, ridge.beta0)
     assert ols.beta.tobytes() == ridge.beta.tobytes()
@@ -68,12 +69,12 @@ def test_ols_is_the_lambda_zero_ridge_solve():
     pivots = []
     for solve in (fit_ols, lambda X, y: fit_ridge(X, y, 0.0)):
         with pytest.raises(SingularDesignError) as exc:
-            solve(singular, rng.normal(size=10))
+            solve(DenseDesign(singular), rng.normal(size=10))
         pivots.append(exc.value.pivot)
     assert pivots[0] == pivots[1] >= 1
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(SolverError, match="fit_ols"):
-            ridge_path(X, y, [1.0, bad])
+            ridge_path(DenseDesign(X), y, [1.0, bad])
 
 
 def test_ridge_lambda_zero_equals_ols():
@@ -81,14 +82,14 @@ def test_ridge_lambda_zero_equals_ols():
     X = standardized_matrix(rng, 30, 5)
     y = rng.normal(size=30)
     np.testing.assert_allclose(
-        fit_ridge(X, y, 0.0).beta, fit_ols(X, y).beta, atol=1e-10
+        fit_ridge(DenseDesign(X), y, 0.0).beta, fit_ols(DenseDesign(X), y).beta, atol=1e-10
     )
 
 
 def test_ridge_identity_design_value():
     X = np.eye(2)
     y = np.array([1.0, 1.0])
-    fit = fit_ridge(X, y, 0.5, fit_intercept=False)
+    fit = fit_ridge(DenseDesign(X), y, 0.5, fit_intercept=False)
     np.testing.assert_allclose(fit.beta, [0.5, 0.5], atol=1e-12)  # Y / (1 + n*lam)
 
 
@@ -99,14 +100,14 @@ def test_ridge_path_matches_one_solve_per_lambda():
     X = standardized_matrix(rng, 30, 12)
     y = rng.normal(size=30)
     grid = [3.0, 0.1, 1e-6, 0.1]
-    path = ridge_path(X, y, grid)
+    path = ridge_path(DenseDesign(X), y, grid)
     assert [(fit.method, fit.lam) for fit in path] == [("ridge", lam) for lam in grid]
     for fit in path:
         assert fit.beta0 == y.mean()
         assert_ridge_solution(X, y, fit)
     assert path[1].beta.tobytes() == path[3].beta.tobytes()
     with pytest.raises(SolverError):
-        ridge_path(X, y, [1.0, -1e-3])
+        ridge_path(DenseDesign(X), y, [1.0, -1e-3])
 
 
 def test_ridge_path_not_positive_definite_names_no_pivot():
@@ -121,7 +122,7 @@ def test_ridge_path_not_positive_definite_names_no_pivot():
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                ridge_path(X, rng.normal(size=10), [1e-300])
+                ridge_path(DenseDesign(X), rng.normal(size=10), [1e-300])
         except SingularDesignError as exc:
             assert exc.pivot is None and "smallest eigenvalue" in str(exc)
             assert "pivot" not in str(exc)
@@ -134,7 +135,7 @@ def test_ridge_norm_shrinks_with_lambda():
     X = standardized_matrix(rng, 40, 8)
     y = rng.normal(size=40)
     norms = [
-        float(np.linalg.norm(fit_ridge(X, y, lam).beta))
+        float(np.linalg.norm(fit_ridge(DenseDesign(X), y, lam).beta))
         for lam in np.geomspace(1e-4, 1e6, 12)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -143,7 +144,7 @@ def test_ridge_norm_shrinks_with_lambda():
 
 def test_ridge_negative_lambda_rejected():
     with pytest.raises(SolverError):
-        fit_ridge(np.eye(2), np.ones(2), -0.1)
+        fit_ridge(DenseDesign(np.eye(2)), np.ones(2), -0.1)
 
 
 def test_ill_conditioned_warning():
@@ -152,7 +153,7 @@ def test_ill_conditioned_warning():
     X = np.column_stack([col, col + 1e-7 * rng.normal(size=50)])
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        fit_ols(X, rng.normal(size=50))
+        fit_ols(DenseDesign(X), rng.normal(size=50))
 
 
 @pytest.mark.parametrize("solve", [
@@ -165,7 +166,7 @@ def test_ill_conditioned_warning_names_the_caller(solve):
     col = rng.normal(size=50)
     X = np.column_stack([col, col + 1e-7 * rng.normal(size=50)])
     with pytest.warns(RuntimeWarning, match="ill-conditioned") as caught:
-        solve(X, rng.normal(size=50))
+        solve(DenseDesign(X), rng.normal(size=50))
     # the line of the lambda that called the solver, not of this test
     assert [(w.filename, w.lineno) for w in caught] == [(__file__, solve.__code__.co_firstlineno)]
 
@@ -191,7 +192,7 @@ def test_lasso_at_lambda_max_exactly_zero():
     y = rng.normal(size=40)
     yc = y - y.mean()
     lam_max = 2.0 * float(np.abs(X.T @ yc / 40).max())
-    fit = fit_lasso(X, y, LassoConfig(lam=lam_max * 1.0000001))
+    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=lam_max * 1.0000001))
     assert np.all(fit.beta == 0.0)
     assert fit.converged
 
@@ -200,8 +201,8 @@ def test_lasso_lambda_zero_matches_ols():
     rng = np.random.default_rng(6)
     X = standardized_matrix(rng, 50, 10)
     y = rng.normal(size=50)
-    fit = fit_lasso(X, y, LassoConfig(lam=0.0))
-    assert np.abs(fit.beta - fit_ols(X, y).beta).max() < 1e-6
+    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.0))
+    assert np.abs(fit.beta - fit_ols(DenseDesign(X), y).beta).max() < 1e-6
 
 
 def test_lasso_orthonormal_soft_threshold():
@@ -209,8 +210,8 @@ def test_lasso_orthonormal_soft_threshold():
     X = orthonormal_design(rng, 8, 4)
     y = rng.normal(size=8)
     lam = 0.3
-    fit = fit_lasso(X, y, LassoConfig(lam=lam))
-    beta_ols = fit_ols(X, y).beta
+    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=lam))
+    beta_ols = fit_ols(DenseDesign(X), y).beta
     expected = np.sign(beta_ols) * np.maximum(np.abs(beta_ols) - lam / 2, 0.0)
     assert np.abs(fit.beta - expected).max() < 1e-8
 
@@ -221,7 +222,7 @@ def test_kkt_certificate_at_convergence():
     y = X[:, 0] - 0.5 * X[:, 3] + 0.1 * rng.normal(size=60)
     for lam in (0.02, 0.2, 1.0):
         config = LassoConfig(lam=lam)
-        fit = fit_lasso(X, y, config)
+        fit = fit_lasso(DenseDesign(X), y, config)
         assert fit.converged
         assert fit.kkt_zero_violation <= config.kkt_tol
         assert fit.kkt_active_violation <= config.kkt_tol
@@ -236,7 +237,7 @@ def test_objective_descends_with_the_sweep_budget():
     y = rng.normal(size=30)
     yc = y - y.mean()
     expanded = ExpandedDesign.fit(standardized_matrix(rng, 30, 4))
-    for design, dense in ((X, X), (expanded, expanded.materialize())):
+    for design, dense in ((DenseDesign(X), X), (expanded, expanded.block(0, expanded.shape[1]))):
         objectives = []
         for budget in range(1, 12):
             beta = fit_lasso(design, y, LassoConfig(lam=0.1, max_sweeps=budget)).beta
@@ -252,8 +253,8 @@ def test_kkt_violations_match_a_dense_oracle():
     rng = np.random.default_rng(9)
     base = standardized_matrix(rng, 30, 5)
     y = base[:, 0] - base[:, 1] * base[:, 2] + 0.3 * rng.normal(size=30)
-    for design in (standardized_matrix(rng, 30, 40), ExpandedDesign.fit(base)):
-        X = design.materialize() if isinstance(design, ExpandedDesign) else design
+    for design in (DenseDesign(standardized_matrix(rng, 30, 40)), ExpandedDesign.fit(base)):
+        X = design.block(0, design.shape[1])
         # a path cut at its first kink is still at beta = 0, with no active
         # coordinate to violate anything: the budgets start at two kinks
         for lam, sweeps in ((0.05, 2), (0.05, 3), (0.3, 2)):
@@ -272,9 +273,9 @@ def test_warm_start_agrees_with_cold_start():
     X = standardized_matrix(rng, 50, 15)
     y = rng.normal(size=50)
     grid = np.geomspace(1.0, 0.01, 10)
-    warm = lasso_path(X, y, grid)
+    warm = lasso_path(DenseDesign(X), y, grid)
     for lam, wfit in zip(grid, warm):
-        cold = fit_lasso(X, y, LassoConfig(lam=float(lam)))
+        cold = fit_lasso(DenseDesign(X), y, LassoConfig(lam=float(lam)))
         assert np.abs(wfit.beta - cold.beta).max() < 1e-6
 
 
@@ -282,7 +283,7 @@ def test_non_convergence_reported():
     rng = np.random.default_rng(12)
     X = standardized_matrix(rng, 50, 30)
     y = rng.normal(size=50)
-    fit = fit_lasso(X, y, LassoConfig(lam=0.001, max_sweeps=1))
+    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.001, max_sweeps=1))
     assert not fit.converged
     assert fit.sweeps_used == 1  # the path's first kink, at lambda_max
     assert np.all(fit.beta == 0.0)
@@ -292,8 +293,8 @@ def test_sparsity_contrast_noise_columns():
     rng = np.random.default_rng(13)
     X = standardized_matrix(rng, 80, 53)  # 3 signal + 50 noise columns
     y = 2 * X[:, 0] - X[:, 1] + 0.5 * X[:, 2] + 0.2 * rng.normal(size=80)
-    lasso = fit_lasso(X, y, LassoConfig(lam=0.3))
-    ridge = fit_ridge(X, y, 0.3)
+    lasso = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.3))
+    ridge = fit_ridge(DenseDesign(X), y, 0.3)
     assert ridge.active_set.size == 53
     assert 0 < lasso.active_set.size < ridge.active_set.size
 
@@ -304,18 +305,19 @@ def test_streamed_vs_materialized_exact():
     design = ExpandedDesign.fit(base)
     y = rng.normal(size=40)
     f_s = fit_lasso(design, y, LassoConfig(lam=0.2))
-    f_m = fit_lasso(design.materialize(), y, LassoConfig(lam=0.2))
+    dense = DenseDesign(design.block(0, design.shape[1]))
+    f_m = fit_lasso(dense, y, LassoConfig(lam=0.2))
     assert np.array_equal(f_s.beta, f_m.beta)
     assert f_s.kkt_zero_violation == f_m.kkt_zero_violation
     assert f_s.kkt_active_violation == f_m.kkt_active_violation
     yc = y - y.mean()
-    assert np.array_equal(design_corr(design, yc), design_corr(design.materialize(), yc))
+    assert np.array_equal(design_corr(design, yc), design_corr(dense, yc))
 
 
 def test_design_corr_matches_column_norms():
     rng = np.random.default_rng(15)
     X = standardized_matrix(rng, 25, 7)
-    norms = [design_corr(X, X[:, j])[j] for j in range(7)]
+    norms = [design_corr(DenseDesign(X), X[:, j])[j] for j in range(7)]
     np.testing.assert_allclose(norms, (X * X).sum(axis=0) / 25, rtol=1e-14)
 
 
@@ -323,7 +325,7 @@ def test_active_set_property():
     rng = np.random.default_rng(16)
     X = standardized_matrix(rng, 30, 10)
     y = X[:, 2] + 0.05 * rng.normal(size=30)
-    fit = fit_lasso(X, y, LassoConfig(lam=0.5))
+    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.5))
     assert set(fit.active_set) == {j for j in range(10) if fit.beta[j] != 0}
     assert 2 in fit.active_set
 
@@ -350,8 +352,8 @@ def test_duality_gap_matches_a_dense_oracle():
     rng = np.random.default_rng(17)
     base = standardized_matrix(rng, 30, 5)
     y = base[:, 0] - base[:, 1] * base[:, 2] + 0.3 * rng.normal(size=30)
-    for design in (standardized_matrix(rng, 30, 40), ExpandedDesign.fit(base)):
-        X = design.materialize() if isinstance(design, ExpandedDesign) else design
+    for design in (DenseDesign(standardized_matrix(rng, 30, 40)), ExpandedDesign.fit(base)):
+        X = design.block(0, design.shape[1])
         for lam, budget in ((0.05, 10_000), (0.3, 10_000), (0.05, 2), (0.3, 1)):
             fit = fit_lasso(design, y, LassoConfig(lam=lam, max_sweeps=budget))
             zero_v, active_v, gap = dense_certificate(X, y, fit.beta, lam)
@@ -378,7 +380,7 @@ def test_gram_pass_within_its_bound_of_design_corr():
     for d in (design, design.take_rows(rng.permutation(40)[:25])):
         n = d.shape[0]
         for v in (rng.normal(size=n), 1e6 * rng.normal(size=n), np.ones(n), np.zeros(n)):
-            corr, weights = d.gram_corr(v)
+            corr, weights = d.screen(v)
             exact = design_corr(d, v)
             err = np.abs(corr - exact)
             assert np.all(err <= np.linalg.norm(v) * weights)
@@ -396,19 +398,19 @@ def test_kink_budget_stops_the_path():
     X = standardized_matrix(rng, 40, 60)
     y = X[:, :6] @ rng.normal(size=6) + 0.5 * rng.normal(size=40)
 
-    full = fit_lasso(X, y, LassoConfig(lam=0.05))
+    full = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.05))
     kinks = full.sweeps_used
     assert full.converged and kinks > 10
 
     grid = np.geomspace(1.0, 0.05, 8)
-    path = list(lasso_path(X, y, grid))
+    path = list(lasso_path(DenseDesign(X), y, grid))
     assert sum(f.sweeps_used for f in path) == kinks  # the same kinks, counted per grid point
     assert np.abs(path[-1].beta - full.beta).max() < 1e-12
 
-    short = fit_lasso(X, y, LassoConfig(lam=0.05, max_sweeps=3))
+    short = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.05, max_sweeps=3))
     assert short.sweeps_used == 3 and not short.converged
     assert short.active_set.size == 2  # three joins; the third column is still at 0
-    short_path = list(lasso_path(X, y, grid, max_sweeps=3))
+    short_path = list(lasso_path(DenseDesign(X), y, grid, max_sweeps=3))
     assert sum(f.sweeps_used for f in short_path) == 3
     stopped = [f for f in short_path if not f.converged]
     assert stopped and all(f.beta.tobytes() == short.beta.tobytes() for f in stopped)
@@ -427,28 +429,29 @@ def test_converged_reads_the_certificate():
     rng = np.random.default_rng(23)
     X = standardized_matrix(rng, 40, 30)
     y = X[:, :4] @ rng.normal(size=4) + 0.3 * rng.normal(size=40)
-    exact = fit_lasso(X, y, LassoConfig(lam=0.1))
+    exact = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.1))
     assert exact.converged and 0.0 < exact.kkt_active_violation <= 1e-14
-    strict = fit_lasso(X, y, LassoConfig(lam=0.1, tol=1e-30))
+    strict = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.1, tol=1e-30))
     assert strict.beta.tobytes() == exact.beta.tobytes()
     assert strict.sweeps_used == exact.sweeps_used
     assert not strict.converged
     grid = np.geomspace(0.5, 0.1, 4)
-    assert all(f.converged for f in lasso_path(X, y, grid))
-    assert not any(f.converged for f in lasso_path(X, y, grid[1:], tol=1e-30))
+    assert all(f.converged for f in lasso_path(DenseDesign(X), y, grid))
+    assert not any(f.converged for f in lasso_path(DenseDesign(X), y, grid[1:], tol=1e-30))
 
 
 def test_streamed_homotopy_screens_with_the_gram_pass(monkeypatch):
-    """The streamed fit takes its correlations from gram_corr and still
-    matches the materialized fit bit for bit, along a path too."""
+    """The streamed fit takes its correlations from its Gram-form screen and
+    still matches the fit on a DenseDesign of its columns bit for bit, along
+    a path too."""
     rng = np.random.default_rng(20)
     base = standardized_matrix(rng, 50, 12)
     y = base[:, 0] * base[:, 3] - base[:, 5] + 0.3 * rng.normal(size=50)
     design = ExpandedDesign.fit(base)
-    dense = design.materialize()
+    dense = DenseDesign(design.block(0, design.shape[1]))
     calls = []
-    gram_corr = ExpandedDesign.gram_corr
-    monkeypatch.setattr(ExpandedDesign, "gram_corr", lambda self, v: calls.append(1) or gram_corr(self, v))
+    screen = ExpandedDesign.screen
+    monkeypatch.setattr(ExpandedDesign, "screen", lambda self, v: calls.append(1) or screen(self, v))
     for lam in (0.02, 0.1, 0.4):
         f_s = fit_lasso(design, y, LassoConfig(lam=lam))
         n_calls = len(calls)
@@ -469,8 +472,8 @@ def test_path_certificates_from_the_homotopy_pass():
     rng = np.random.default_rng(21)
     base = standardized_matrix(rng, 40, 6)
     y = base[:, 1] - base[:, 2] * base[:, 4] + 0.2 * rng.normal(size=40)
-    for design in (standardized_matrix(rng, 40, 70), ExpandedDesign.fit(base)):
-        X = design.materialize() if isinstance(design, ExpandedDesign) else design
+    for design in (DenseDesign(standardized_matrix(rng, 40, 70)), ExpandedDesign.fit(base)):
+        X = design.block(0, design.shape[1])
         for fit in lasso_path(design, y, np.geomspace(0.8, 0.01, 10)):
             zero_v, active_v, gap = dense_certificate(X, y, fit.beta, fit.lam)
             assert fit.converged
@@ -482,7 +485,7 @@ def test_path_certificates_from_the_homotopy_pass():
 def test_lasso_path_rejects_an_ascending_grid():
     X = standardized_matrix(np.random.default_rng(22), 20, 5)
     with pytest.raises(SolverError, match="descend"):
-        lasso_path(X, np.arange(20.0), [0.1, 0.2])
+        lasso_path(DenseDesign(X), np.arange(20.0), [0.1, 0.2])
 
 
 def test_fit_lasso_certificate_matches_a_full_pass():

@@ -9,7 +9,7 @@ from ozolasso import synth
 from ozolasso.config import RunConfig
 from ozolasso.features import build_schema
 from ozolasso.pipeline import build_rows, prepare_training, split_rows
-from ozolasso.solvers import LassoConfig, fit_lasso
+from ozolasso.solvers import DenseDesign, LassoConfig, fit_lasso
 from ozolasso.synth import SynthConfig, SynthError, generate, write_files
 
 
@@ -75,7 +75,7 @@ def run_pipeline(tmp_path, sc, lam, target_mode="direct"):
     rows, schema, _ = build_rows(cfg)
     train_rows, test_rows = split_rows(cfg, rows)
     data = prepare_training(cfg, train_rows, schema)
-    fit = fit_lasso(data.base, data.y, LassoConfig(lam=lam))
+    fit = fit_lasso(DenseDesign(data.base), data.y, LassoConfig(lam=lam))
     return cfg, data, fit, test_rows
 
 
@@ -91,7 +91,7 @@ def test_noiseless_run_has_tiny_test_error(tmp_path):
     active = fit.active_set
     active_names = {data.kept_names[int(j)] for j in active}
     assert set(manifest["support"]) <= active_names
-    refit = fit_ols(data.base[:, active], data.y)
+    refit = fit_ols(DenseDesign(data.base[:, active]), data.y)
     X_test = np.stack([r.x for r in test_rows])
     base_test, _ = apply_standardizer(data.params, X_test)
     pred = (refit.beta0 + base_test[:, active] @ refit.beta) * data.params.y_sigma
