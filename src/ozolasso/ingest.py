@@ -10,7 +10,9 @@ data, not raised as an error.
 from __future__ import annotations
 
 import csv
+import logging
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import date as Date
 from operator import itemgetter
@@ -19,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+
+logger = logging.getLogger(__name__)
 
 POLLUTANTS = ("o3", "so2", "no", "no2", "nox", "co", "pm25")
 METEO_VARS = (
@@ -97,10 +101,9 @@ def _parse_distinct(tokens, parse) -> list:
 
 
 def _parse_column(tokens, var: str) -> tuple[np.ndarray, int]:
-    """One column of cells as float64, nan where missing, and the count of
-    non-blank cells coerced to missing: not a finite number, or a humidity
-    outside [0, 100]. Wind direction is taken mod 360. A column holding a
-    token ``float`` rejects is parsed once per distinct token."""
+    """One column of str cells as float64, nan where missing, and the count
+    of non-blank cells coerced to missing, by ``_apply_rules``. A column
+    holding a token ``float`` rejects is parsed once per distinct token."""
     blank = np.zeros(len(tokens), dtype=bool)
     try:
         values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
@@ -111,6 +114,13 @@ def _parse_column(tokens, var: str) -> tuple[np.ndarray, int]:
             values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
         except ValueError:
             values = np.array([np.nan if c is None else c for c in _parse_distinct(tokens, float)])
+    return _apply_rules(values, blank, var)
+
+
+def _apply_rules(values: np.ndarray, blank: np.ndarray, var: str) -> tuple[np.ndarray, int]:
+    """``values`` with each non-blank cell that is not a finite number, or is
+    a humidity outside [0, 100], set to nan, and the count of those cells.
+    Wind direction is taken mod 360."""
     coerced = ~np.isfinite(values)
     if var == "rel_humidity":
         coerced |= ~((0.0 <= values) & (values <= 100.0))
@@ -121,12 +131,56 @@ def _parse_column(tokens, var: str) -> tuple[np.ndarray, int]:
     return values, int(coerced.sum())
 
 
+def _tokenize(path: Path, positions: list[int], floats: bool) -> list:
+    """The columns at ``positions`` past the header line, split in one pass
+    by numpy's C tokenizer: date and hour cells as str, the variables' cells
+    as float64 if ``floats``, else as str. Raises ValueError on a short row
+    and, with ``floats``, on a cell it cannot convert; skips blank lines.
+    numpy reads the file in chunks with ``path.open()``'s encoding: an
+    ``io.StringIO`` of the text would hold four bytes a character."""
+    dtype = np.dtype([(f"c{i}", float if floats and i >= 2 else object) for i in range(len(positions))])
+    with warnings.catch_warnings():  # a file with no data rows is not an error here
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",",
+                          comments=None, skiprows=1, usecols=positions, ndmin=1)
+    return [rows[name] if dtype[name] == float else rows[name].tolist() for name in dtype.names]
+
+
+def _stamp_rows(dates, hours, rows) -> tuple[list[int], list[int], list[tuple[int, str]]]:
+    """The rows with a valid timestamp, their ``ordinal * 24 + hour`` stamps,
+    and the (line number, reason) of each row rejected. A row whose cells
+    are all blank is skipped, not rejected; with ``rows`` None (the
+    tokenizer has already skipped blank lines) none is."""
+    days = _parse_distinct(dates, lambda t: Date.fromisoformat(t.strip()).toordinal())
+    hours = _parse_distinct(hours, lambda t: int(t.strip()))
+    kept: list[int] = []
+    stamps: list[int] = []
+    rejected: list[tuple[int, str]] = []
+    for i, (day, hour) in enumerate(zip(days, hours)):
+        if day is None or hour is None:
+            if rows is None or any(cell.strip() for cell in rows[i]):
+                rejected.append((i + 2, "unparseable timestamp"))
+        elif not 0 <= hour <= 23:
+            rejected.append((i + 2, f"hour {hour} outside [0,23]"))
+        else:
+            kept.append(i)
+            stamps.append(day * 24 + hour)
+    return kept, stamps, rejected
+
+
 def parse_hourly_file(path: str | Path, variables) -> ParseResult:
     """Parse the ``variables`` of one hourly file into an hourly table.
 
     Rows with unparseable timestamps are rejected (line-numbered); duplicate
     (date, hour) pairs are a hard error; unparseable numeric cells become
     missing values.
+
+    When the file holds no quote, numpy's C tokenizer splits it: with the
+    variables as float64, or, when it refuses a cell there (a blank cell,
+    or a token where it and ``float`` differ), with every cell as str. A
+    file with a quote, a short row or a rejected row (the tokenizer skips
+    blank lines, which would shift its line number) goes whole through
+    ``csv.reader``. The rules after the split are the same for every path.
     """
     path = Path(path)
     if not path.exists():
@@ -134,37 +188,45 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
 
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise IngestError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
         needed = ["date", "hour", *variables]
         for name in needed:
             if name not in header:
                 raise IngestError(f"{path}: malformed header, missing column {name!r}")
-        rows = list(reader)
-
-    # Cells past the end of a short row read as empty.
+        # A header over more than one line is quoted. The rest is decoded in
+        # the 8 KiB chunks the csv parse reads, so a bad byte raises the same
+        # error.
+        quoted = reader.line_num > 1 or any('"' in chunk for chunk in iter(lambda: fh.read(8192), ""))
     positions = [header.index(name) for name in needed]
-    width = max(positions) + 1
-    rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
-    columns = list(zip(*map(itemgetter(*positions), rows))) or [()] * len(positions)
-    days = _parse_distinct(columns[0], lambda t: Date.fromisoformat(t.strip()).toordinal())
-    hours = _parse_distinct(columns[1], lambda t: int(t.strip()))
 
-    kept: list[int] = []
-    stamps: list[int] = []
-    rejected: list[tuple[int, str]] = []
-    for i, (day, hour) in enumerate(zip(days, hours)):
-        if day is None or hour is None:
-            if any(cell.strip() for cell in rows[i]):  # blank rows are skipped
-                rejected.append((i + 2, "unparseable timestamp"))
-        elif not 0 <= hour <= 23:
-            rejected.append((i + 2, f"hour {hour} outside [0,23]"))
-        else:
-            kept.append(i)
-            stamps.append(day * 24 + hour)
+    floats, how = False, None
+    if quoted:
+        why = "a quote byte"
+    else:
+        try:
+            columns, floats, how = _tokenize(path, positions, True), True, "numpy tokenizer"
+        except ValueError:  # a blank or refused cell, or a short row: split again as str
+            try:
+                columns, how = _tokenize(path, positions, False), "numpy tokenizer, numbers as str"
+            except ValueError:
+                why = "a short row"
+    if how is not None:
+        kept, stamps, rejected = _stamp_rows(columns[0], columns[1], None)
+        if rejected:
+            floats, how, why = False, None, "a rejected row"
+    if how is None:
+        how = f"csv parse, for {why}"
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        # Cells past the end of a short row read as empty.
+        width = max(positions) + 1
+        rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
+        columns = list(zip(*map(itemgetter(*positions), rows))) or [()] * len(positions)
+        kept, stamps, rejected = _stamp_rows(columns[0], columns[1], rows)
+    logger.debug("%s: %s", path, how)
 
     keys = np.array(stamps, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
@@ -175,10 +237,13 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
 
     values: dict[str, np.ndarray] = {}
     coerced = 0
-    for var, tokens in zip(variables, columns[2:]):
-        if len(kept) < len(tokens):
-            tokens = [tokens[i] for i in kept]
-        column, n = _parse_column(tokens, var)
+    for var, cells in zip(variables, columns[2:]):
+        if floats:
+            column, n = _apply_rules(cells, np.zeros(len(cells), dtype=bool), var)
+        else:
+            if len(kept) < len(cells):
+                cells = [cells[i] for i in kept]
+            column, n = _parse_column(cells, var)
         values[var] = column[order]
         coerced += n
     return ParseResult(HourlyTable(keys[order], values), rejected, coerced)

@@ -235,6 +235,9 @@ _SPAN_TOL = 1e-10
 # Join steps are bounded this many columns at a time: p-long temporaries of
 # the 422,739-column expansion would add tens of MiB to the peak.
 _SLICE = 1 << 16
+# Upper join bounds are first taken at this many columns, those with the
+# smallest lower bounds.
+_NEAR = 64
 
 
 def _exact_corr(design, idx: np.ndarray, vectors) -> np.ndarray:
@@ -275,16 +278,15 @@ def corr_abs_max(design, v: np.ndarray, exclude=None, screen=None) -> float:
 
 
 def _join_steps(h, c, a, c_err=0.0, a_err=0.0):
-    """(lower, upper) bounds on the step t >= 0 at which |c_j - t a_j| first
-    reaches h - t, for c and a known to within c_err and a_err; inf where it
-    never does."""
-    lo, hi = np.full(c.size, np.inf), np.full(c.size, np.inf)
+    """A lower bound on the step t >= 0 at which |c_j - t a_j| first reaches
+    h - t, for c and a known to within c_err and a_err; inf where it never
+    does. With both errors negated it is an upper bound."""
+    out = np.full(c.size, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for sign in (1.0, -1.0):
-            num, den = h - sign * c, 1.0 - sign * a
-            for out, top, bot in ((lo, num - c_err, den + a_err), (hi, num + c_err, den - a_err)):
-                np.minimum(out, np.maximum(top, 0.0) / bot, out=out, where=bot > 0)
-    return lo, hi
+            bot = 1.0 - sign * a + a_err
+            np.minimum(out, np.maximum(h - sign * c - c_err, 0.0) / bot, out=out, where=bot > 0)
+    return out
 
 
 def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
@@ -325,23 +327,35 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
             h = corr_abs_max(design, r, screen=(c, w))
         a = design.screen(u)[0] if active else np.zeros(p)  # u = 0 with no active column
         r_norm, u_norm = float(np.linalg.norm(r)), float(np.linalg.norm(u))
-        lo, hi = np.empty(p), np.empty(p)
+        lo, hi = np.empty(p), np.full(p, np.inf)
         for s in range(0, p, _SLICE):
             sl = slice(s, s + _SLICE)
-            lo[sl], hi[sl] = _join_steps(h, c[sl], a[sl], r_norm * w[sl], u_norm * w[sl])
-        lo[active + sorted(blocked)] = hi[active + sorted(blocked)] = np.inf
+            lo[sl] = _join_steps(h, c[sl], a[sl], r_norm * w[sl], u_norm * w[sl])
+        lo[active + sorted(blocked)] = np.inf
         if dropped >= 0:  # it left at +-h on its own side: only the other side takes it back
             (c_k,), (a_k,) = dropped_sign * _exact_corr(design, np.array([dropped]), (r, u))
-            lo[dropped] = hi[dropped] = max(h + c_k, 0.0) / (1.0 + a_k) if a_k > -1.0 else np.inf
+            lo[dropped] = max(h + c_k, 0.0) / (1.0 + a_k) if a_k > -1.0 else np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             drop = -(b - h * d) / d
         drop[~(drop > 0) | (np.array(active) == joined)] = np.inf
         t_drop = float(drop.min(initial=np.inf))
 
+        # Upper bounds only at the k smallest lower bounds (hi is inf
+        # elsewhere): their minimum still bounds the least join step from
+        # above, so the candidates below include every column that could
+        # attain it.
+        k = 0
         while True:  # the next join; a column in the span is blocked and the pick repeated
+            while k < p and not hi.min() < np.inf:  # no finite upper bound yet: widen
+                k = min(max(4 * k, _NEAR), p)
+                near = np.argpartition(lo, k - 1)[:k]
+                near = near[lo[near] < np.inf]
+                hi[near] = _join_steps(h, c[near], a[near], -r_norm * w[near], -u_norm * w[near])
+                if dropped >= 0:  # its step is exact, and only the other side counts
+                    hi[dropped] = lo[dropped]
             idx = np.flatnonzero((lo <= min(float(hi.min()), t_drop)) & (lo < np.inf))
             ce, ae = _exact_corr(design, idx, (r, u)) if w.any() else (c[idx], a[idx])
-            steps = np.where(idx == dropped, lo[idx], _join_steps(h, ce, ae)[0])
+            steps = np.where(idx == dropped, lo[idx], _join_steps(h, ce, ae))
             i = int(np.argmin(steps)) if idx.size else -1
             t_join = float(steps[i]) if idx.size else np.inf
             if t_join >= t_drop:

@@ -1,5 +1,6 @@
 """Hourly file parsing, day assembly, and the gap-fill policy."""
 
+import warnings
 from datetime import date as Date
 
 import numpy as np
@@ -130,6 +131,22 @@ def test_records_length_counts_parsed_rows(tmp_path):
     ]
     assert record(result.records, 0)[2] == {"so2": 2.0}  # short row: cells past it missing
     assert result.coerced_missing == 1  # "oops"; blank cells are missing, not coerced
+
+
+@pytest.mark.parametrize("body", [
+    "\n2016-07-01,0,1,2,3,4,7,0.2,8\n",  # clean: numpy's tokenizer
+    "\n\n2016-07-01,0,1,2,3,4,7,0.2,8\n\n\n2016-07-01,1,1,2,3,4,7,0.2,8\n",  # blank lines
+    "\n",  # header only
+    "",  # header only, no line end
+    "\n\n\n",  # header and blank lines
+    "\n2016-07-01,0,,2,3,4,7,0.2,8\n",  # a blank cell: the tokenizer, numbers as str
+    "\n2016-07-01,0,1,2,3,4,7,0.2,8\n2016-07-01,1\n",  # a short row: the csv parse
+])
+def test_parse_warns_about_nothing(tmp_path, body):
+    path = write(tmp_path, POL_HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_hourly_file(path, POLLUTANTS)
 
 
 def test_missing_header_column(tmp_path):

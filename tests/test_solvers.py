@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_ridge_solution, orthonormal_design, standardized_matrix
+from ozolasso import solvers
 from ozolasso.expansion import ExpandedDesign
 from ozolasso.solvers import (
     LassoConfig,
@@ -464,6 +465,26 @@ def test_streamed_homotopy_screens_with_the_gram_pass(monkeypatch):
     grid = np.geomspace(0.5, 0.02, 6)
     for p_s, p_m in zip(lasso_path(design, y, grid), lasso_path(dense, y, grid)):
         assert p_s.beta.tobytes() == p_m.beta.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_path_keeps_its_bits_however_many_upper_join_bounds_are_taken(monkeypatch, seed):
+    """Upper join bounds taken only at the columns with the smallest lower
+    bounds admit a superset of the candidates that every column's bound
+    admits, so the exact recheck picks the same kinks: one column, the
+    default count and every column give the same path bit for bit."""
+    rng = np.random.default_rng(seed)
+    base = standardized_matrix(rng, 40, 8)
+    base[:, 3] = base[:, 4]  # twins: one joins in the other's span, is blocked, and one bound widens
+    y = base[:, 1] * base[:, 2] + base[:, 4] + 0.5 * rng.normal(size=40)
+    design = ExpandedDesign.fit(base)
+    grid = np.geomspace(1.0, 1e-3, 30)
+    paths = []
+    for near in (1, solvers._NEAR, design.shape[1]):
+        monkeypatch.setattr(solvers, "_NEAR", near)
+        fits = lasso_path(design, y, grid)
+        paths.append([(f.beta.tobytes(), f.sweeps_used, f.converged) for f in fits])
+    assert paths[0] == paths[1] == paths[2]
 
 
 def test_path_certificates_from_the_homotopy_pass():
