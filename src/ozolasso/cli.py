@@ -15,19 +15,13 @@ import numpy as np
 
 from . import evaluation, modelio, pipeline, selection, solvers, synth
 from .atomic import atomic_open, write_csv, write_text
-from .config import ConfigError, RunConfig, load_config, set_option, write_effective_config
-from .features import N_BASE
+from .config import (REPORT_METHODS, ConfigError, RunConfig, load_config, set_item,
+                     write_effective_config)
 from .ingest import write_canonical
 
-logger = logging.getLogger(__name__)
-
-# report method -> (fit method, expansion)
-REPORT_METHODS = {
-    "lasso-linear": ("lasso", "linear"),
-    "lasso-polynomial": ("lasso", "polynomial"),
-    "ridge": ("ridge", "linear"),
-    "mlr": ("mlr", "linear"),
-}
+# shortcut flag -> the config key it sets: ``--flag VALUE`` is ``--set key=VALUE``
+SHORTCUTS = {"--seed": "seed", "--variant": "variant", "--expansion": "expansion",
+             "--lambda": "lam", "--folds": "fold_mode", "--out-dir": "out_dir"}
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -39,14 +33,11 @@ def _out_dir(config: RunConfig) -> Path:
 def _build_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        set_option(config, key.strip(), value.strip())
-    for key in ("seed", "variant", "expansion", "lam", "fold_mode", "out_dir"):
-        value = getattr(args, key, None)
+        set_item(config, item, "--set")
+    for flag, key in SHORTCUTS.items():
+        value = getattr(args, key)
         if value is not None:
-            set_option(config, key, str(value))
+            set_item(config, f"{key}={value}", flag)
     config.validate_choices()
     return config
 
@@ -146,16 +137,7 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_predict(config: RunConfig, model_path: str) -> int:
     out = _out_dir(config)
     model = modelio.load_model(model_path)
-    if model["variant"] != config.variant:
-        raise ConfigError(
-            f"variant is {config.variant!r} but the model was trained on {model['variant']!r}"
-        )
-    p0, dropped = model["n_base_features"], len(model["standardization"]["dropped"])
-    if p0 + dropped != N_BASE[config.variant]:
-        raise modelio.ModelIOError(
-            f"n_base_features {p0!r} with {dropped} dropped columns is not the "
-            f"{N_BASE[config.variant]} base features of variant {config.variant!r}"
-        )
+    modelio.check_variant(model, config.variant)
     rows, _, _ = pipeline.build_rows(config)
     _, test_rows = pipeline.split_rows(config, rows)
     dates, obs, pred = pipeline.predict_series(model, test_rows)
@@ -218,37 +200,30 @@ def cmd_evaluate(config: RunConfig, predictions_path: str) -> int:
 def cmd_report(config: RunConfig) -> int:
     out = _out_dir(config)
     data, test_rows = pipeline.load_training(config)
-    methods = [m.strip() for m in config.report_methods.split(",") if m.strip()]
-
     results = []
     top_dump = []
-    for method in methods:
+    for method in config.report_method_names():
         if method == "persistence":
             metrics = evaluation.persistence_baseline(test_rows)
             results.append(evaluation.MethodResult("persistence", metrics, None, None))
             continue
-        if method not in REPORT_METHODS:
-            raise pipeline.PipelineError(f"unknown report method {method!r}")
         kind, expansion = REPORT_METHODS[method]
         try:
             model, _, fit = pipeline.fit_method(config, data, kind, expansion)
         except solvers.SingularDesignError:
-            results.append(
-                evaluation.MethodResult(method, None, None, None, note="failed (singular design)")
-            )
+            note = "failed (singular design)"
+        else:
+            # an uncertified fit is no result: no weights file or top weights either
+            note = "" if fit.converged else "failed (not converged)"
+        if note:
+            results.append(evaluation.MethodResult(method, None, None, None, note=note))
             continue
         metrics = pipeline.evaluate_method_on_test(model, test_rows)
         results.append(
             evaluation.MethodResult(method, metrics, len(model["weights"]), fit.beta.size)
         )
-        weight_rows = [
-            [w["index"], w["name"], repr(w["weight"])] for w in model["weights"]
-        ]
-        write_csv(
-            out / f"weights_{method.replace('-', '_')}.csv",
-            ["index", "name", "weight"],
-            weight_rows,
-        )
+        write_csv(out / f"weights_{method.replace('-', '_')}.csv", ["index", "name", "weight"],
+                  [[w["index"], w["name"], repr(w["weight"])] for w in model["weights"]])
         if kind == "lasso":
             top_dump.append(f"top weights ({method}):")
             top_dump.extend(
@@ -265,9 +240,9 @@ def cmd_report(config: RunConfig) -> int:
 def cmd_synth(args) -> int:
     config = synth.SynthConfig(
         n_days=args.n_days,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         sparsity=args.sparsity,
-        snr=None if args.snr in (None, "inf") else float(args.snr),
+        snr=None if args.snr == "inf" else float(args.snr),
     )
     manifest = synth.write_files(config, args.out_dir)
     print(
@@ -277,6 +252,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# command -> (handler, flags it requires); a handler is called with the
+# checked config and the values of those flags
+COMMANDS = {
+    "ingest": (cmd_ingest, ()),
+    "featurize": (cmd_featurize, ()),
+    "cv": (cmd_cv, ()),
+    "train": (cmd_train, ()),
+    "predict": (cmd_predict, ("--model",)),
+    "evaluate": (cmd_evaluate, ("--predictions",)),
+    "report": (cmd_report, ()),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ozolasso",
@@ -284,39 +272,24 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, required) in COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--variant", choices=["max", "max8h"])
-        p.add_argument("--expansion", choices=["linear", "polynomial"])
-        p.add_argument("--lambda", dest="lam", metavar="LAMBDA",
-                       help="explicit value or 'cv'")
-        p.add_argument("--folds", dest="fold_mode", choices=["shuffled", "blocked"])
-        p.add_argument("--out-dir", dest="out_dir")
+        for flag, key in SHORTCUTS.items():
+            p.add_argument(flag, dest=key, metavar="VALUE", help=f"same as --set {key}=VALUE")
+        for flag in required:
+            p.add_argument(flag, required=True)
 
-    handlers = {
-        "ingest": cmd_ingest,
-        "featurize": cmd_featurize,
-        "cv": cmd_cv,
-        "train": cmd_train,
-        "predict": lambda config: cmd_predict(config, args.model),
-        "evaluate": lambda config: cmd_evaluate(config, args.predictions),
-        "report": cmd_report,
-    }
-    for name in handlers:
-        add_common(sub.add_parser(name))
-    sub.choices["predict"].add_argument("--model", required=True)
-    sub.choices["evaluate"].add_argument("--predictions", required=True)
-
+    defaults = synth.SynthConfig()
     p_synth = sub.add_parser("synth")
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.add_argument("--n-days", type=int, default=300)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--sparsity", type=int, default=5)
-    p_synth.add_argument("--snr", default="20", help="signal-to-noise ratio, or 'inf'")
+    p_synth.add_argument("--n-days", type=int, default=defaults.n_days)
+    p_synth.add_argument("--seed", type=int, default=defaults.seed)
+    p_synth.add_argument("--sparsity", type=int, default=defaults.sparsity)
+    p_synth.add_argument("--snr", default=repr(defaults.snr),
+                         help="signal-to-noise ratio, or 'inf'")
 
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -326,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        return handlers[args.command](_build_config(args))
+        handler, required = COMMANDS[args.command]
+        return handler(_build_config(args), *(getattr(args, flag[2:]) for flag in required))
     except (ConfigError, pipeline.PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

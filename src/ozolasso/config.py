@@ -14,15 +14,38 @@ class ConfigError(Exception):
     pass
 
 
+# the accepted values of each choice key; model files are checked against them too
+CHOICES = {
+    "variant": ("max", "max8h"),
+    "target_mode": ("delta", "direct"),
+    "expansion": ("linear", "polynomial"),
+    "method": ("lasso", "ridge", "mlr"),
+    "cv_rule": ("min", "one_se"),
+    "fold_mode": ("shuffled", "blocked"),
+}
+MINIMUMS = {
+    "cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0,
+    "memory_budget_mb": 1,
+}
+# report method -> (fit method, expansion); persistence fits nothing
+REPORT_METHODS = {
+    "lasso-linear": ("lasso", "linear"),
+    "lasso-polynomial": ("lasso", "polynomial"),
+    "ridge": ("ridge", "linear"),
+    "mlr": ("mlr", "linear"),
+    "persistence": None,
+}
+
+
 @dataclass
 class RunConfig:
     pollutant_file: str = ""
     meteo_file: str = ""
     forecast_file: str = ""  # optional meteorology forecast, same schema
-    variant: str = "max"  # max | max8h
-    target_mode: str = "delta"  # delta | direct
-    expansion: str = "linear"  # linear | polynomial
-    method: str = "lasso"  # lasso | ridge | mlr (train command)
+    variant: str = "max"
+    target_mode: str = "delta"
+    expansion: str = "linear"
+    method: str = "lasso"  # the train command's fit
     train_start: str = ""
     train_end: str = ""
     test_start: str = ""
@@ -31,9 +54,9 @@ class RunConfig:
     cv_k: int = 5
     cv_points: int = 100
     cv_ratio: float = 1e-4
-    cv_rule: str = "min"  # min | one_se
+    cv_rule: str = "min"
     seed: int = 0
-    fold_mode: str = "shuffled"  # shuffled | blocked
+    fold_mode: str = "shuffled"
     tol: float = 1e-7
     max_sweeps: int = 10000
     max_gap_hours: int = 3
@@ -74,19 +97,19 @@ class RunConfig:
         if self.fold_mode == "blocked" and te_lo <= tr_hi:
             raise ConfigError("blocked folds require the test range after the train range")
 
+    def report_method_names(self) -> list[str]:
+        """The non-blank names of ``report_methods``, in order."""
+        return [m.strip() for m in self.report_methods.split(",") if m.strip()]
+
     def validate_choices(self) -> None:
         """Reject unknown choices and out-of-range or non-finite numbers."""
-        checks = {
-            "variant": ("max", "max8h"),
-            "target_mode": ("delta", "direct"),
-            "expansion": ("linear", "polynomial"),
-            "method": ("lasso", "ridge", "mlr"),
-            "cv_rule": ("min", "one_se"),
-            "fold_mode": ("shuffled", "blocked"),
-        }
-        for name, allowed in checks.items():
+        for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")
+        for method in self.report_method_names():
+            if method not in REPORT_METHODS:
+                raise ConfigError(
+                    f"report_methods: {method!r} is not one of {tuple(REPORT_METHODS)}")
         for name in ("tol", "cv_ratio"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
@@ -94,11 +117,7 @@ class RunConfig:
         if self.cv_ratio >= 1:
             # the grid must descend from lambda_max: the 1-SE rule assumes it
             raise ConfigError(f"cv_ratio must be < 1, got {self.cv_ratio!r}")
-        minimums = {
-            "cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0,
-            "memory_budget_mb": 1,
-        }
-        for name, low in minimums.items():
+        for name, low in MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         self.lambda_value()
@@ -112,13 +131,17 @@ def load_config(path: str | Path) -> RunConfig:
     config = RunConfig()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        set_option(config, key.strip(), value.strip())
+        if line and not line.startswith("#"):
+            set_item(config, line, f"{path}:{lineno}")
     return config
+
+
+def set_item(config: RunConfig, item: str, where: str) -> None:
+    """Apply one ``key=value`` item, a config-file line or a ``--set`` value."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got {item!r}")
+    key, _, value = item.partition("=")
+    set_option(config, key.strip(), value.strip())
 
 
 def set_option(config: RunConfig, key: str, value: str) -> None:

@@ -112,7 +112,7 @@ def compute_8h_means(o3_hours: np.ndarray):
 
 def build_schema(variant: str) -> list[FeatureDescriptor]:
     """Canonical base-feature descriptors for variant 'max' or 'max8h'."""
-    if variant not in ("max", "max8h"):
+    if variant not in N_BASE:
         raise FeatureError(f"unknown variant {variant!r}")
     descriptors: list[FeatureDescriptor] = []
 

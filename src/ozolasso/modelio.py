@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_text
+from .config import CHOICES, ConfigError
 from .expansion import ExpandedDesign, expansion_size
-from .features import FeatureRows, StandardizationParams, apply_standardizer
+from .features import N_BASE, FeatureRows, StandardizationParams, apply_standardizer
 from .solvers import LAMBDA_CONVENTION, DenseDesign, ModelFit
 
 MODEL_SCHEMA_VERSION = 1
@@ -153,6 +154,9 @@ def load_model(path: str | Path) -> dict:
     missing = [key for key in REQUIRED_KEYS if key not in model]
     if missing:
         raise ModelIOError(f"model file lacks {', '.join(missing)}")
+    for key in ("variant", "expansion", "target_mode"):
+        if model[key] not in CHOICES[key]:
+            raise ModelIOError(f"{key} {model[key]!r} is not one of {CHOICES[key]}")
     _check_standardization(model["standardization"])
     digest = standardization_digest(_params_from_dict(model["standardization"]))
     if digest != model.get("standardization_digest"):
@@ -175,6 +179,21 @@ def load_model(path: str | Path) -> dict:
         if type(weight) not in (int, float) or not math.isfinite(weight):
             raise ModelIOError(f"weights[{at}]: weight {weight!r} is not a finite number")
     return model
+
+
+def check_variant(model: dict, variant: str) -> None:
+    """The model was trained on ``variant``, and its kept and dropped columns
+    make up that variant's base features."""
+    if model["variant"] != variant:
+        raise ConfigError(
+            f"variant is {variant!r} but the model was trained on {model['variant']!r}"
+        )
+    p0, dropped = model["n_base_features"], len(model["standardization"]["dropped"])
+    if p0 + dropped != N_BASE[variant]:
+        raise ModelIOError(
+            f"n_base_features {p0!r} with {dropped} dropped columns is not the "
+            f"{N_BASE[variant]} base features of variant {variant!r}"
+        )
 
 
 def _saved_design(model: dict, base: np.ndarray) -> ExpandedDesign:

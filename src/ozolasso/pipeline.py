@@ -220,8 +220,8 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
 
 
 def train(config: RunConfig):
-    """Full training chain; returns (model dict, CvResult|None, test rows)."""
-    config.validate_choices()
+    """Full training chain on a checked config; returns (model dict,
+    CvResult|None, test rows)."""
     data, test_rows = load_training(config)
     model, cv, _ = fit_method(config, data, config.method, config.expansion)
     return model, cv, test_rows

@@ -23,6 +23,7 @@ from .ingest import METEO_VARS, POLLUTANTS
 START_DATE = Date(2015, 1, 1)
 BASE_LEVEL = 45.0  # ppb, center of the planted target
 SIGNAL_STD = 10.0  # ppb, spread of the planted signal
+HOUR_NOISE = 0.3  # ppb on hourly O3 readings; 0 when snr is None
 
 # Candidate planted features; names match the base feature schema exactly.
 # sparsity=s uses the first s of these.  The first five sit on variables whose
@@ -50,7 +51,6 @@ class SynthConfig:
     seed: int = 0
     sparsity: int = 5
     snr: float | None = 20.0  # None = noiseless target
-    hour_noise: float = 0.3  # ppb on hourly O3 readings; 0 when snr is None
 
 
 def _extract(name: str, cur: dict[str, np.ndarray], nxt: dict[str, np.ndarray]) -> float:
@@ -167,7 +167,7 @@ def generate(config: SynthConfig) -> dict:
         if config.snr <= 0:
             raise SynthError("snr must be positive")
         noise_std = SIGNAL_STD / math.sqrt(config.snr)
-        hour_noise = config.hour_noise
+        hour_noise = HOUR_NOISE
         noise = rng.normal(0, noise_std, n_pairs)
 
     target = BASE_LEVEL + signal + noise

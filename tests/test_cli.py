@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ozolasso import pipeline
-from ozolasso.cli import main
+from ozolasso.cli import SHORTCUTS, main
 from ozolasso.config import RunConfig
 from ozolasso.features import FeatureDescriptor
 
@@ -239,3 +239,66 @@ def test_unknown_set_key_fails(synth_dir, tmp_path, capsys):
               + ["--set", "granularity=hourly"])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+# a value each shortcut flag's key rejects; None stands for a path that is a file
+BAD_SHORTCUT_VALUES = {
+    "--seed": "abc",
+    "--variant": "foo",
+    "--expansion": "quadratic",
+    "--lambda": "auto",
+    "--folds": "random",
+    "--out-dir": None,
+}
+
+
+def test_every_shortcut_flag_has_a_bad_value():
+    assert set(BAD_SHORTCUT_VALUES) == set(SHORTCUTS)
+
+
+@pytest.mark.parametrize("flag", BAD_SHORTCUT_VALUES)
+def test_shortcut_flag_rejects_like_set(synth_dir, tmp_path, capsys, flag):
+    """A shortcut flag's value takes the --set path: a bad one exits 1 with
+    the error --set gives, not argparse's usage error."""
+    key, bad = SHORTCUTS[flag], BAD_SHORTCUT_VALUES[flag]
+    if bad is None:
+        bad = str(tmp_path / "a-file")
+        (tmp_path / "a-file").write_text("")
+    # the out dir as a --set item, which a later --set item overrides
+    common = base_args(synth_dir, tmp_path / "out")
+    at = common.index("--out-dir")
+    common[at:at + 2] = ["--set", f"out_dir={tmp_path / 'out'}"]
+    errors = []
+    for override in ([flag, bad], ["--set", f"{key}={bad}"]):
+        assert main(["train"] + common + override) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: ")
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_report_rejects_an_unknown_method_before_any_fit(synth_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = base_args(synth_dir, out, extra=[
+        "--lambda", "0.0121", "--set", "report_methods=lasso-linear,nope",
+    ])
+    assert main(["report"] + args) == 1
+    assert "report_methods: 'nope' is not one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_shows_an_uncertified_lasso_as_a_failed_row(synth_dir, tmp_path):
+    """A lasso fit that stops before it converges gets a failed row, and no
+    weights file or top-weights block."""
+    out = tmp_path / "out"
+    args = base_args(synth_dir, out, extra=[
+        "--lambda", "0.0121", "--set", "max_sweeps=1",
+        "--set", "report_methods=lasso-linear,ridge,persistence",
+    ])
+    assert main(["report"] + args) == 0
+    comparison = (out / "comparison.txt").read_text()
+    assert [line for line in comparison.splitlines() if line.startswith("lasso-linear")] == [
+        f"{'lasso-linear':<22}{'-':>8}{'-':>8}  failed (not converged)"
+    ]
+    assert "top weights" not in comparison
+    assert not (out / "weights_lasso_linear.csv").exists()
+    assert (out / "weights_ridge.csv").exists()

@@ -139,12 +139,14 @@ CHOICES = {
 MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0,
             "memory_budget_mb": 1}
 FLOAT_RANGES = {"tol": (0.0, math.inf), "cv_ratio": (0.0, 1.0)}  # open intervals
+# comma-separated lists: every non-blank item must be one of these names
+LISTS = {"report_methods": ("lasso-linear", "lasso-polynomial", "ridge", "mlr", "persistence")}
 FREE_TEXT = ("pollutant_file", "meteo_file", "forecast_file", "train_start", "train_end",
-             "test_start", "test_end", "out_dir", "report_methods")
+             "test_start", "test_end", "out_dir")
 
 
 def test_every_key_has_a_rule():
-    ruled = {*CHOICES, *MINIMUMS, *FLOAT_RANGES, *FREE_TEXT, "lam"}
+    ruled = {*CHOICES, *MINIMUMS, *FLOAT_RANGES, *LISTS, *FREE_TEXT, "lam"}
     assert ruled == {f.name for f in fields(RunConfig)}
 
 
@@ -161,6 +163,8 @@ def accepted(key: str, text: str) -> bool:
     if key in FLOAT_RANGES:
         low, high = FLOAT_RANGES[key]
         return low < value < high
+    if key in LISTS:
+        return all(item.strip() in LISTS[key] for item in value.split(",") if item.strip())
     if key == "lam":
         if value == "cv":
             return True
@@ -181,6 +185,9 @@ def candidate_text(key: str):
         typed = st.integers(low - 3, low + 3).map(str) | st.integers().map(str)
     elif key in FLOAT_RANGES or key == "lam":
         typed = st.floats().map(repr) | st.sampled_from(["0", "1", "1e-7", "cv"])
+    elif key in LISTS:
+        item = st.sampled_from(LISTS[key] + ("", " ridge ", "lasso")) | st.text(max_size=4)
+        typed = st.lists(item, max_size=4).map(",".join)
     else:
         typed = st.text(max_size=12)
     return typed | st.text(max_size=6)

@@ -1,6 +1,7 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses, no
-function in ``src/`` has a parameter it never reads, and the solvers reach
-every design through its own members.
+function in ``src/`` has a parameter it never reads, the solvers reach
+every design through its own members, and every shortcut flag of the CLI
+sets a config key.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
@@ -10,9 +11,13 @@ functions included.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from ozolasso.cli import SHORTCUTS
+from ozolasso.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -136,3 +141,9 @@ def test_the_scan_finds_a_design_adapter(tmp_path):
         "line 1: imports expansion", "line 2: imports expansion",
         "line 3: imports expansion", "line 8: isinstance",
     ]
+
+
+def test_every_shortcut_flag_names_a_config_key():
+    """A shortcut flag is only another spelling of ``--set key=VALUE``."""
+    keys = {f.name for f in fields(RunConfig)}
+    assert [key for key in SHORTCUTS.values() if key not in keys] == []

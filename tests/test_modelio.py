@@ -351,6 +351,11 @@ MALFORMED_STRUCTURE = {
                      "do not match the 2 columns of mu"),
     "weights not a list": (lambda m: m.update(weights={"0": 1.0}), "weights is not a list"),
     "entry not an object": (lambda m: m["weights"].append(0.5), "weights[2] is not an object"),
+    "unknown expansion": (lambda m: m.update(expansion="quadratic"),
+                          "expansion 'quadratic' is not one of"),
+    "unknown target_mode": (lambda m: m.update(target_mode="ratio"),
+                            "target_mode 'ratio' is not one of"),
+    "unknown variant": (lambda m: m.update(variant="max1h"), "variant 'max1h' is not one of"),
 }
 
 
