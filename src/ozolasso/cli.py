@@ -30,7 +30,7 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args, splits: bool) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
     for item in args.set or []:
         set_item(config, item, "--set")
@@ -39,6 +39,8 @@ def _build_config(args) -> RunConfig:
         if value is not None:
             set_item(config, f"{key}={value}", flag)
     config.validate_choices()
+    if splits:
+        config.validate_split()
     return config
 
 
@@ -252,16 +254,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# command -> (handler, flags it requires); a handler is called with the
-# checked config and the values of those flags
+# command -> (handler, flags it requires, whether it splits train and test
+# rows); a handler is called with the checked config (its date ranges too,
+# if it splits) and the values of those flags
 COMMANDS = {
-    "ingest": (cmd_ingest, ()),
-    "featurize": (cmd_featurize, ()),
-    "cv": (cmd_cv, ()),
-    "train": (cmd_train, ()),
-    "predict": (cmd_predict, ("--model",)),
-    "evaluate": (cmd_evaluate, ("--predictions",)),
-    "report": (cmd_report, ()),
+    "ingest": (cmd_ingest, (), False),
+    "featurize": (cmd_featurize, (), False),
+    "cv": (cmd_cv, (), True),
+    "train": (cmd_train, (), True),
+    "predict": (cmd_predict, ("--model",), True),
+    "evaluate": (cmd_evaluate, ("--predictions",), False),
+    "report": (cmd_report, (), True),
 }
 
 
@@ -272,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required) in COMMANDS.items():
+    for name, (_, required, _) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -299,8 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        handler, required = COMMANDS[args.command]
-        return handler(_build_config(args), *(getattr(args, flag[2:]) for flag in required))
+        handler, required, splits = COMMANDS[args.command]
+        config = _build_config(args, splits)
+        return handler(config, *(getattr(args, flag[2:]) for flag in required))
     except (ConfigError, pipeline.PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

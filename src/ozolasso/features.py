@@ -19,11 +19,12 @@ from datetime import date as Date
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import DayGrid, METEO_VARS, POLLUTANTS
+from .ingest import ALL_VARS, DayGrid, METEO_VARS, POLLUTANTS
 
 logger = logging.getLogger(__name__)
 
 AGGS = ("max", "min", "mean")
+HOURS = tuple(f"hour {h:02d}" for h in range(24))
 
 METEO_CHANNELS = (
     "temperature",
@@ -111,43 +112,10 @@ def compute_8h_means(o3_hours: np.ndarray):
 
 
 def build_schema(variant: str) -> list[FeatureDescriptor]:
-    """Canonical base-feature descriptors for variant 'max' or 'max8h'."""
-    if variant not in N_BASE:
-        raise FeatureError(f"unknown variant {variant!r}")
-    descriptors: list[FeatureDescriptor] = []
-
-    def add(name: str, category: str) -> None:
-        descriptors.append(FeatureDescriptor(len(descriptors), name, category))
-
-    for pol in POLLUTANTS:
-        for h in range(24):
-            add(f"current-day {pol} hour {h:02d}", "pollutant-hourly")
-    for pol in POLLUTANTS:
-        for agg in AGGS:
-            add(f"current-day {pol} {agg}", "pollutant-aggregate")
-
-    for ch in METEO_CHANNELS:
-        for h in range(24):
-            add(f"current-day {ch} hour {h:02d}", "meteo-hourly")
-        for agg in AGGS:
-            add(f"current-day {ch} {agg}", "meteo-aggregate")
-        for h in range(24):
-            add(f"next-day {ch} hour {h:02d}", "meteo-hourly")
-        for agg in AGGS:
-            add(f"next-day {ch} {agg}", "meteo-aggregate")
-        for h in range(24):
-            add(f"diff {ch} hour {h:02d}", "meteo-diff")
-        for agg in AGGS:
-            add(f"diff {ch} {agg}", "meteo-diff")
-
-    if variant == "max8h":
-        for h in range(N_8H_WINDOWS):
-            add(f"current-day o3 8h-mean start {h:02d}", "eighth-hour-mean")
-        for agg in AGGS:
-            add(f"current-day o3 8h-mean {agg}", "eighth-hour-mean")
-
-    assert len(descriptors) == N_BASE[variant]
-    return descriptors
+    """Canonical base-feature descriptors for variant 'max' or 'max8h': the
+    schema ``build_base_features`` declares for a grid of zero days."""
+    empty = DayGrid(np.empty(0, dtype=np.int64), {v: np.empty((0, 24)) for v in ALL_VARS}, {})
+    return build_base_features(empty, variant)[1]
 
 
 def _aggs(grid: np.ndarray) -> np.ndarray:
@@ -172,7 +140,8 @@ def build_base_features(
     from the forecast, which must be complete in the meteorology. The target
     always comes from the observed next day.
     """
-    schema = build_schema(variant)
+    if variant not in N_BASE:
+        raise FeatureError(f"unknown variant {variant!r}")
     ordinals, fc = days.ordinals, forecast_days
     # day i against day i + 1; the last day wraps round and has no successor
     has_next = np.roll(ordinals, -1) == ordinals + 1
@@ -201,22 +170,41 @@ def build_base_features(
         for v in METEO_VARS:
             nxt_meteo[v][sel] = fc.values[v][at[rows][sel]]
 
-    parts = [now[pol] for pol in POLLUTANTS] + [_aggs(now[pol]) for pol in POLLUTANTS]
+    # add writes a block's columns and names them; a width mismatch fails to broadcast
+    x = np.empty((len(rows), N_BASE[variant]))
+    schema: list[FeatureDescriptor] = []
+
+    def add(prefix: str, labels, category: str, values: np.ndarray) -> None:
+        j = len(schema)
+        schema.extend(FeatureDescriptor(j + i, f"{prefix} {label}", category)
+                      for i, label in enumerate(labels))
+        x[:, j : len(schema)] = values
+
+    for pol in POLLUTANTS:
+        add(f"current-day {pol}", HOURS, "pollutant-hourly", now[pol])
+    for pol in POLLUTANTS:
+        add(f"current-day {pol}", AGGS, "pollutant-aggregate", _aggs(now[pol]))
     for ch in METEO_CHANNELS:
-        cur = channel_series(now, ch)
-        nxt = channel_series(nxt_meteo, ch)
-        cur27 = np.hstack([cur, _aggs(cur)])
-        nxt27 = np.hstack([nxt, _aggs(nxt)])
-        parts.extend([cur27, nxt27, nxt27 - cur27])
+        cur, nxt = channel_series(now, ch), channel_series(nxt_meteo, ch)
+        cur_aggs, nxt_aggs = _aggs(cur), _aggs(nxt)
+        add(f"current-day {ch}", HOURS, "meteo-hourly", cur)
+        add(f"current-day {ch}", AGGS, "meteo-aggregate", cur_aggs)
+        add(f"next-day {ch}", HOURS, "meteo-hourly", nxt)
+        add(f"next-day {ch}", AGGS, "meteo-aggregate", nxt_aggs)
+        add(f"diff {ch}", HOURS, "meteo-diff", nxt - cur)
+        add(f"diff {ch}", AGGS, "meteo-diff", nxt_aggs - cur_aggs)
     o3_next = days.values["o3"][rows + 1]
     if variant == "max8h":
         means, wmax, wmin, wmean = compute_8h_means(now["o3"])
-        parts.extend([means, np.column_stack([wmax, wmin, wmean])])
+        add("current-day o3 8h-mean", [f"start {h:02d}" for h in range(N_8H_WINDOWS)],
+            "eighth-hour-mean", means)
+        add("current-day o3 8h-mean", AGGS, "eighth-hour-mean",
+            np.column_stack([wmax, wmin, wmean]))
         target, anchor = compute_8h_means(o3_next)[1], wmax
     else:
         target, anchor = o3_next.max(axis=1), now["o3"].max(axis=1)
     dates = (ordinals[rows] - _EPOCH).astype("datetime64[D]").astype(object)
-    return FeatureRows(dates, np.hstack(parts), target, anchor), schema
+    return FeatureRows(dates, x, target, anchor), schema
 
 
 @dataclass

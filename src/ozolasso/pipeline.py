@@ -80,7 +80,7 @@ def build_rows(config: RunConfig):
 
 
 def split_rows(config: RunConfig, rows: FeatureRows):
-    config.validate_split()
+    """Train and test rows by a config whose ranges ``validate_split`` passed."""
     tr_lo, tr_hi = config.date_range("train")
     te_lo, te_hi = config.date_range("test")
     train = rows[(rows.dates >= tr_lo) & (rows.dates <= tr_hi)]

@@ -26,7 +26,6 @@ class CvResult:
     lambda_min: float
     lambda_1se: float
     fold_assignment: np.ndarray  # row -> fold index
-    seed: int | None
 
 
 def make_lambda_grid(
@@ -111,7 +110,6 @@ def kfold_cv(
         lambda_min=float(grid[i_min]),
         lambda_1se=float(grid[i_1se]),
         fold_assignment=assignment,
-        seed=seed,
     )
 
 

@@ -195,7 +195,8 @@ def _ridge_solve(design, y, lam, fit_intercept, method) -> ModelFit:
 def ridge_path(design, y: np.ndarray, grid, fit_intercept: bool = True) -> list[ModelFit]:
     """fit_ridge at each lambda > 0 of the grid, from one symmetric
     eigendecomposition X'X = V diag(d) V' (ESL 3.4.1): beta = V (z / s) with
-    z = V'X'y and s = d + n*lambda. lambda = 0 is fit_ols.
+    z = V'X'y and s = d + n*lambda, refined once on its residual, the whole
+    grid in each product. lambda = 0 is fit_ols.
 
     Warns, naming the caller's line, when the exact 2-norm condition
     max(s) / min(s) passes COND_WARN_THRESHOLD. Raises SingularDesignError
@@ -213,18 +214,27 @@ def ridge_path(design, y: np.ndarray, grid, fit_intercept: bool = True) -> list[
     # raise peak memory by one or two more p x p matrices
     A = X.T @ X
     d, V = eigh(A.T, overwrite_a=True, check_finite=False, driver="evr")
-    z = V.T @ (X.T @ yc)
-    fits = []
-    for lam in grid:
-        s = d + n * lam  # ascending, as d is
+    # one row per distinct lambda, so equal lambdas give equal bits wherever
+    # they sit in the grid
+    lams, at = np.unique(grid, return_inverse=True)
+    at = at.tolist()
+    S = n * lams[:, None] + d  # each row ascending, as d is
+    for lam, i in zip(grid, at):
+        s = S[i]
         if not s[0] > 0:
             raise SingularDesignError(
                 f"X'X + n*lambda*I is not positive definite at lambda={lam!r}: "
                 f"smallest eigenvalue {s[0]:.3e}"
             )
         _warn_if_ill_conditioned(s[-1] / s[0], stacklevel=2)
-        fits.append(ModelFit("ridge", lam, beta0, V @ (z / s)))
-    return fits
+    b = X.T @ yc
+    B = ((b @ V) / S) @ V.T
+    # One refinement step on the residual, formed from X (A was overwritten):
+    # evr's eigenvectors lose orthogonality, to ~1e-13, in a cluster of zero
+    # eigenvalues, which leaves more residual than a backward-stable solve.
+    R = b - ((B @ X.T) @ X + n * lams[:, None] * B)
+    B += ((R @ V) / S) @ V.T
+    return [ModelFit("ridge", lam, beta0, B[i]) for lam, i in zip(grid, at)]
 
 
 # --- Lasso: the homotopy path ---

@@ -18,14 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_csv, write_text
-from .ingest import METEO_VARS, POLLUTANTS
+from .features import build_base_features
+from .ingest import DayGrid, METEO_VARS, POLLUTANTS
 
 START_DATE = Date(2015, 1, 1)
 BASE_LEVEL = 45.0  # ppb, center of the planted target
 SIGNAL_STD = 10.0  # ppb, spread of the planted signal
 HOUR_NOISE = 0.3  # ppb on hourly O3 readings; 0 when snr is None
 
-# Candidate planted features; names match the base feature schema exactly.
+# Candidate planted features, by base feature schema name.
 # sparsity=s uses the first s of these.  The first five sit on variables whose
 # hourly readings are close to independent, so no correlated "shadow" feature
 # can soak up part of a planted weight and blur the recovered support.
@@ -51,21 +52,6 @@ class SynthConfig:
     seed: int = 0
     sparsity: int = 5
     snr: float | None = 20.0  # None = noiseless target
-
-
-def _extract(name: str, cur: dict[str, np.ndarray], nxt: dict[str, np.ndarray]) -> float:
-    day = cur if name.startswith("current-day") else nxt
-    rest = name.split(" ", 1)[1]  # strip current-day/next-day prefix
-    var, spec = rest.rsplit(" ", 1)
-    if spec == "max":
-        return float(day[var].max())
-    if spec == "min":
-        return float(day[var].min())
-    if spec == "mean":
-        return float(day[var].mean())
-    # "<var> hour HH"
-    var, _, hh = rest.rpartition(" hour ")
-    return float(day[var][int(hh)])
 
 
 def _o3_shape() -> np.ndarray:
@@ -145,11 +131,17 @@ def generate(config: SynthConfig) -> dict:
     pollutants = _generate_pollutants(rng, n_days)
     planted = PLANTED_CANDIDATES[: config.sparsity]
 
-    n_pairs = n_days - 1
-    feats = np.empty((n_pairs, len(planted)))
-    for d in range(n_pairs):
-        for i, (name, _) in enumerate(planted):
-            feats[d, i] = _extract(name, meteo[d], meteo[d + 1])
+    # the planted features as the feature builder forms them; its O3 and
+    # pollutant inputs are zeros, as O3 is derived from the target below
+    grids = {v: np.array([day[v] for day in meteo]) for v in METEO_VARS}
+    grids.update({v: np.zeros((n_days, 24)) for v in POLLUTANTS})
+    ordinals = START_DATE.toordinal() + np.arange(n_days)
+    rows, schema = build_base_features(DayGrid(ordinals, grids, {}), "max")
+    names = [d.name for d in schema]
+    # a fancy-index gather comes back F-ordered, and the mean below would
+    # then sum in another order
+    feats = np.ascontiguousarray(rows.x[:, [names.index(name) for name, _ in planted]])
+    n_pairs = len(rows)
     mu = feats.mean(axis=0)
     sd = feats.std(axis=0)
     z = (feats - mu) / sd
@@ -164,7 +156,7 @@ def generate(config: SynthConfig) -> dict:
         hour_noise = 0.0
         noise = np.zeros(n_pairs)
     else:
-        if config.snr <= 0:
+        if not config.snr > 0:
             raise SynthError("snr must be positive")
         noise_std = SIGNAL_STD / math.sqrt(config.snr)
         hour_noise = HOUR_NOISE

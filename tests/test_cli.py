@@ -203,6 +203,17 @@ def test_train_rejects_overlapping_split(synth_dir, tmp_path, capsys):
     assert "overlap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["cv"], ["train"], ["predict", "--model", "absent.json"],
+                                     ["report"]])
+def test_split_checked_before_any_input_is_read(synth_dir, tmp_path, capsys, command):
+    args = base_args(synth_dir, tmp_path / "out", extra=["--lambda", "0.1"])
+    args[args.index("test_start=2015-02-18")] = "test_start=2015-02-01"
+    args[args.index(f"pollutant_file={synth_dir / 'pollutants.csv'}")] = (
+        f"pollutant_file={tmp_path / 'absent.csv'}")
+    assert main(command + args) == 1
+    assert capsys.readouterr().err == "error: train and test date ranges overlap\n"
+
+
 @pytest.mark.parametrize("extra, field", [
     (["--lambda", "nan"], "lambda"),
     (["--lambda", "inf"], "lambda"),

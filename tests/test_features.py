@@ -5,6 +5,7 @@ from datetime import date as Date, timedelta
 import numpy as np
 import pytest
 
+import features_oracle as oracle
 from conftest import make_day, make_day_pair, make_days
 from ozolasso.config import RunConfig
 from ozolasso.features import (
@@ -48,6 +49,41 @@ def test_schema_indices_gapless():
 def test_unknown_variant():
     with pytest.raises(FeatureError):
         build_schema("weekly")
+
+
+def _named_value(name: str, cur: oracle.DayBlock, nxt: oracle.DayBlock) -> float:
+    """The value a base feature's name says its column holds, from the day
+    pair's hourly series: "<current-day|next-day|diff> <channel> <hour HH|
+    max|min|mean>" or "current-day o3 8h-mean <start HH|max|min|mean>"."""
+    when, channel, *spec = name.split(" ")
+    if when == "diff":
+        rest = " ".join([channel, *spec])
+        return _named_value(f"next-day {rest}", cur, nxt) - _named_value(
+            f"current-day {rest}", cur, nxt)
+    day = {"current-day": cur, "next-day": nxt}[when]
+    if spec[0] == "8h-mean":
+        means, *aggs = oracle.compute_8h_means(day.values[channel])
+        series, spec = means, spec[1:]
+    else:
+        series = oracle.channel_series(day, channel)
+        aggs = oracle._agg(series)
+    if spec[0] in ("hour", "start"):
+        return series[int(spec[1])]
+    return aggs[("max", "min", "mean").index(spec[0])]
+
+
+@pytest.mark.parametrize("variant", ["max", "max8h"])
+def test_every_name_labels_its_column(variant):
+    """Each of the 918/938 columns holds what its name says, on a day pair
+    whose every (variable, day, hour) cell is distinct."""
+    days = make_day_pair(seed=11)
+    cells = np.concatenate([grid.ravel() for grid in days.values.values()])
+    assert np.unique(cells).size == cells.size
+    rows, schema = build_base_features(days, variant)
+    cur, nxt = oracle.day_blocks(days)
+    assert [d.index for d in schema] == list(range(rows.x.shape[1]))
+    for d in schema:
+        assert rows.x[0, d.index] == _named_value(d.name, cur, nxt), d.name
 
 
 def test_row_lengths_both_variants():

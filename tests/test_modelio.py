@@ -26,6 +26,10 @@ from ozolasso.modelio import (
 )
 from ozolasso.solvers import DenseDesign, LassoConfig, fit_lasso, fit_ridge
 
+# train and test ranges for the predict command, whose split is checked first
+SPLIT = ["--set", "train_start=2017-01-01", "--set", "train_end=2017-01-31",
+         "--set", "test_start=2017-02-01", "--set", "test_end=2017-02-28"]
+
 
 def make_rows(rng, n, p, beta=None, noise=0.0, anchor=50.0):
     X = rng.uniform(10, 40, size=(n, p))
@@ -244,7 +248,7 @@ def test_edited_standardization_rejected(tmp_path, capsys):
     save_model(model, path)
     with pytest.raises(ModelIOError, match="standardization_digest"):
         load_model(path)
-    args = ["predict", "--model", str(path), "--out-dir", str(tmp_path / "out")]
+    args = ["predict", "--model", str(path), "--out-dir", str(tmp_path / "out"), *SPLIT]
     assert main(args) == 1
     assert "standardization_digest" in capsys.readouterr().err
     assert not (tmp_path / "out" / "predictions.csv").exists()
@@ -261,9 +265,7 @@ def test_model_missing_a_key_rejected(tmp_path, capsys, key):
     save_model(model, path)
     with pytest.raises(ModelIOError, match=key):
         load_model(path)
-    args = ["predict", "--model", str(path), "--out-dir", str(tmp_path / "out"),
-            "--set", f"pollutant_file={tmp_path / 'absent.csv'}",
-            "--set", f"meteo_file={tmp_path / 'absent.csv'}"]
+    args = _predict_args(tmp_path)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert key in err and "absent.csv" not in err
@@ -307,9 +309,7 @@ def test_malformed_weight_entry_rejected(tmp_path, capsys, case):
     path.write_text(json.dumps(model))  # json.loads reads NaN and Infinity back
     with pytest.raises(ModelIOError, match=message):
         load_model(path)
-    args = ["predict", "--model", str(path), "--out-dir", str(tmp_path / "out"),
-            "--set", f"pollutant_file={tmp_path / 'absent.csv'}",
-            "--set", f"meteo_file={tmp_path / 'absent.csv'}"]
+    args = _predict_args(tmp_path)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert message in err and "absent.csv" not in err
@@ -399,6 +399,9 @@ def test_model_of_another_base_width_rejected(tmp_path, capsys, variant):
 
 
 def _predict_args(tmp_path):
+    """predict on absent hourly files, with date ranges that pass the
+    split check, which comes before the model is read."""
     return ["predict", "--model", str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "out"),
+            *SPLIT,
             "--set", f"pollutant_file={tmp_path / 'absent.csv'}",
             "--set", f"meteo_file={tmp_path / 'absent.csv'}"]

@@ -4,11 +4,11 @@ Shapes with n < p and n > p, rank-deficient designs (duplicated columns)
 and a grid drawn from [1e-6, 1e3]. Every point must be a ridge solution to
 the tolerances of conftest.assert_ridge_solution: a normal-equation residual
 of a backward-stable solve, and agreement with fit_ridge's Cholesky solve
-relative to the condition number.
+relative to the condition number. Pinned examples come first.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import assert_ridge_solution, standardized_matrix
 from ozolasso.solvers import DenseDesign, ridge_path
@@ -22,6 +22,9 @@ from ozolasso.solvers import DenseDesign, ridge_path
     duplicates=st.integers(0, 3),
     lams=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=6),
 )
+# without a refinement step, the eigenvectors' loss of orthogonality in the
+# zero-eigenvalue cluster left a residual 1.12 times the bound here
+@example(seed=14913, n=21, p=36, duplicates=1, lams=[1.0])
 def test_ridge_path_solves_each_lambda(seed, n, p, duplicates, lams):
     rng = np.random.default_rng(seed)
     X = standardized_matrix(rng, n, p)

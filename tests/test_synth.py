@@ -22,6 +22,8 @@ def test_config_validation():
         generate(SynthConfig(sparsity=99))
     with pytest.raises(SynthError):
         generate(SynthConfig(snr=-1.0))
+    with pytest.raises(SynthError):
+        generate(SynthConfig(snr=float("nan")))
 
 
 def test_deterministic_files(tmp_path):
