@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .features import FeatureDescriptor
+from .solvers import rounding_unit
 
 
 # A column whose variance E[x^2] - E[x]^2 is at most this share of E[x^2]
@@ -22,10 +23,10 @@ def expansion_size(p0: int) -> int:
     return 2 * p0 + p0 * (p0 - 1) // 2
 
 
-def cross_pairs(p0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parent indices (j, k), j<k, in lexicographic order."""
-    jj, kk = np.triu_indices(p0, k=1)
-    return jj.astype(np.int64), kk.astype(np.int64)
+def cross_index(p0: int) -> np.ndarray:
+    """The parents (j, k), j<k, of the cross products in lexicographic
+    order, as flat indices j*p0 + k into a p0 x p0 array."""
+    return np.flatnonzero(np.triu(np.ones((p0, p0), dtype=bool), k=1))
 
 
 class ExpandedDesign:
@@ -40,12 +41,12 @@ class ExpandedDesign:
     # moment block width; separate from solvers._CORR_CHUNK, and changing it moves bits
     CHUNK = 4096
 
-    def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray, pairs=None):
+    def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray, cross=None):
         self.base = np.ascontiguousarray(base, dtype=float)
         self.p0 = base.shape[1]
         self.col_mean = col_mean
         self.col_std = col_std
-        self._jj, self._kk = cross_pairs(self.p0) if pairs is None else pairs
+        self._cross = cross_index(self.p0) if cross is None else cross
         self._corr_err = None  # screen's error weights, formed on first use
 
     @classmethod
@@ -64,10 +65,8 @@ class ExpandedDesign:
         p = expansion_size(p0)
         # mean 0 and std 1: x - 0 and x / 1 keep every bit, so its blocks are raw
         design = cls(base, np.broadcast_to(0.0, p), np.broadcast_to(1.0, p))
-        gram = base.T @ base / n
         sums = design._square_sums()
-        mean = np.concatenate([np.zeros(p0), gram.diagonal(), gram[design._jj, design._kk]])
-        del gram
+        mean = design._gram_terms(np.zeros(p0), base.T @ base / n)
         ex2 = sums / n
         var = ex2 - mean * mean
         var[:p0] = 0.0  # base columns: the raw pass below
@@ -98,8 +97,7 @@ class ExpandedDesign:
         if index < 2 * p0:
             j = index - p0
             return (j, j)
-        t = index - 2 * p0
-        return int(self._jj[t]), int(self._kk[t])
+        return divmod(int(self._cross[index - 2 * p0]), p0)
 
     def descriptor(self, index: int, base_names: list[str]) -> FeatureDescriptor:
         p0 = self.p0
@@ -121,7 +119,7 @@ class ExpandedDesign:
         left = np.where(idx < p0, idx, idx - p0)  # a base column's own row, a square's parent
         right = left.copy()
         cross = np.flatnonzero(idx >= 2 * p0)
-        left[cross], right[cross] = self._jj[idx[cross] - 2 * p0], self._kk[idx[cross] - 2 * p0]
+        left[cross], right[cross] = np.divmod(self._cross[idx[cross] - 2 * p0], p0)
         out = base_t[left]
         out *= base_t[right]
         linear = np.flatnonzero(idx < p0)
@@ -141,32 +139,43 @@ class ExpandedDesign:
         """sum_i raw_ij^2 for every expanded column; the squares and cross
         products from one p0 x p0 GEMM, ((B o B)'(B o B))_jk."""
         sq = self.base * self.base
-        gram = sq.T @ sq
-        return np.concatenate([sq.sum(axis=0), gram.diagonal(), gram[self._jj, self._kk]])
+        return self._gram_terms(sq.sum(axis=0), sq.T @ sq)
+
+    def _gram_terms(self, linear: np.ndarray, gram: np.ndarray) -> np.ndarray:
+        """One value per expanded column: ``linear`` for the base columns,
+        then the p0 x p0 ``gram``'s diagonal and its entries at the cross
+        pairs, gathered with one take into the preallocated vector."""
+        p0 = self.p0
+        out = np.empty(expansion_size(p0))
+        out[:p0] = linear
+        out[p0 : 2 * p0] = gram.diagonal()
+        # mode="clip": the indices are valid, and "raise" buffers the output
+        np.take(gram.ravel(), self._cross, out=out[2 * p0 :], mode="clip")
+        return out
 
     def _error_weights(self, square_sums: np.ndarray) -> np.ndarray:
         """screen's w from the raw column norms: 0 where std is 0."""
         n = self.base.shape[0]
         err = np.sqrt(square_sums) / n + np.abs(self.col_mean) / np.sqrt(n)
         std = np.where(self.col_std > 0, self.col_std, np.inf)
-        return err * (4 * (n + 10) * np.finfo(float).eps) / std
+        return err * rounding_unit(n) / std
 
     def screen(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(X_j'v / n for every expanded column, weights w): entry j is within
-        ||v||_2 w_j of the streamed product of ``solvers.design_corr``.
+        """(X_j'v / n for every expanded column, weights w), as the solvers
+        read a screen (see solvers.DenseDesign).
 
         The raw products are one p0 x p0 GEMM, ((B o v)'B)_jk / n, corrected
         by the saved moments. w_j = 4 (n + 10) eps (||raw_j|| / n +
-        |mean_j| / sqrt(n)) / std_j, formed once per design, bounds the
-        rounding of either sum and of the standardization per unit ||v||.
-        Zero-variance columns are exactly 0, with weight 0.
+        |mean_j| / sqrt(n)) / std_j, formed once per design: the bracket
+        bounds ||X_j|| / n, and each sum, this one and the streamed product
+        of ``solvers.design_corr``, rounds by about (n + 5) eps of it per
+        unit ||v||, with the standardization. Zero-variance columns are
+        exactly 0, with weight 0.
         """
         n = self.base.shape[0]
         if self._corr_err is None:
             self._corr_err = self._error_weights(self._square_sums())
-        gram = (self.base * v[:, None]).T @ self.base / n
-        corr = np.concatenate([self.base.T @ v / n, gram.diagonal(), gram[self._jj, self._kk]])
-        del gram
+        corr = self._gram_terms(self.base.T @ v / n, (self.base * v[:, None]).T @ self.base / n)
         corr -= self.col_mean * (v.sum() / n)
         np.divide(corr, self.col_std, out=corr, where=self.col_std > 0)
         corr[self.col_std == 0] = 0.0
@@ -182,4 +191,4 @@ class ExpandedDesign:
 
     def take_rows(self, idx: np.ndarray) -> "ExpandedDesign":
         """Row subset sharing the training expansion moments."""
-        return ExpandedDesign(self.base[idx], self.col_mean, self.col_std, (self._jj, self._kk))
+        return ExpandedDesign(self.base[idx], self.col_mean, self.col_std, self._cross)

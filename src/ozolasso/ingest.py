@@ -15,7 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date as Date
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, not_
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,11 @@ class DayGrid:
         return len(self.ordinals)
 
 
+# A column that float refuses somewhere is read in chunks of this many
+# non-blank cells; only a chunk holding a refused token goes token by token.
+_TOKEN_CHUNK = 64
+
+
 def _parse_distinct(tokens, parse) -> list:
     """parse() applied once per distinct token; None where it raises ValueError."""
     parsed = {}
@@ -102,18 +108,24 @@ def _parse_distinct(tokens, parse) -> list:
 
 def _parse_column(tokens, var: str) -> tuple[np.ndarray, int]:
     """One column of str cells as float64, nan where missing, and the count
-    of non-blank cells coerced to missing, by ``_apply_rules``. A column
-    holding a token ``float`` rejects is parsed once per distinct token."""
+    of non-blank cells coerced to missing, by ``_apply_rules``. Blank cells
+    read as nan; a chunk of the others holding a token ``float`` rejects is
+    parsed once per distinct token."""
     blank = np.zeros(len(tokens), dtype=bool)
     try:
         values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:  # a blank cell, or a token float rejects: blanks read as nan
-        blank = np.fromiter((not token.strip() for token in tokens), dtype=bool, count=len(tokens))
-        tokens = ["nan" if b else token for b, token in zip(blank.tolist(), tokens)]
-        try:
-            values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-        except ValueError:
-            values = np.array([np.nan if c is None else c for c in _parse_distinct(tokens, float)])
+    except ValueError:  # a blank cell, or a token float rejects
+        blank = np.fromiter(map(not_, map(str.strip, tokens)), dtype=bool, count=len(tokens))
+        cells = list(compress(tokens, (~blank).tolist()))
+        parsed = np.empty(len(cells))
+        for s in range(0, len(cells), _TOKEN_CHUNK):
+            chunk = cells[s : s + _TOKEN_CHUNK]
+            try:
+                parsed[s : s + len(chunk)] = np.fromiter(map(float, chunk), dtype=float, count=len(chunk))
+            except ValueError:
+                parsed[s : s + len(chunk)] = [np.nan if c is None else c for c in _parse_distinct(chunk, float)]
+        values = np.full(len(tokens), np.nan)
+        values[~blank] = parsed
     return _apply_rules(values, blank, var)
 
 

@@ -70,11 +70,22 @@ class ModelFit:
 
 # --- designs: shape, block, rows, take_rows, predict and screen ---
 # DenseDesign holds its columns; expansion.ExpandedDesign generates them.
+# screen(v) gives (c, w), c_j approximating X_j'v/n. The weights w depend on
+# the design alone, and w_j >= rounding_unit(n) ||X_j|| / n; half of ||v|| w_j
+# bounds the distance of c_j, and of design_corr's X_j'v/n, from the exact
+# product, so ||v|| w_j bounds |c_j - design_corr(v)_j|.
 
 # Columns per chunk of a design_corr pass. A separate decision from
 # ExpandedDesign.CHUNK, and changing either width moves bits (the expansion
 # moments differ in the last place between 2048 and 4096).
 _CORR_CHUNK = 2048
+
+
+def rounding_unit(n: int) -> float:
+    """4 (n + 10) eps. X_j'v/n formed as an n-term sum rounds by at most
+    (n + 10) eps ||X_j|| ||v|| / n, so a design's screen weights are at
+    least this times ||X_j|| / n."""
+    return 4 * (n + 10) * np.finfo(float).eps
 
 
 class DenseDesign:
@@ -83,6 +94,7 @@ class DenseDesign:
     def __init__(self, X: np.ndarray):
         self.X = np.asarray(X, dtype=float)
         self.shape = self.X.shape
+        self._corr_err = None  # screen's weights, formed on first use
 
     def block(self, j0: int, j1: int) -> np.ndarray:
         """Columns [j0, j1) as an (n, j1-j0) view."""
@@ -99,8 +111,12 @@ class DenseDesign:
         return self.X @ beta
 
     def screen(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(design_corr, weights 0): the dense screen is exact."""
-        return design_corr(self, v), np.zeros(self.shape[1])
+        """(design_corr, w): the dense screen is design_corr itself, and
+        w_j = rounding_unit(n) ||X_j|| / n."""
+        if self._corr_err is None:
+            n = self.shape[0]
+            self._corr_err = np.linalg.norm(self.X, axis=0) * (rounding_unit(n) / n)
+        return design_corr(self, v), self._corr_err
 
 
 def design_block(design, j0: int, j1: int) -> np.ndarray:
@@ -248,6 +264,9 @@ _SLICE = 1 << 16
 # Upper join bounds are first taken at this many columns, those with the
 # smallest lower bounds.
 _NEAR = 64
+# X'r/n is carried from kink to kink, and screened afresh once its error
+# bound passes this many times the bound of a fresh screen.
+_REFRESH = 16.0
 
 
 def _exact_corr(design, idx: np.ndarray, vectors) -> np.ndarray:
@@ -271,8 +290,7 @@ def corr_abs_max(design, v: np.ndarray, exclude=None, screen=None) -> float:
     One design.screen pass, or ``screen``, that pass already made, left
     unmodified; every column whose screened |c_j| + ||v|| w_j reaches the
     largest |c_j| - ||v|| w_j is recomputed with _exact_corr, and the true
-    maximizer is always among them. On a dense design the screen is
-    design_corr itself and nothing is recomputed.
+    maximizer is always among them.
     """
     c, w = design.screen(v) if screen is None else screen
     err = float(np.linalg.norm(v)) * w
@@ -281,8 +299,6 @@ def corr_abs_max(design, v: np.ndarray, exclude=None, screen=None) -> float:
     hi += err
     if exclude is not None:
         lo[exclude] = hi[exclude] = -np.inf
-    if not err.any():  # the screen is exact
-        return float(lo.max(initial=0.0))
     top = np.flatnonzero(hi >= lo.max(initial=0.0))
     return float(np.abs(_exact_corr(design, top, [v])).max(initial=0.0))
 
@@ -299,48 +315,75 @@ def _join_steps(h, c, a, c_err=0.0, a_err=0.0):
     return out
 
 
+def _carry(c, a, t, r, u, e, u_norm, unit):
+    """X'r/n carried a step t along the segment: c - t a, the residual
+    rho = r - t u, and e' with |(c - t a)_j - X_j'rho/n| <= e' w_j, given
+    |c_j - X_j'r/n| <= e w_j and a, the screen of u (norm u_norm). e' adds
+    a's error, t ||u|| w_j / 2, and the rounding of both subtractions:
+    with ||X_j|| / n <= w_j / unit, at most eps (2 (||rho|| + t ||u||) /
+    unit + e + t ||u||) w_j, twice a first-order bound."""
+    rho = r - t * u
+    tu = t * u_norm
+    eps = np.finfo(float).eps
+    e += tu / 2 + eps * (2 * (float(np.linalg.norm(rho)) + tu) / unit + e + tu)
+    return c - t * a, rho, e
+
+
 def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     """The Lasso path down from lambda_max: LARS with the Lasso modification.
 
     Along a segment the active correlations stay at +-h, h = lambda/2, and
     beta_A(h) = b - h d, where G_A [d, b] = [s_A, X_A'y/n], G_A = X_A'X_A/n.
     It ends where an inactive |c_j| reaches h (a join) or a beta_k reaches
-    zero (a drop). Each segment screens c = X'r/n and, with an active
-    column, a = X'X_A d/n once (design.screen); the opening segment's
-    screen of r = y gives lambda_max / 2. Every column whose join step may
-    lie within the screen's bound of the minimum is recomputed exactly
-    before the decision, so a streamed design and a DenseDesign of its
-    columns pass the same kinks. A column that just joined may not drop at
-    the next kink, one that just dropped may rejoin there only with the
-    other sign, and a joining column in the span of the active set stays
-    out until a drop.
+    zero (a drop). Each segment screens a = X'X_A d/n once (design.screen),
+    with an active column. The correlations c = X'r/n are screened at the
+    opening segment, r = y, which gives lambda_max / 2; after that they are
+    carried, c - t a at a step t as LARS carries them, with a bound e w_j
+    on their distance from X'r/n that grows by t ||u|| w / 2, the
+    rounding, and ||X_j|| / n times the distance of the fresh residual from
+    the carried one. A segment whose carried bound passes _REFRESH times a
+    fresh screen's, ||r|| w, screens r again. Every column whose join step
+    may lie within the bound of the minimum is recomputed exactly
+    (_exact_corr) before the decision, so a streamed design and a
+    DenseDesign of its columns pass the same kinks, whichever segments
+    screen afresh. A column that just joined may not drop at the next
+    kink, one that just dropped may rejoin there only with the other sign,
+    and a joining column in the span of the active set stays out until a
+    drop. X_A is kept as rows, one appended at a join and deleted at a drop.
 
-    Yields (beta, r, kinks since the previous yield, X'r/n from the screen)
-    at each lambda of the descending ``lams``. If more than ``max_kinks``
-    kinks would be needed, yields (beta, r, kinks, None) at the last one
-    allowed and stops.
+    Yields (beta, r, kinks since the previous yield, X'r/n carried to the
+    lambda, err) at each lambda of the descending ``lams``: every entry of
+    that vector is within err of design_corr(r). If more than
+    ``max_kinks`` kinks would be needed, yields (beta, r, kinks, None, None)
+    at the last one allowed and stops.
     """
     n, p = design.shape
+    unit = rounding_unit(n)
     active, signs, blocked, joined, dropped = [], [], set(), -1, -1
+    XT = design.rows([])
     h, kinks, total = 0.0, 0, 0  # h is set from the opening segment's screen
     lams = iter(lams)
     lam = next(lams, None)
     while lam is not None:
-        XT = design.rows(active)
         d = b = np.zeros(0)
         if active:
             factor = cho_factor(XT @ XT.T / n, lower=True)
             d, b = cho_solve(factor, np.stack([signs, XT @ yc / n], axis=1)).T
         r, u = yc - XT.T @ (b - h * d), XT.T @ d
-        c, w = design.screen(r)
+        r_norm, u_norm = float(np.linalg.norm(r)), float(np.linalg.norm(u))
+        if total:  # c is carried: X'(r - rho)/n is within ||r - rho|| w_j / unit of 0
+            e += float(np.linalg.norm(r - rho)) / unit
+        if not total or e + r_norm / 2 > _REFRESH * r_norm:
+            c, w = design.screen(r)
+            e, w_max = r_norm / 2, float(w.max(initial=0.0))
         if not total:  # r = y: lambda_max / 2, as make_lambda_grid takes it
             h = corr_abs_max(design, r, screen=(c, w))
         a = design.screen(u)[0] if active else np.zeros(p)  # u = 0 with no active column
-        r_norm, u_norm = float(np.linalg.norm(r)), float(np.linalg.norm(u))
+        c_err = e + r_norm / 2  # |c_j - design_corr(r)_j| <= c_err w_j
         lo, hi = np.empty(p), np.full(p, np.inf)
         for s in range(0, p, _SLICE):
             sl = slice(s, s + _SLICE)
-            lo[sl] = _join_steps(h, c[sl], a[sl], r_norm * w[sl], u_norm * w[sl])
+            lo[sl] = _join_steps(h, c[sl], a[sl], c_err * w[sl], u_norm * w[sl])
         lo[active + sorted(blocked)] = np.inf
         if dropped >= 0:  # it left at +-h on its own side: only the other side takes it back
             (c_k,), (a_k,) = dropped_sign * _exact_corr(design, np.array([dropped]), (r, u))
@@ -360,11 +403,11 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
                 k = min(max(4 * k, _NEAR), p)
                 near = np.argpartition(lo, k - 1)[:k]
                 near = near[lo[near] < np.inf]
-                hi[near] = _join_steps(h, c[near], a[near], -r_norm * w[near], -u_norm * w[near])
+                hi[near] = _join_steps(h, c[near], a[near], -c_err * w[near], -u_norm * w[near])
                 if dropped >= 0:  # its step is exact, and only the other side counts
                     hi[dropped] = lo[dropped]
             idx = np.flatnonzero((lo <= min(float(hi.min()), t_drop)) & (lo < np.inf))
-            ce, ae = _exact_corr(design, idx, (r, u)) if w.any() else (c[idx], a[idx])
+            ce, ae = _exact_corr(design, idx, (r, u))
             steps = np.where(idx == dropped, lo[idx], _join_steps(h, ce, ae))
             i = int(np.argmin(steps)) if idx.size else -1
             t_join = float(steps[i]) if idx.size else np.inf
@@ -381,39 +424,48 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
         while lam is not None and h - lam / 2 <= t:
             beta = np.zeros(p)
             beta[active] = b - lam / 2 * d
-            yield beta, yc - XT.T @ beta[active], kinks, c - (h - lam / 2) * a
+            r_lam = yc - XT.T @ beta[active]
+            corr, rho_lam, e_lam = _carry(c, a, h - lam / 2, r, u, e, u_norm, unit)
+            # from X'rho/n to X'r_lam/n, then to design_corr(r_lam)
+            e_lam += float(np.linalg.norm(r_lam - rho_lam)) / unit + float(np.linalg.norm(r_lam)) / 2
+            yield beta, r_lam, kinks, corr, e_lam * w_max
             kinks, lam = 0, next(lams, None)
         if lam is not None and total == max_kinks:
             beta = np.zeros(p)
             beta[active] = b - h * d
             if joined >= 0:  # zero at its kink; b - h d leaves a rounding residue there
                 beta[joined] = 0.0
-            yield beta, r, kinks, None
+            yield beta, r, kinks, None, None
         if lam is None or total == max_kinks:
             return
         h -= t
+        c, rho, e = _carry(c, a, t, r, u, e, u_norm, unit)
         if t_join < t_drop:
             joined, dropped = int(idx[i]), -1
             active.append(joined)
             signs.append(float(np.copysign(1.0, ce[i] - t * ae[i])))
+            XT = np.vstack([XT, x])
         else:
             k = int(np.argmin(drop))
             joined, dropped, dropped_sign = -1, active.pop(k), signs.pop(k)
+            XT = np.delete(XT, k, axis=0)
             blocked.clear()
         kinks += 1
         total += 1
 
 
-def _certified(lam, beta0, beta, r, yc, active_corr, zero_max, kinks, kkt_tol) -> ModelFit:
+def _certified(lam, beta0, beta, r, yc, active_corr, zero_max, kinks, kkt_tol, err=0.0) -> ModelFit:
     """The fit with its certificate, read from ``active_corr``, X_j'r/n at
     the nonzero coordinates of beta in index order, and ``zero_max``, the
-    largest |X_j'r/n| over its zero coordinates (0 if there are none).
+    largest |X_j'r/n| over its zero coordinates (0 if there are none), both
+    within ``err`` of design_corr's.
 
     KKT: zero_max - lam/2, floored at 0, and the max over active coordinates
-    of |X_j'r/n - (lam/2) sign(beta_j)|; the fit has converged when both are
-    within kkt_tol. Relative duality gap: (P - D) / (y'y/n), P the criterion
-    at beta and D the dual objective at r scaled to s = min(1, (lam/2) /
-    max|X'r/n|), the largest feasible multiple: D = (2 s r'y - s^2 r'r) / n.
+    of |X_j'r/n - (lam/2) sign(beta_j)|; each is within err of the full
+    pass's, and the fit has converged when both are within kkt_tol - err.
+    Relative duality gap: (P - D) / (y'y/n), P the criterion at beta and D
+    the dual objective at r scaled to s = min(1, (lam/2) / max|X'r/n|), the
+    largest feasible multiple: D = (2 s r'y - s^2 r'r) / n.
     """
     n, half_lam = r.size, lam / 2.0
     signs = np.sign(beta[beta != 0])
@@ -424,25 +476,23 @@ def _certified(lam, beta0, beta, r, yc, active_corr, zero_max, kinks, kkt_tol) -
     rr, null = float(r @ r), float(yc @ yc)
     primal = rr + n * lam * float(np.abs(beta).sum())
     gap = (primal - (2.0 * s * float(r @ yc) - s * s * rr)) / null if null > 0 else 0.0
-    converged = max(zero_v, active_v) <= kkt_tol
+    converged = max(zero_v, active_v) + err <= kkt_tol
     return ModelFit("lasso", lam, beta0, beta, kinks, converged, zero_v, active_v, gap)
 
 
 def _exact_terms(design, beta, r) -> tuple[np.ndarray, float]:
     """_certified's (active_corr, zero_max) for beta and its residual r,
     bitwise as one design_corr pass gives them, from one design.screen
-    pass: on a dense design the screen holds both."""
+    pass."""
     active = np.flatnonzero(beta)
-    c, w = screen = design.screen(r)
-    active_corr = _exact_corr(design, active, [r])[0] if w.any() else c[active]
-    return active_corr, corr_abs_max(design, r, active, screen)
+    return _exact_corr(design, active, [r])[0], corr_abs_max(design, r, active)
 
 
 def fit_lasso(design, y: np.ndarray, config: LassoConfig) -> ModelFit:
     """The Lasso at config.lam: the one-point path, certified exactly from
     its residual (_exact_terms)."""
     yc, beta0 = _center(np.asarray(y, dtype=float), True)
-    beta, r, kinks, _ = next(_homotopy(design, yc, [config.lam], config.max_sweeps))
+    beta, r, kinks, *_ = next(_homotopy(design, yc, [config.lam], config.max_sweeps))
     terms = _exact_terms(design, beta, r)
     return _certified(config.lam, beta0, beta, r, yc, *terms, kinks, config.kkt_tol)
 
@@ -458,7 +508,8 @@ def lasso_path(
     path reaches each lambda; the grid is validated before this returns.
 
     Each fit is one solve on the active columns at its lambda, certified
-    from the homotopy's own screen there. ``sweeps_used`` counts the kinks
+    from the homotopy's X'r/n carried there, whose bound each fit's
+    convergence test allows for. ``sweeps_used`` counts the kinks
     passed since the previous grid point. If the path needs more than
     ``max_sweeps`` kinks, it stops at the last kink allowed: every lambda
     left gets that beta, certified exactly once (_exact_terms), and reports
@@ -475,11 +526,11 @@ def _path_fits(design, yc, beta0, lams, kkt_tol, max_sweeps) -> Iterator[ModelFi
     path = _homotopy(design, yc, lams, max_sweeps)
     beta, r, exact = None, None, None
     for lam in lams:
-        beta, r, kinks, corr = next(path, (beta, r, 0, None))
+        beta, r, kinks, corr, err = next(path, (beta, r, 0, None, None))
         if corr is not None:
             active_corr = corr[np.flatnonzero(beta)]
             terms = active_corr, float(np.abs(corr, out=corr).max(where=beta == 0, initial=0.0))
         else:  # out of kinks: every lambda left has this beta, certified once
             exact = exact or _exact_terms(design, beta, r)
-            terms = exact
-        yield _certified(lam, beta0, beta, r, yc, *terms, kinks, kkt_tol)
+            terms, err = exact, 0.0
+        yield _certified(lam, beta0, beta, r, yc, *terms, kinks, kkt_tol, err)

@@ -6,13 +6,19 @@ daily means are of its hourly columns) and lambda at 0, at lambda_max and
 in between. Each fit must certify: KKT within kkt_tol and a relative
 duality gap of at most 1e-12. Where the solution is unique it must match a
 long-budget coordinate-descent fit.
+
+On small quadratic expansions, a path that carries X'r/n across kinks must
+keep the bits of one that screens it afresh at every segment.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import standardized_matrix
-from ozolasso.solvers import DenseDesign, LassoConfig, design_corr, fit_lasso, fit_ols
+from ozolasso import solvers
+from ozolasso.expansion import ExpandedDesign
+from ozolasso.solvers import DenseDesign, LassoConfig, design_corr, fit_lasso, fit_ols, lasso_path
 
 
 def make_problem(seed, n, p, kind):
@@ -95,3 +101,36 @@ def test_homotopy_certifies_and_matches_coordinate_descent(seed, shape, kind, wh
     if not equicorrelation_independent(X, yc, fit.beta, lam):
         return
     assert np.abs(fit.beta - coordinate_descent(X, yc, lam)).max() < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([15, 30, 60]),
+    p0=st.integers(3, 9),
+    twins=st.booleans(),
+)
+def test_carried_correlations_keep_the_path_bits(seed, n, p0, twins):
+    """X'r/n carried from kink to kink, and refreshed by the default rule,
+    admits every column that a fresh screen at each kink admits to the
+    exact recheck, so the path keeps its bits: beta, sweeps_used and
+    converged equal those of a path that screens r afresh at every
+    segment, on a streamed design and on a DenseDesign of its columns.
+    Twin base columns make joins blocked in the span of the active set, and
+    paths down to 1e-4 of lambda_max on a design with more columns than
+    rows pass drops."""
+    rng = np.random.default_rng(seed)
+    base = standardized_matrix(rng, n, p0)
+    if twins:
+        base[:, 0] = base[:, 1]
+    y = base[:, 0] * base[:, 1] - base[:, 2] + 0.5 * rng.normal(size=n)
+    design = ExpandedDesign.fit(base)
+    dense = DenseDesign(design.block(0, design.shape[1]))
+    grid = np.geomspace(1.0, 1e-4, 30)
+    paths = []
+    for refresh in (0.0, solvers._REFRESH):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_REFRESH", refresh)
+            for d in (design, dense):
+                paths.append([(f.beta.tobytes(), f.sweeps_used, f.converged) for f in lasso_path(d, y, grid)])
+    assert paths[0] == paths[1] == paths[2] == paths[3]

@@ -487,6 +487,64 @@ def test_path_keeps_its_bits_however_many_upper_join_bounds_are_taken(monkeypatc
     assert paths[0] == paths[1] == paths[2]
 
 
+def _counted_path(monkeypatch, design, y, grid, refresh):
+    """The path's (beta bytes, sweeps_used, converged) with _REFRESH at
+    ``refresh``, its kinks, and the screen passes it made."""
+    monkeypatch.setattr(solvers, "_REFRESH", refresh)
+    calls = []
+    screen = type(design).screen
+    monkeypatch.setattr(type(design), "screen", lambda self, v: calls.append(1) or screen(self, v))
+    fits = [(f.beta.tobytes(), f.sweeps_used, f.converged) for f in lasso_path(design, y, grid)]
+    monkeypatch.undo()
+    return fits, sum(f[1] for f in fits), len(calls)
+
+
+def test_a_path_of_k_kinks_screens_k_plus_one_times_and_once_per_refresh(monkeypatch):
+    """A streamed path screens r at its opening segment and u = X_A d at
+    each of the K segments after a kink: K + 1 passes when the carried
+    X'r/n is never screened again, 2K + 1 when every segment screens it
+    afresh, and in between with the default refresh rule, on one path."""
+    rng = np.random.default_rng(26)
+    base = standardized_matrix(rng, 30, 10)
+    y = base[:, 0] * base[:, 1] - base[:, 2] + 0.3 * rng.normal(size=30)
+    design = ExpandedDesign.fit(base)
+    grid = np.geomspace(1.0, 1e-4, 25)  # down to an active set as large as n
+    never, k, n_never = _counted_path(monkeypatch, design, y, grid, np.inf)
+    always, _, n_always = _counted_path(monkeypatch, design, y, grid, 0.0)
+    default, _, n_default = _counted_path(monkeypatch, design, y, grid, solvers._REFRESH)
+    assert never == always == default
+    assert k > 30 and n_never == k + 1 and n_always == 2 * k + 1
+    assert k + 1 <= n_default < 2 * k + 1
+
+
+def test_carried_certificate_within_its_stated_bound():
+    """With X'r/n carried along the whole path (no refresh), each yielded
+    vector is within its stated bound err of design_corr of the residual,
+    entry by entry; the path fit's KKT values are within err (plus the
+    oracle's own rounding) of dense_certificate's, and err is far below
+    kkt_tol."""
+    rng = np.random.default_rng(27)
+    base = standardized_matrix(rng, 30, 8)
+    y = base[:, 1] - base[:, 2] * base[:, 4] + 0.2 * rng.normal(size=30)
+    yc, _ = _center(y, True)
+    grid = np.geomspace(1.0, 1e-4, 30)
+    kkt_tol = LassoConfig(lam=1.0).kkt_tol
+    for design in (DenseDesign(standardized_matrix(rng, 30, 70)), ExpandedDesign.fit(base)):
+        X = design.block(0, design.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_REFRESH", np.inf)
+            steps = list(_homotopy(design, yc, list(grid), 10_000))
+            fits = list(lasso_path(design, y, grid))
+        assert sum(f.sweeps_used for f in fits) > 25
+        for (beta, r, _, corr, err), fit in zip(steps, fits):
+            assert fit.beta.tobytes() == beta.tobytes()
+            assert 0.0 < err <= 1e-3 * kkt_tol
+            assert np.all(np.abs(corr - design_corr(design, r)) <= err)
+            zero_v, active_v, _ = dense_certificate(X, y, beta, fit.lam)
+            assert abs(fit.kkt_zero_violation - zero_v) <= err + 1e-14
+            assert abs(fit.kkt_active_violation - active_v) <= err + 1e-14
+
+
 def test_path_certificates_from_the_homotopy_pass():
     """A path fit's certificate comes from the homotopy's own pass; it must
     agree with the exact certificate of the same beta."""
@@ -523,7 +581,7 @@ def test_fit_lasso_certificate_matches_a_full_pass():
     for lam, budget in ((0.02, 10_000), (0.1, 10_000), (0.3, 10_000), (0.02, 4), (0.1, 1)):
         config = LassoConfig(lam=lam, max_sweeps=budget)
         fit = fit_lasso(design, y, config)
-        beta, r, kinks, _ = next(_homotopy(design, yc, [lam], budget))
+        beta, r, kinks, *_ = next(_homotopy(design, yc, [lam], budget))
         corr = design_corr(design, r)
         zero_max = float(np.abs(corr).max(where=beta == 0, initial=0.0))
         full = _certified(lam, beta0, beta, r, yc, corr[beta != 0], zero_max, kinks, config.kkt_tol)
