@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
+
+from . import parallel
 
 
 @contextmanager
@@ -34,3 +37,32 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_part(path: Path, lines, lo: int, hi: int) -> None:
+    with path.open("w", newline="") as fh:
+        fh.writelines(lines(lo, hi))
+
+
+def write_lines(path: str | Path, header: str, lines, n: int) -> None:
+    """Write ``header`` and then the ``n`` lines that ``lines(lo, hi)``
+    yields for rows lo..hi-1 to ``path``, as ``atomic_open`` does.
+
+    The second half of the rows goes to a ``.part`` file beside the
+    ``.tmp`` one through ``parallel.beside``, so a forked child writes it
+    while this process writes the first half when the text, estimated from
+    the first line, is long enough; the part is then appended in chunks and
+    removed, also when either half raises.
+    """
+    nbytes = len("".join(lines(0, 1))) * n
+    with atomic_open(path) as fh:
+        part = Path(fh.name + ".part")
+        try:
+            with parallel.beside(_write_part, part, lines, n // 2, n, nbytes=nbytes) as second_half:
+                fh.write(header)
+                fh.writelines(lines(0, n // 2))
+                second_half()
+            with part.open(newline="") as rest:
+                shutil.copyfileobj(rest, fh)
+        finally:
+            part.unlink(missing_ok=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, modelio, pipeline, selection, solvers, synth
-from .atomic import atomic_open, write_csv, write_text
+from .atomic import write_csv, write_lines, write_text
 from .config import (REPORT_METHODS, ConfigError, RunConfig, load_config, set_item,
                      write_effective_config)
 from .ingest import write_canonical
@@ -79,13 +79,15 @@ def cmd_featurize(config: RunConfig) -> int:
         parents = "" if d.parents is None else f"{d.parents[0]},{d.parents[1]}"
         manifest_lines.append(f"{d.index}\t{d.name}\t{d.category}\t{parents}")
     write_text(out / "feature_manifest.txt", "\n".join(manifest_lines) + "\n")
-    with atomic_open(out / "features.csv") as fh:
-        fh.write(",".join(header) + "\r\n")
+
+    def lines(lo, hi):
         # formatted row by row as written: all rows' text at once set the peak memory
-        for d, x, target, anchor in zip(
-            rows.dates, rows.x, rows.target_raw.tolist(), rows.current_anchor.tolist()
-        ):
-            fh.write(f"{d.isoformat()},{','.join(map(repr, x.tolist()))},{target!r},{anchor!r}\r\n")
+        for d, x, target, anchor in zip(rows.dates[lo:hi], rows.x[lo:hi],
+                                        rows.target_raw[lo:hi].tolist(),
+                                        rows.current_anchor[lo:hi].tolist()):
+            yield f"{d.isoformat()},{','.join(map(repr, x.tolist()))},{target!r},{anchor!r}\r\n"
+
+    write_lines(out / "features.csv", ",".join(header) + "\r\n", lines, len(rows))
     print(f"featurized {len(rows)} modeling days, {len(schema)} base features")
     return 0
 

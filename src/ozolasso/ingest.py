@@ -15,13 +15,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date as Date
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter, not_
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -45,10 +45,14 @@ class IngestError(Exception):
 
 
 class DuplicateTimestampError(IngestError):
+    # args are (day, hour), so pickling calls __init__ with them again
     def __init__(self, day: Date, hour: int):
-        super().__init__(f"duplicate record for {day.isoformat()} hour {hour:02d}")
+        super().__init__(day, hour)
         self.day = day
         self.hour = hour
+
+    def __str__(self) -> str:
+        return f"duplicate record for {self.day.isoformat()} hour {self.hour:02d}"
 
 
 @dataclass
@@ -328,14 +332,15 @@ def days_to_table(days: DayGrid) -> HourlyTable:
 def write_canonical(days: DayGrid, path: str | Path) -> None:
     """Emit the normalized hourly file with fixed column order."""
     table = days_to_table(days)
+    keys = table.keys.tolist()
     missing = [math.nan] * len(table)
     columns = [table.values[v].tolist() if v in table.values else missing for v in ALL_VARS]
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
-        for key, *cells in zip(table.keys.tolist(), *columns):
+
+    def lines(lo, hi):
+        # joined as csv.writer writes them: no date, hour, repr float or blank cell needs quoting
+        for key, *cells in islice(zip(keys, *columns), lo, hi):
             day, hour = divmod(key, 24)
-            writer.writerow(
-                [Date.fromordinal(day).isoformat(), hour]
-                + ["" if math.isnan(cell) else repr(cell) for cell in cells]
-            )
+            yield (f"{Date.fromordinal(day).isoformat()},{hour},"
+                   + ",".join(["" if math.isnan(cell) else repr(cell) for cell in cells]) + "\r\n")
+
+    write_lines(path, ",".join(CANONICAL_COLUMNS) + "\r\n", lines, len(keys))

@@ -1,0 +1,145 @@
+"""One call run beside the caller's own work: in a forked child process when
+the work is large enough to pay for the fork, inline otherwise.
+
+The child starts as a copy of this process, so the call's function and
+arguments are never sent; its result, or its exception, comes back pickled
+through a pipe with the log records it made. Fork, not spawn: a spawned
+worker would import numpy and scipy again, which costs more than the work
+it takes over. A fork in a process with threads is safe only if no other
+thread holds a lock the child needs: OpenBLAS stops its threads in its own
+fork handler, and the child makes no BLAS call.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+import pickle
+import signal
+import sys
+from contextlib import contextmanager
+
+# Bytes of text to parse or format below which the call runs inline. Timed
+# on a 2-vCPU x86-64 VM, in fresh processes, serial against forked: loading
+# two hourly files of 0.5 MB or 1 MB each took the same time either way
+# (fork, the pickled result and the second process's slower parse on a
+# shared core eat the saving); files of 2.4 MB each loaded 23% faster, and
+# 5 MB ones 25%. So the call forks from twice the size at which the parse
+# stopped losing. The writer, which sends nothing back, already gained from
+# 0.3 MB of features.csv text; it keeps this one threshold on purpose, with
+# the parse's crossover as its safety margin, so text of 0.3-2 MiB is
+# written inline.
+MIN_BYTES = 2 << 20
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no affinity call
+        return os.cpu_count() or 1
+
+
+def forks(nbytes: int) -> bool:
+    """Whether ``beside`` runs a call on ``nbytes`` of text in a child: the
+    platform can fork, a second CPU is usable and the text is at least
+    MIN_BYTES."""
+    return hasattr(os, "fork") and nbytes >= MIN_BYTES and usable_cpus() >= 2
+
+
+class _Keep(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _child(fn, args, fd: int):
+    """Run ``fn(*args)`` in the forked child, send (ok, value, log records)
+    through ``fd`` and leave by ``os._exit``: no caller frame is unwound
+    here, so none of its cleanup runs twice and no buffer is flushed twice."""
+    code = 1
+    try:
+        keep = _Keep()
+        package = logging.getLogger(__package__)
+        package.handlers, package.propagate = [keep], False
+        try:
+            sent = (True, fn(*args))
+        except Exception as exc:
+            sent = (False, exc)
+        try:
+            data = pickle.dumps((*sent, keep.records))
+        except Exception as exc:  # a result or exception that cannot be pickled
+            data = pickle.dumps((False, exc, keep.records))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _start(fn, args):
+    """(pid, read end of its pipe) of a forked child making the call, or
+    None when the system has no process to spare."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        os.close(read_fd)
+        _child(fn, args, write_fd)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+@contextmanager
+def beside(fn, *args, nbytes: int):
+    """Yield a function that returns ``fn(*args)``.
+
+    When ``forks(nbytes)``, a forked child starts the call at once, and the
+    yielded function waits for it: it hands the child's log records to
+    their loggers here, in their order, then returns the child's result or
+    raises its exception with the same type, message and attributes.
+    Otherwise, or when no process can be forked, the yielded function makes
+    the call itself. Either way the caller sees the errors and logs of its
+    own work in the block before those of the call, as in serial code. A
+    child still running when the block exits is killed; it is always
+    reaped.
+    """
+    started = _start(fn, args) if forks(nbytes) else None
+    if started is None:
+        yield lambda: fn(*args)
+        return
+    pid, pipe = started
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not data:
+            raise ChildProcessError(
+                f"worker exited with status {os.waitstatus_to_exitcode(status)} and no result")
+        ok, value, records = pickle.loads(data)
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

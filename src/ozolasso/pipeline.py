@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import functools
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import evaluation, ingest, modelio, selection, solvers
+from . import evaluation, ingest, modelio, parallel, selection, solvers
 from .config import ConfigError, RunConfig
 from .expansion import ExpandedDesign, expansion_size
 from .features import (
@@ -43,11 +44,17 @@ class IngestStats:
 
 
 def load_day_blocks(config: RunConfig):
-    """Parse the pollutant and meteorology files into assembled day grids."""
+    """Parse the pollutant and meteorology files into assembled day grids;
+    the meteorology file in a forked child beside the pollutant one when it
+    is large enough (``parallel.beside``)."""
     if not config.pollutant_file or not config.meteo_file:
         raise ConfigError("pollutant_file and meteo_file are required")
-    pol = ingest.parse_hourly_file(config.pollutant_file, ingest.POLLUTANTS)
-    met = ingest.parse_hourly_file(config.meteo_file, ingest.METEO_VARS)
+    meteo = config.meteo_file
+    size = os.path.getsize(meteo) if os.path.isfile(meteo) else 0  # else the parse fails in turn
+    with parallel.beside(ingest.parse_hourly_file, meteo, ingest.METEO_VARS,
+                         nbytes=size) as meteorology:
+        pol = ingest.parse_hourly_file(config.pollutant_file, ingest.POLLUTANTS)
+        met = meteorology()
     hourly = ingest.merge_records(pol.records, met.records)
     if not len(hourly):
         raise PipelineError("input files contain no usable rows")

@@ -1,7 +1,7 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses, no
 function in ``src/`` has a parameter it never reads, the solvers reach
-every design through its own members, and every shortcut flag of the CLI
-sets a config key.
+every design through its own members, every shortcut flag of the CLI
+sets a config key, and only ``parallel.py`` forks a worker.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
@@ -147,3 +147,44 @@ def test_every_shortcut_flag_names_a_config_key():
     """A shortcut flag is only another spelling of ``--set key=VALUE``."""
     keys = {f.name for f in fields(RunConfig)}
     assert [key for key in SHORTCUTS.values() if key not in keys] == []
+
+
+def process_spawns(path: Path) -> list[str]:
+    """Each use of ``os.fork`` and each import of ``os.fork``,
+    ``multiprocessing`` or ``concurrent.futures`` in the module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+              and getattr(node.value, "id", None) == "os"):
+            modules = ["os.fork"]
+        else:
+            continue
+        if any(m == "os.fork" or m.split(".")[0] in ("multiprocessing", "concurrent")
+               for m in modules):
+            found.append(f"line {node.lineno}: {modules[-1]}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_the_parallel_module_forks(path):
+    """A worker is forked in one place, ``parallel.beside``, which
+    decides when it pays and reaps it."""
+    if path != ROOT / "src" / "ozolasso" / "parallel.py":
+        assert process_spawns(path) == []
+
+
+def test_the_scan_finds_a_process_spawn(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os\nimport multiprocessing.pool\nfrom concurrent.futures import Executor\n"
+        "from concurrent import futures\nfrom os import fork\n\n\n"
+        "def f():\n    return os.fork(), os.getpid()\n"
+    )
+    assert process_spawns(module) == [
+        "line 2: multiprocessing.pool", "line 3: concurrent.futures.Executor",
+        "line 4: concurrent.futures", "line 5: os.fork", "line 9: os.fork",
+    ]
