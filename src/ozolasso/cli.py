@@ -67,7 +67,7 @@ def cmd_ingest(config: RunConfig) -> int:
 
 def cmd_featurize(config: RunConfig) -> int:
     out = _out_dir(config)
-    rows, schema, _ = pipeline.build_rows(config)
+    rows, schema = pipeline.build_rows(config)
     header = ["date"] + [d.name for d in schema] + ["target_raw", "current_anchor"]
     # Lines joined as csv.writer would write them: no cell needs quoting, as
     # repr floats and ISO dates never do, once the names are checked.
@@ -142,7 +142,7 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
     out = _out_dir(config)
     model = modelio.load_model(model_path)
     modelio.check_variant(model, config.variant)
-    rows, _, _ = pipeline.build_rows(config)
+    rows, _ = pipeline.build_rows(config)
     _, test_rows = pipeline.split_rows(config, rows)
     dates, obs, pred = pipeline.predict_series(model, test_rows)
     write_csv(

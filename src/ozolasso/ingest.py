@@ -10,7 +10,6 @@ data, not raised as an error.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,8 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_lines
-
-logger = logging.getLogger(__name__)
 
 POLLUTANTS = ("o3", "so2", "no", "no2", "nox", "co", "pm25")
 METEO_VARS = (
@@ -76,7 +73,8 @@ class HourlyTable:
 class ParseResult:
     records: HourlyTable  # len() is the number of rows parsed
     rejected: list[tuple[int, str]]  # (line number, reason)
-    coerced_missing: int = 0  # non-blank cells turned missing (unparseable/range)
+    coerced_missing: int  # non-blank cells turned missing (unparseable/range)
+    split: str  # the path the parse took, as parse_hourly_file names it
 
 
 @dataclass
@@ -197,6 +195,8 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
     file with a quote, a short row or a rejected row (the tokenizer skips
     blank lines, which would shift its line number) goes whole through
     ``csv.reader``. The rules after the split are the same for every path.
+    The result's ``split`` names the path: "numpy tokenizer", "numpy
+    tokenizer, numbers as str" or "csv parse, for <why>".
     """
     path = Path(path)
     if not path.exists():
@@ -218,23 +218,23 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
         quoted = reader.line_num > 1 or any('"' in chunk for chunk in iter(lambda: fh.read(8192), ""))
     positions = [header.index(name) for name in needed]
 
-    floats, how = False, None
+    floats, split = False, None
     if quoted:
         why = "a quote byte"
     else:
         try:
-            columns, floats, how = _tokenize(path, positions, True), True, "numpy tokenizer"
+            columns, floats, split = _tokenize(path, positions, True), True, "numpy tokenizer"
         except ValueError:  # a blank or refused cell, or a short row: split again as str
             try:
-                columns, how = _tokenize(path, positions, False), "numpy tokenizer, numbers as str"
+                columns, split = _tokenize(path, positions, False), "numpy tokenizer, numbers as str"
             except ValueError:
                 why = "a short row"
-    if how is not None:
+    if split is not None:
         kept, stamps, rejected = _stamp_rows(columns[0], columns[1], None)
         if rejected:
-            floats, how, why = False, None, "a rejected row"
-    if how is None:
-        how = f"csv parse, for {why}"
+            floats, split, why = False, None, "a rejected row"
+    if split is None:
+        split = f"csv parse, for {why}"
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         # Cells past the end of a short row read as empty.
@@ -242,7 +242,6 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
         rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
         columns = list(zip(*map(itemgetter(*positions), rows))) or [()] * len(positions)
         kept, stamps, rejected = _stamp_rows(columns[0], columns[1], rows)
-    logger.debug("%s: %s", path, how)
 
     keys = np.array(stamps, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
@@ -262,7 +261,7 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
             column, n = _parse_column(cells, var)
         values[var] = column[order]
         coerced += n
-    return ParseResult(HourlyTable(keys[order], values), rejected, coerced)
+    return ParseResult(HourlyTable(keys[order], values), rejected, coerced, split)
 
 
 def merge_records(*tables: HourlyTable) -> HourlyTable:

@@ -127,6 +127,13 @@ def _weight_index(entry: dict, at: int, p: int) -> int:
     return j
 
 
+def _check_number(value, what: str, least: float = -math.inf) -> None:
+    """``value`` is a finite int or float, not a bool, and at least ``least``."""
+    if type(value) not in (int, float) or not math.isfinite(value) or value < least:
+        bound = "" if least == -math.inf else f" >= {least:g}"
+        raise ModelIOError(f"{what} {value!r} is not a finite number{bound}")
+
+
 def _check_standardization(params) -> None:
     """The saved standardization has every key _params_from_dict reads, and
     kept and dropped split the columns of mu and sigma between them."""
@@ -148,6 +155,8 @@ def _check_standardization(params) -> None:
 
 def load_model(path: str | Path) -> dict:
     model = json.loads(Path(path).read_text())
+    if not isinstance(model, dict):
+        raise ModelIOError("model document is not an object")
     version = model.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ModelIOError(f"unsupported model schema version {version!r}")
@@ -157,6 +166,7 @@ def load_model(path: str | Path) -> dict:
     for key in ("variant", "expansion", "target_mode"):
         if model[key] not in CHOICES[key]:
             raise ModelIOError(f"{key} {model[key]!r} is not one of {CHOICES[key]}")
+    _check_number(model["beta0"], "beta0")
     _check_standardization(model["standardization"])
     digest = standardization_digest(_params_from_dict(model["standardization"]))
     if digest != model.get("standardization_digest"):
@@ -175,9 +185,10 @@ def load_model(path: str | Path) -> dict:
         if lacks:
             raise ModelIOError(f"weights[{at}] lacks {', '.join(lacks)}")
         _weight_index(entry, at, p)
-        weight = entry["weight"]
-        if type(weight) not in (int, float) or not math.isfinite(weight):
-            raise ModelIOError(f"weights[{at}]: weight {weight!r} is not a finite number")
+        _check_number(entry["weight"], f"weights[{at}]: weight")
+        if polynomial:
+            _check_number(entry["col_mean"], f"weights[{at}]: col_mean")
+            _check_number(entry["col_std"], f"weights[{at}]: col_std", least=0)
     return model
 
 

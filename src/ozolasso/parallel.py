@@ -3,16 +3,18 @@ the work is large enough to pay for the fork, inline otherwise.
 
 The child starts as a copy of this process, so the call's function and
 arguments are never sent; its result, or its exception, comes back pickled
-through a pipe with the log records it made. Fork, not spawn: a spawned
-worker would import numpy and scipy again, which costs more than the work
-it takes over. A fork in a process with threads is safe only if no other
-thread holds a lock the child needs: OpenBLAS stops its threads in its own
-fork handler, and the child makes no BLAS call.
+through a pipe, and nothing else does. So a call run beside reports what it
+did in its result and does not log: a record made in the child reaches only
+the child's copies of the handlers, which keep it where the caller never
+looks or write it out of order. Fork, not spawn: a spawned worker would
+import numpy and scipy again, which costs more than the work it takes over.
+A fork in a process with threads is safe only if no other thread holds a
+lock the child needs: OpenBLAS stops its threads in its own fork handler,
+and the child makes no BLAS call.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
 import signal
@@ -47,33 +49,20 @@ def forks(nbytes: int) -> bool:
     return hasattr(os, "fork") and nbytes >= MIN_BYTES and usable_cpus() >= 2
 
 
-class _Keep(logging.Handler):
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-
-
 def _child(fn, args, fd: int):
-    """Run ``fn(*args)`` in the forked child, send (ok, value, log records)
-    through ``fd`` and leave by ``os._exit``: no caller frame is unwound
-    here, so none of its cleanup runs twice and no buffer is flushed twice."""
+    """Run ``fn(*args)`` in the forked child, send (ok, value) through
+    ``fd`` and leave by ``os._exit``: no caller frame is unwound here, so
+    none of its cleanup runs twice and no buffer is flushed twice."""
     code = 1
     try:
-        keep = _Keep()
-        package = logging.getLogger(__package__)
-        package.handlers, package.propagate = [keep], False
         try:
             sent = (True, fn(*args))
         except Exception as exc:
             sent = (False, exc)
         try:
-            data = pickle.dumps((*sent, keep.records))
+            data = pickle.dumps(sent)
         except Exception as exc:  # a result or exception that cannot be pickled
-            data = pickle.dumps((False, exc, keep.records))
+            data = pickle.dumps((False, exc))
         with os.fdopen(fd, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -105,14 +94,12 @@ def beside(fn, *args, nbytes: int):
     """Yield a function that returns ``fn(*args)``.
 
     When ``forks(nbytes)``, a forked child starts the call at once, and the
-    yielded function waits for it: it hands the child's log records to
-    their loggers here, in their order, then returns the child's result or
-    raises its exception with the same type, message and attributes.
-    Otherwise, or when no process can be forked, the yielded function makes
-    the call itself. Either way the caller sees the errors and logs of its
-    own work in the block before those of the call, as in serial code. A
-    child still running when the block exits is killed; it is always
-    reaped.
+    yielded function waits for it: it returns the child's result or raises
+    its exception with the same type, message and attributes. Otherwise, or
+    when no process can be forked, the yielded function makes the call
+    itself. Either way the caller sees the errors of its own work in the
+    block before those of the call, as in serial code. A child still
+    running when the block exits is killed; it is always reaped.
     """
     started = _start(fn, args) if forks(nbytes) else None
     if started is None:
@@ -129,9 +116,7 @@ def beside(fn, *args, nbytes: int):
         if not data:
             raise ChildProcessError(
                 f"worker exited with status {os.waitstatus_to_exitcode(status)} and no result")
-        ok, value, records = pickle.loads(data)
-        for record in records:
-            logging.getLogger(record.name).handle(record)
+        ok, value = pickle.loads(data)
         if not ok:
             raise value
         return value

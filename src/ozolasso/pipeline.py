@@ -10,6 +10,7 @@ import functools
 import logging
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from . import evaluation, ingest, modelio, parallel, selection, solvers
 from .config import ConfigError, RunConfig
 from .expansion import ExpandedDesign, expansion_size
 from .features import (
-    FeatureDescriptor,
     FeatureError,
     FeatureRows,
     StandardizationParams,
@@ -46,7 +46,7 @@ class IngestStats:
 def load_day_blocks(config: RunConfig):
     """Parse the pollutant and meteorology files into assembled day grids;
     the meteorology file in a forked child beside the pollutant one when it
-    is large enough (``parallel.beside``)."""
+    is large enough (``parallel.beside``). Logs the split each file took."""
     if not config.pollutant_file or not config.meteo_file:
         raise ConfigError("pollutant_file and meteo_file are required")
     meteo = config.meteo_file
@@ -54,7 +54,9 @@ def load_day_blocks(config: RunConfig):
     with parallel.beside(ingest.parse_hourly_file, meteo, ingest.METEO_VARS,
                          nbytes=size) as meteorology:
         pol = ingest.parse_hourly_file(config.pollutant_file, ingest.POLLUTANTS)
+        logger.debug("%s: %s", Path(config.pollutant_file), pol.split)
         met = meteorology()
+    logger.debug("%s: %s", Path(meteo), met.split)
     hourly = ingest.merge_records(pol.records, met.records)
     if not len(hourly):
         raise PipelineError("input files contain no usable rows")
@@ -63,6 +65,7 @@ def load_day_blocks(config: RunConfig):
     forecast_days = None
     if config.forecast_file:
         fc = ingest.parse_hourly_file(config.forecast_file, ingest.METEO_VARS)
+        logger.debug("%s: %s", Path(config.forecast_file), fc.split)
         forecast_days = ingest.assemble_days(
             fc.records, config.max_gap_hours, variables=ingest.METEO_VARS
         )
@@ -79,11 +82,11 @@ def load_day_blocks(config: RunConfig):
 
 
 def build_rows(config: RunConfig):
-    days, forecast_days, stats = load_day_blocks(config)
+    days, forecast_days, _ = load_day_blocks(config)
     rows, schema = build_base_features(days, config.variant, forecast_days)
     if not len(rows):
         raise PipelineError("no complete modeling days")
-    return rows, schema, stats
+    return rows, schema
 
 
 def split_rows(config: RunConfig, rows: FeatureRows):
@@ -106,7 +109,6 @@ class TrainingData:
     y: np.ndarray  # standardized training target
     kept_names: list[str]
     all_names: list[str]
-    schema: list[FeatureDescriptor]
 
 
 def prepare_training(config: RunConfig, train_rows: FeatureRows, schema) -> TrainingData:
@@ -120,12 +122,12 @@ def prepare_training(config: RunConfig, train_rows: FeatureRows, schema) -> Trai
     base, y = apply_standardizer(params, train_rows.x, y_raw)
     all_names = [d.name for d in schema]
     kept_names = [all_names[int(j)] for j in params.kept]
-    return TrainingData(params, base, y, kept_names, all_names, schema)
+    return TrainingData(params, base, y, kept_names, all_names)
 
 
 def load_training(config: RunConfig):
     """Rows -> train/test split -> standardized training data, test rows."""
-    rows, schema, _ = build_rows(config)
+    rows, schema = build_rows(config)
     train_rows, test_rows = split_rows(config, rows)
     return prepare_training(config, train_rows, schema), test_rows
 

@@ -77,7 +77,7 @@ def synth_run(tmp_path_factory):
         train_start="2015-01-01", train_end="2015-08-28",
         test_start="2015-08-29", test_end="2015-10-26",
     )
-    rows, schema, _ = pipeline.build_rows(cfg)
+    rows, schema = pipeline.build_rows(cfg)
     train_rows, test_rows = pipeline.split_rows(cfg, rows)
     data = pipeline.prepare_training(cfg, train_rows, schema)
     lam, _ = pipeline.choose_lambda(cfg, DenseDesign(data.base), data.y)

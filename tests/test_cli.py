@@ -107,7 +107,7 @@ def test_featurize_writes_what_csv_writer_writes(synth_dir, tmp_path):
     assert main(["featurize"] + base_args(synth_dir, out)) == 0
     config = RunConfig(pollutant_file=str(synth_dir / "pollutants.csv"),
                        meteo_file=str(synth_dir / "meteorology.csv"))
-    rows, schema, _ = pipeline.build_rows(config)
+    rows, schema = pipeline.build_rows(config)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["date"] + [d.name for d in schema] + ["target_raw", "current_anchor"])
@@ -123,8 +123,8 @@ def test_featurize_rejects_a_name_that_needs_quoting(synth_dir, tmp_path, capsys
     build_rows = pipeline.build_rows
 
     def renamed(config):
-        rows, schema, stats = build_rows(config)
-        return rows, [FeatureDescriptor(0, name, "test")] + schema[1:], stats
+        rows, schema = build_rows(config)
+        return rows, [FeatureDescriptor(0, name, "test")] + schema[1:]
 
     monkeypatch.setattr(pipeline, "build_rows", renamed)
     out = tmp_path / "out"

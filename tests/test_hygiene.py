@@ -1,13 +1,15 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses, no
-function in ``src/`` has a parameter it never reads, the solvers reach
-every design through its own members, every shortcut flag of the CLI
-sets a config key, and only ``parallel.py`` forks a worker.
+function in ``src/`` has a parameter it never reads, no dataclass in
+``src/`` has a field nothing reads, the solvers reach every design through
+its own members, every shortcut flag of the CLI sets a config key, and
+only ``parallel.py`` forks a worker.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
 exempt: it keeps a binding that code outside the module reads. A parameter
 is read when its name is loaded anywhere in the function's body, nested
-functions included.
+functions included. A dataclass field is read when ``.field`` is loaded
+anywhere in ``src/``, ``tests/`` or ``perfbench/``.
 """
 
 import ast
@@ -103,6 +105,49 @@ def test_the_scan_finds_an_unread_parameter(tmp_path):
         "    a = 2\n    return g(), args, kw\n\n\nh = lambda x, y: x\n"
     )
     assert unread_parameters(module) == ["f.a", "<lambda>.y"]
+
+
+def dataclass_fields(path: Path) -> list[str]:
+    """Class.field for each annotated field of each dataclass in the module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in node.decorator_list
+        ):
+            found += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def attributes_read(paths) -> set[str]:
+    """Every attribute name loaded as ``.name`` in the modules."""
+    return {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(path: Path, readers) -> list[str]:
+    read = attributes_read(readers)
+    return [f for f in dataclass_fields(path) if f.split(".")[1] not in read]
+
+
+# RunConfig's fields are read through fields() and getattr
+READ_BY_NAME = {f"RunConfig.{f.name}" for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_dataclass_fields(path):
+    readers = [*MODULES, *(ROOT / "perfbench").glob("*.py")]
+    assert [f for f in unread_fields(path, readers) if f not in READ_BY_NAME] == []
+
+
+def test_the_scan_finds_an_unread_dataclass_field(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass(frozen=True)\nclass A:\n"
+        "    kept: int\n    unread: str = ''\n\n\n@dataclass\nclass B:\n    stored: int\n\n\n"
+        "def f(a, b):\n    b.stored = a.kept\n    return a\n"
+    )
+    assert unread_fields(module, [module]) == ["A.unread", "B.stored"]
 
 
 def design_adapters(path: Path) -> list[str]:

@@ -288,6 +288,10 @@ MALFORMED = {
     "no parents": (True, lambda m: _last_weight(m).pop("parents"), "lacks parents"),
     "no col_mean": (True, lambda m: _last_weight(m).pop("col_mean"), "lacks col_mean"),
     "no col_std": (True, lambda m: _last_weight(m).pop("col_std"), "lacks col_std"),
+    "nan col_mean": (True, lambda m: _last_weight(m).update(col_mean=float("nan")), "col_mean nan"),
+    "negative col_std": (True, lambda m: _last_weight(m).update(col_std=-1.0),
+                         "col_std -1.0 is not a finite number >= 0"),
+    "nan col_std": (True, lambda m: _last_weight(m).update(col_std=float("nan")), "col_std nan"),
 }
 
 
@@ -356,20 +360,31 @@ MALFORMED_STRUCTURE = {
     "unknown target_mode": (lambda m: m.update(target_mode="ratio"),
                             "target_mode 'ratio' is not one of"),
     "unknown variant": (lambda m: m.update(variant="max1h"), "variant 'max1h' is not one of"),
+    "nan beta0": (lambda m: m.update(beta0=float("nan")), "beta0 nan is not a finite number"),
+    "list beta0": (lambda m: m.update(beta0=[1]), "beta0 [1] is not a finite number"),
+    "str beta0": (lambda m: m.update(beta0="x"), "beta0 'x' is not a finite number"),
+    "bool beta0": (lambda m: m.update(beta0=True), "beta0 True is not a finite number"),
+    # a whole document in place of the model
+    "top-level list": ([], "model document is not an object"),
+    "top-level null": (None, "model document is not an object"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_STRUCTURE)
 def test_malformed_model_structure_rejected(tmp_path, capsys, case):
-    """A standardization or weights block of the wrong shape is rejected on
-    load, naming the field, before any input file is read."""
+    """A document, standardization, weights block or intercept of the wrong
+    shape is rejected on load, naming the field, before any input file is
+    read."""
     edit, message = MALFORMED_STRUCTURE[case]
     rng = np.random.default_rng(10)
     model = fit_linear_model(make_rows(rng, 10, 2, beta=np.array([1.0, 0.5])))[0]
     assert len(model["weights"]) == 2
-    edit(model)
+    if callable(edit):
+        edit(model)
+    else:
+        model = edit
     path = tmp_path / "model.json"
-    save_model(model, path)
+    path.write_text(json.dumps(model))  # json.loads reads NaN back
     with pytest.raises(ModelIOError, match=message.replace("[", r"\[")):
         load_model(path)
     assert main(_predict_args(tmp_path)) == 1

@@ -166,37 +166,53 @@ def test_write_lines_removes_both_files_when_a_half_raises(mode, failing, tmp_pa
     assert target.read_bytes() == b"h\r\n0\r\n1\r\n2\r\n3\r\n4\r\n"
 
 
-def test_featurize_stdout_in_a_file_holds_its_line_once(clean, tmp_path):
-    """Buffered output is flushed before a fork, so a child that flushes its
-    copy of the buffer does not print it again."""
-    script = (
-        "import functools, sys\n"
-        "from ozolasso import cli, parallel\n"
-        "parallel.MIN_BYTES, parallel.usable_cpus = 0, lambda: 2\n"
-        "print('before')\n"
-        "with parallel.beside(functools.partial(print, 'aside', flush=True), nbytes=0) as aside:\n"
-        "    aside()\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
+def run_forking(argv: list[str], script: str = "", **kwargs) -> subprocess.CompletedProcess:
+    """The CLI on ``argv`` in a fresh interpreter whose ``beside`` forks at
+    any size, after the lines of ``script``."""
+    script = ("import functools, sys\n"
+              "from ozolasso import cli, parallel\n"
+              "parallel.MIN_BYTES, parallel.usable_cpus = 0, lambda: 2\n"
+              + script + "sys.exit(cli.main(sys.argv[1:]))\n")
     src = str(Path(ozolasso.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)  # a file is then block-buffered
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=120, **kwargs)
+
+
+def test_featurize_stdout_in_a_file_holds_its_line_once(clean, tmp_path):
+    """Buffered output is flushed before a fork, so a child that flushes its
+    copy of the buffer does not print it again."""
+    script = ("print('before')\n"
+              "with parallel.beside(functools.partial(print, 'aside', flush=True), nbytes=0) as aside:\n"
+              "    aside()\n")
     stdout = tmp_path / "stdout.txt"
     with stdout.open("w") as fh:
-        proc = subprocess.run([sys.executable, "-c", script, "featurize",
-                               *args(clean, tmp_path / "out")],
-                              stdout=fh, stderr=subprocess.PIPE, env=env, timeout=120)
+        proc = run_forking(["featurize", *args(clean, tmp_path / "out")], script,
+                           stdout=fh, stderr=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert stdout.read_text() == "before\naside\nfeaturized 19 modeling days, 938 base features\n"
 
 
+def test_verbose_featurize_with_a_worker_writes_each_split_line_once(clean, tmp_path):
+    """The parent logs the split of both files, so the stderr the child
+    inherits holds each line once, the pollutant file's first. The caplog
+    test below cannot see what a child writes there."""
+    proc = run_forking(["-v", "featurize", *args(clean, tmp_path / "out")],
+                       capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "tokenizer" in line] == [
+        f"DEBUG ozolasso.pipeline: {clean / 'pollutants.csv'}: numpy tokenizer",
+        f"DEBUG ozolasso.pipeline: {clean / 'meteorology.csv'}: numpy tokenizer",
+    ]
+
+
 def test_verbose_logs_both_tokenizer_lines_in_file_order(clean, tmp_path, monkeypatch, caplog):
-    caplog.set_level(logging.DEBUG, logger="ozolasso.ingest")
+    caplog.set_level(logging.DEBUG, logger="ozolasso.pipeline")
     for mode in MODES:
         use(monkeypatch, mode)
         caplog.clear()
         assert main(["-v", "featurize", *args(clean, tmp_path / mode)]) == 0
-        assert [r.getMessage() for r in caplog.records if r.name == "ozolasso.ingest"] == [
+        assert [r.getMessage() for r in caplog.records if r.name == "ozolasso.pipeline"] == [
             f"{clean / 'pollutants.csv'}: numpy tokenizer",
             f"{clean / 'meteorology.csv'}: numpy tokenizer",
         ]

@@ -22,7 +22,7 @@ def polynomial_training(seed: int, n: int, p0: int) -> pipeline.TrainingData:
     params = fit_standardizer(x, y_raw)
     base, y = apply_standardizer(params, x, y_raw)
     names = [f"f{j}" for j in range(p0)]
-    return pipeline.TrainingData(params, base, y, names, names, [])
+    return pipeline.TrainingData(params, base, y, names, names)
 
 
 def test_polynomial_fit_makes_no_full_pass(monkeypatch):

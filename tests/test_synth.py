@@ -74,7 +74,7 @@ def run_pipeline(tmp_path, sc, lam, target_mode="direct"):
         test_start=(start + timedelta(days=n_train)).isoformat(),
         test_end=(start + timedelta(days=sc.n_days)).isoformat(),
     )
-    rows, schema, _ = build_rows(cfg)
+    rows, schema = build_rows(cfg)
     train_rows, test_rows = split_rows(cfg, rows)
     data = prepare_training(cfg, train_rows, schema)
     fit = fit_lasso(DenseDesign(data.base), data.y, LassoConfig(lam=lam))
