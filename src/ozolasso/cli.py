@@ -105,7 +105,7 @@ def _write_cv_table(path: Path, cv: selection.CvResult, nonzero=None) -> None:
 def cmd_cv(config: RunConfig) -> int:
     out = _out_dir(config)
     data, _ = pipeline.load_training(config)
-    design = pipeline.build_design(config, data)
+    design = pipeline.build_design(data, config.expansion)
     cv = pipeline.cross_validate(config, design, data.y)
     fits = solvers.lasso_path(
         design, data.y, cv.grid, tol=config.tol, max_sweeps=config.max_sweeps
@@ -158,13 +158,29 @@ def cmd_predict(config: RunConfig, model_path: str) -> int:
 
 
 def _read_predictions(path: Path):
+    """Dates, observed and predicted values of a predictions file; a missing
+    column, a bad date or a value that is not a finite number is rejected."""
     dates, obs, pred = [], [], []
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or ()
+        lacks = [name for name in ("date", "observed", "predicted") if name not in header]
+        if lacks:
+            raise pipeline.PipelineError(f"{path}: header lacks {', '.join(lacks)}")
         for row in reader:
-            dates.append(Date.fromisoformat(row["date"]))
-            obs.append(float(row["observed"]))
-            pred.append(float(row["predicted"]))
+            where = f"{path}:{reader.line_num}"
+            try:
+                dates.append(Date.fromisoformat(row["date"]))
+            except (TypeError, ValueError):
+                raise pipeline.PipelineError(f"{where}: date {row['date']!r} is not an ISO date")
+            for name, values in (("observed", obs), ("predicted", pred)):
+                try:
+                    values.append(float(row[name]))
+                except (TypeError, ValueError):
+                    values.append(np.nan)
+                if not np.isfinite(values[-1]):
+                    raise pipeline.PipelineError(
+                        f"{where}: {name} {row[name]!r} is not a finite number")
     return dates, np.array(obs), np.array(pred)
 
 

@@ -23,10 +23,7 @@ CHOICES = {
     "cv_rule": ("min", "one_se"),
     "fold_mode": ("shuffled", "blocked"),
 }
-MINIMUMS = {
-    "cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0,
-    "memory_budget_mb": 1,
-}
+MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0}
 # report method -> (fit method, expansion); persistence fits nothing
 REPORT_METHODS = {
     "lasso-linear": ("lasso", "linear"),
@@ -62,7 +59,6 @@ class RunConfig:
     max_gap_hours: int = 3
     out_dir: str = "out"
     report_methods: str = "lasso-linear,lasso-polynomial,ridge,mlr,persistence"
-    memory_budget_mb: int = 512
 
     def lambda_value(self) -> float | None:
         """Explicit lambda, or None when selection is delegated to CV."""

@@ -127,16 +127,18 @@ def _weight_index(entry: dict, at: int, p: int) -> int:
     return j
 
 
-def _check_number(value, what: str, least: float = -math.inf) -> None:
-    """``value`` is a finite int or float, not a bool, and at least ``least``."""
-    if type(value) not in (int, float) or not math.isfinite(value) or value < least:
-        bound = "" if least == -math.inf else f" >= {least:g}"
+def _check_number(value, what: str, least: float = -math.inf, strict: bool = False) -> None:
+    """``value`` is a finite int or float, not a bool, and >= ``least`` (> if strict)."""
+    if type(value) not in (int, float) or not math.isfinite(value) or value < least \
+            or strict and value == least:
+        bound = "" if least == -math.inf else f" {'>' if strict else '>='} {least:g}"
         raise ModelIOError(f"{what} {value!r} is not a finite number{bound}")
 
 
 def _check_standardization(params) -> None:
-    """The saved standardization has every key _params_from_dict reads, and
-    kept and dropped split the columns of mu and sigma between them."""
+    """The saved standardization has every key _params_from_dict reads, kept
+    and dropped split the columns of mu and sigma between them, and its
+    numbers are finite, with sigma >= 0 (> 0 where kept) and y_sigma > 0."""
     if not isinstance(params, dict):
         raise ModelIOError("standardization is not an object")
     lacks = [key for key in PARAM_KEYS if key not in params]
@@ -151,6 +153,12 @@ def _check_standardization(params) -> None:
         raise ModelIOError(
             f"standardization: sigma, kept and dropped do not match the {width} columns of mu"
         )
+    kept = set(params["kept"])
+    for j, (mu, sigma) in enumerate(zip(params["mu"], params["sigma"])):
+        _check_number(mu, f"standardization.mu[{j}]")
+        _check_number(sigma, f"standardization.sigma[{j}]", least=0, strict=j in kept)
+    _check_number(params["y_mu"], "standardization.y_mu")
+    _check_number(params["y_sigma"], "standardization.y_sigma", least=0, strict=True)
 
 
 def load_model(path: str | Path) -> dict:
@@ -178,13 +186,17 @@ def load_model(path: str | Path) -> dict:
     keys, p = (POLYNOMIAL_ENTRY_KEYS, expansion_size(p0)) if polynomial else (ENTRY_KEYS, p0)
     if not isinstance(model["weights"], list):
         raise ModelIOError("weights is not a list")
+    seen = set()
     for at, entry in enumerate(model["weights"]):
         if not isinstance(entry, dict):
             raise ModelIOError(f"weights[{at}] is not an object")
         lacks = [key for key in keys if key not in entry]
         if lacks:
             raise ModelIOError(f"weights[{at}] lacks {', '.join(lacks)}")
-        _weight_index(entry, at, p)
+        j = _weight_index(entry, at, p)
+        if j in seen:
+            raise ModelIOError(f"weights[{at}]: index {j} repeated")
+        seen.add(j)
         _check_number(entry["weight"], f"weights[{at}]: weight")
         if polynomial:
             _check_number(entry["col_mean"], f"weights[{at}]: col_mean")

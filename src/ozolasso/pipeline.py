@@ -132,41 +132,13 @@ def load_training(config: RunConfig):
     return prepare_training(config, train_rows, schema), test_rows
 
 
-def polynomial_working_bytes(n: int, p0: int) -> int:
-    """Peak bytes of a polynomial Lasso fit (CV and final fit) on n rows of
-    p0 base columns, counted in 8-byte values from what it holds:
-
-    - throughout, the design: its moments (2 per expanded column), screen
-      weights (1), pair indices (2) and the base matrix;
-    - on top, the larger of two phases. ExpandedDesign.fit: the p-long E[x],
-      E[x^2], variance and their temporaries (6 per column) and a raw CHUNK
-      block with its two-pass temporaries (3 blocks). Solving: a homotopy
-      segment's correlations, steps, join bounds and Gram-pass temporaries,
-      a CV fold's own weights, one live beta and its certificate vector (12
-      per column), and a Gram pass's two p0 x p0 products.
-    """
-    p = expansion_size(p0)
-    moments = 6 * p + 3 * n * min(ExpandedDesign.CHUNK, p)
-    solving = 12 * p + 2 * p0 * p0
-    return 8 * (5 * p + n * p0 + max(moments, solving))
-
-
-def build_design(config: RunConfig, data: TrainingData, expansion: str | None = None):
+def build_design(data: TrainingData, expansion: str):
     """Training design: a DenseDesign of the base matrix, or its streamed
     quadratic expansion."""
-    if expansion is None:
-        expansion = config.expansion
     if expansion == "linear":
         return solvers.DenseDesign(data.base)
-    n, p0 = data.base.shape
-    p = expansion_size(p0)
-    working_mb = polynomial_working_bytes(n, p0) / 2**20
-    if working_mb > config.memory_budget_mb:
-        logger.warning(
-            "polynomial working set ~%.0f MiB exceeds budget %d MiB",
-            working_mb, config.memory_budget_mb,
-        )
-    logger.info("polynomial expansion: %d columns, streamed (never materialized)", p)
+    logger.info("polynomial expansion: %d columns, streamed (never materialized)",
+                expansion_size(data.base.shape[1]))
     return ExpandedDesign.fit(data.base)
 
 
@@ -199,7 +171,7 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
     """Fit one method on the training data; returns (model dict, CvResult|None)."""
     if expansion == "polynomial" and method != "lasso":
         raise PipelineError("polynomial expansion is only solved by the lasso")
-    design = build_design(config, data, expansion)
+    design = build_design(data, expansion)
     expanded = design if expansion == "polynomial" else None
 
     cv = None

@@ -184,6 +184,35 @@ def test_train_predict_evaluate_report(synth_dir, tmp_path):
     assert (out / "weights_lasso_linear.csv").exists()
 
 
+HEADER = "date,observed,predicted\n"
+MALFORMED_PREDICTIONS = {
+    "nan observed": (HEADER + "2015-02-18,41.0,40.0\n2015-02-19,nan,40.5\n",
+                     ":3: observed 'nan' is not a finite number"),
+    "infinite predicted": (HEADER + "2015-02-18,41.0,inf\n",
+                           ":2: predicted 'inf' is not a finite number"),
+    "unparseable predicted": (HEADER + "2015-02-18,41.0,high\n",
+                              ":2: predicted 'high' is not a finite number"),
+    "short row": (HEADER + "2015-02-18,41.0\n", ":2: predicted None is not a finite number"),
+    "bad date": (HEADER + "18/02/2015,41.0,40.0\n", ":2: date '18/02/2015' is not an ISO date"),
+    "no predicted column": ("date,observed\n2015-02-18,41.0\n", ": header lacks predicted"),
+    "empty file": ("", ": header lacks date, observed, predicted"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PREDICTIONS)
+def test_evaluate_rejects_malformed_predictions(tmp_path, capsys, case):
+    """A predictions file with a missing column, a bad date or a value that is
+    not a finite number fails evaluate, naming the file and the line, and
+    writes no metrics."""
+    text, message = MALFORMED_PREDICTIONS[case]
+    path = tmp_path / "predictions.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--predictions", str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
+    assert not (out / "metrics.txt").exists()
+
+
 def test_predict_rejects_a_model_of_another_variant(synth_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train"] + base_args(synth_dir, out, extra=["--lambda", "0.1"])) == 0
@@ -236,7 +265,8 @@ def test_non_finite_numbers_rejected(synth_dir, tmp_path, capsys, extra, field):
     (["--set", "max_gap_hours=-1"], "max_gap_hours must be >= 0"),
     (["--seed", "-1"], "seed must be >= 0"),
     (["--set", "tol=small"], "tol must be of type float"),
-    (["--set", "memory_budget_mb=0"], "memory_budget_mb must be >= 1"),
+    # no longer a key: a config that still sets it fails instead of being ignored
+    (["--set", "memory_budget_mb=1"], "unknown config key 'memory_budget_mb'"),
 ])
 def test_out_of_range_numbers_rejected(synth_dir, tmp_path, capsys, extra, message):
     out = tmp_path / "out"

@@ -67,8 +67,7 @@ def test_validate_choices():
     with pytest.raises(ConfigError, match="lambda"):
         RunConfig(lam="nan").validate_choices()
     for bad in ({"cv_k": 1}, {"cv_points": 0}, {"max_sweeps": 0},
-                {"max_gap_hours": -1}, {"seed": -1}, {"cv_ratio": 1.0}, {"cv_ratio": 2.0},
-                {"memory_budget_mb": 0}):
+                {"max_gap_hours": -1}, {"seed": -1}, {"cv_ratio": 1.0}, {"cv_ratio": 2.0}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             RunConfig(**bad).validate_choices()
@@ -136,8 +135,7 @@ CHOICES = {
     "cv_rule": ("min", "one_se"),
     "fold_mode": ("shuffled", "blocked"),
 }
-MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0,
-            "memory_budget_mb": 1}
+MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0}
 FLOAT_RANGES = {"tol": (0.0, math.inf), "cv_ratio": (0.0, 1.0)}  # open intervals
 # comma-separated lists: every non-blank item must be one of these names
 LISTS = {"report_methods": ("lasso-linear", "lasso-polynomial", "ridge", "mlr", "persistence")}

@@ -292,6 +292,8 @@ MALFORMED = {
     "negative col_std": (True, lambda m: _last_weight(m).update(col_std=-1.0),
                          "col_std -1.0 is not a finite number >= 0"),
     "nan col_std": (True, lambda m: _last_weight(m).update(col_std=float("nan")), "col_std nan"),
+    "repeated index": (False, lambda m: _last_weight(m).update(index=m["weights"][0]["index"]),
+                       "index 0 repeated"),
 }
 
 
@@ -343,6 +345,18 @@ def _refresh_digest(model):
     )
 
 
+def _standardization_entry(key, j, value):
+    """Set standardization ``key`` (entry ``j`` of it, unless None) to
+    ``value`` and recompute the digest, so only the value check can object."""
+    def edit(model):
+        if j is None:
+            model["standardization"][key] = value
+        else:
+            model["standardization"][key][j] = value
+        _refresh_digest(model)
+    return edit
+
+
 MALFORMED_STRUCTURE = {
     "standardization not an object": (lambda m: m.update(standardization=[1.0]),
                                       "standardization is not an object"),
@@ -353,6 +367,20 @@ MALFORMED_STRUCTURE = {
                         "standardization.kept is not a list"),
     "kept past mu": (lambda m: (m["standardization"].update(kept=[0, 2]), _refresh_digest(m)),
                      "do not match the 2 columns of mu"),
+    "nan mu": (_standardization_entry("mu", 0, float("nan")),
+               "standardization.mu[0] nan is not a finite number"),
+    "infinite sigma": (_standardization_entry("sigma", 1, float("inf")),
+                       "standardization.sigma[1] inf is not a finite number"),
+    "zero sigma at a kept column": (_standardization_entry("sigma", 1, 0.0),
+                                    "standardization.sigma[1] 0.0 is not a finite number > 0"),
+    "negative sigma at a kept column": (_standardization_entry("sigma", 0, -1.0),
+                                        "standardization.sigma[0] -1.0 is not a finite number > 0"),
+    "infinite y_mu": (_standardization_entry("y_mu", None, float("inf")),
+                      "standardization.y_mu inf is not a finite number"),
+    "nan y_sigma": (_standardization_entry("y_sigma", None, float("nan")),
+                    "standardization.y_sigma nan is not a finite number"),
+    "zero y_sigma": (_standardization_entry("y_sigma", None, 0.0),
+                     "standardization.y_sigma 0.0 is not a finite number > 0"),
     "weights not a list": (lambda m: m.update(weights={"0": 1.0}), "weights is not a list"),
     "entry not an object": (lambda m: m["weights"].append(0.5), "weights[2] is not an object"),
     "unknown expansion": (lambda m: m.update(expansion="quadratic"),
