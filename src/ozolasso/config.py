@@ -42,7 +42,7 @@ class RunConfig:
     variant: str = "max"
     target_mode: str = "delta"
     expansion: str = "linear"
-    method: str = "lasso"  # the train command's fit
+    method: str = "lasso"  # the fit of train, and the path cv scores
     train_start: str = ""
     train_end: str = ""
     test_start: str = ""

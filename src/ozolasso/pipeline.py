@@ -167,10 +167,15 @@ def cross_validate(config: RunConfig, design, y, fit_path=None) -> selection.CvR
     )
 
 
-def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: str):
-    """Fit one method on the training data; returns (model dict, CvResult|None)."""
+def check_method(method: str, expansion: str) -> None:
+    """Only the Lasso fits the polynomial expansion."""
     if expansion == "polynomial" and method != "lasso":
         raise PipelineError("polynomial expansion is only solved by the lasso")
+
+
+def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: str):
+    """Fit one method on the training data; returns (model dict, CvResult|None)."""
+    check_method(method, expansion)
     design = build_design(data, expansion)
     expanded = design if expansion == "polynomial" else None
 

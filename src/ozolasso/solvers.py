@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, lapack, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 
 LAMBDA_CONVENTION = "eq7-halflambda"
 COND_WARN_THRESHOLD = 1e12
@@ -209,48 +209,70 @@ def _ridge_solve(design, y, lam, fit_intercept, method) -> ModelFit:
 
 
 def ridge_path(design, y: np.ndarray, grid, fit_intercept: bool = True) -> list[ModelFit]:
-    """fit_ridge at each lambda > 0 of the grid, from one symmetric
-    eigendecomposition X'X = V diag(d) V' (ESL 3.4.1): beta = V (z / s) with
-    z = V'X'y and s = d + n*lambda, refined once on its residual, the whole
-    grid in each product. lambda = 0 is fit_ols.
+    """fit_ridge at each lambda > 0 of the grid, from one Householder
+    tridiagonalization Q'X'XQ = T per call (Golub & Van Loan, Matrix
+    Computations, 8.3.1): beta = Q w, where (T + n*lambda*I) w = Q'X'y is
+    one tridiagonal solve per distinct lambda (the ridge solution of ESL
+    3.4.1, there written through the SVD of X). lambda = 0 is fit_ols.
 
+    The eigenvalues d of T (dsterf, no eigenvectors) give s = d + n*lambda.
     Warns, naming the caller's line, when the exact 2-norm condition
     max(s) / min(s) passes COND_WARN_THRESHOLD. Raises SingularDesignError
     when min(s) <= 0, which rounding in d can give at a tiny lambda on a
-    rank-deficient design.
+    rank-deficient design, or when the tridiagonal solve finds
+    T + n*lambda*I not positive definite.
     """
     grid = [float(lam) for lam in grid]
     if not all(0.0 < lam < math.inf for lam in grid):
         raise SolverError("ridge_path takes finite lambda > 0; lambda = 0 is fit_ols")
     yc, beta0 = _center(y, fit_intercept)
     X = design.block(0, design.shape[1])
-    n = X.shape[0]
-    # A.T is the symmetric A in the column order LAPACK reads, so the evr
-    # driver works in place: a copy of X'X, or syevd's 2p^2 workspace, would
-    # raise peak memory by one or two more p x p matrices
-    A = X.T @ X
-    d, V = eigh(A.T, overwrite_a=True, check_finite=False, driver="evr")
-    # one row per distinct lambda, so equal lambdas give equal bits wherever
-    # they sit in the grid
+    n, p = X.shape
+    b = X.T @ yc
+    # X'X is symmetric, so its transpose is X'X in the column order LAPACK
+    # reads and is reduced in place: T's diagonal t and off-diagonal e, and
+    # Q's reflectors below e. With the queried workspace dsytrd blocks its
+    # updates; with the default (p) it took 1.8 times as long at p = 938
+    # (one BLAS thread).
+    lwork = int(lapack.dsytrd_lwork(p, lower=1)[0])
+    H, t, e, tau, _ = lapack.dsytrd((X.T @ X).T, lower=1, lwork=lwork, overwrite_a=1)
+    d, info = lapack.dsterf(t, e) if p > 1 else (t, 0)  # ascending
+    if info > 0:
+        raise SolverError(f"the eigenvalues of X'X did not converge (dsterf info {info})")
+    # one solve per distinct lambda, so equal lambdas give equal bits
+    # wherever they sit in the grid
     lams, at = np.unique(grid, return_inverse=True)
     at = at.tolist()
-    S = n * lams[:, None] + d  # each row ascending, as d is
     for lam, i in zip(grid, at):
-        s = S[i]
-        if not s[0] > 0:
+        s_min, s_max = d[0] + n * lams[i], d[-1] + n * lams[i]
+        if not s_min > 0:
             raise SingularDesignError(
                 f"X'X + n*lambda*I is not positive definite at lambda={lam!r}: "
-                f"smallest eigenvalue {s[0]:.3e}"
+                f"smallest eigenvalue {s_min:.3e}"
             )
-        _warn_if_ill_conditioned(s[-1] / s[0], stacklevel=2)
-    b = X.T @ yc
-    B = ((b @ V) / S) @ V.T
-    # One refinement step on the residual, formed from X (A was overwritten):
-    # evr's eigenvectors lose orthogonality, to ~1e-13, in a cluster of zero
-    # eigenvalues, which leaves more residual than a backward-stable solve.
-    R = b - ((B @ X.T) @ X + n * lams[:, None] * B)
-    B += ((R @ V) / S) @ V.T
-    return [ModelFit("ridge", lam, beta0, B[i]) for lam, i in zip(grid, at)]
+        _warn_if_ill_conditioned(s_max / s_min, stacklevel=2)
+    if p == 1:  # T = X'X and Q = I; scipy's dsterf and dptsv reject an empty e
+        return [ModelFit("ridge", lam, beta0, b / (t + n * lam)) for lam in grid]
+    # Q keeps row 0 and its reflectors, H[i+2:, i], act on rows 1:. They are
+    # read in place, with no p x p copy: V is H's buffer from H[1, 0] on, as
+    # a (p, p-1) column-major block whose first p-1 rows are H[1:, :-1];
+    # dormqr reads no further row. It is given its minimum workspace: at
+    # these widths its unblocked products are as fast.
+    V = H.T.reshape(-1)[1 : 1 + p * (p - 1)].reshape(p - 1, p).T
+    z = b.copy()
+    z[1:] = lapack.dormqr(b"L", b"T", V, tau, b[1:, None], 1)[0][:, 0]
+    W = np.empty((p, lams.size), order="F")
+    for j, lam in enumerate(lams.tolist()):
+        *_, w, info = lapack.dptsv(t + n * lam, e, z[:, None])
+        if info > 0:
+            raise SingularDesignError(
+                f"X'X + n*lambda*I is not positive definite at lambda={lam!r}: "
+                f"the tridiagonal solve failed at row {info} "
+                f"(smallest eigenvalue {d[0] + n * lam:.3e})"
+            )
+        W[:, j] = w[:, 0]
+    W[1:] = lapack.dormqr(b"L", b"N", V, tau, W[1:], lams.size)[0]
+    return [ModelFit("ridge", lam, beta0, W[:, i]) for lam, i in zip(grid, at)]
 
 
 # --- Lasso: the homotopy path ---

@@ -147,6 +147,44 @@ def test_cv_outputs(synth_dir, tmp_path):
     assert "lambda_min=" in summary and "chosen=" in summary
 
 
+def test_cv_follows_method_ridge(synth_dir, tmp_path):
+    """cv with method=ridge scores the ridge path: its table has no nonzero
+    column, differs from the Lasso table, and it chooses the lambda that
+    train with method=ridge fits."""
+    cv_args = ["--set", "cv_k=2", "--set", "cv_points=8", "--set", "cv_ratio=0.05"]
+    lasso, ridge, trained = tmp_path / "lasso", tmp_path / "ridge", tmp_path / "trained"
+    assert main(["cv"] + base_args(synth_dir, lasso, extra=cv_args)) == 0
+    ridge_args = cv_args + ["--set", "method=ridge"]
+    assert main(["cv"] + base_args(synth_dir, ridge, extra=ridge_args)) == 0
+    assert main(["train"] + base_args(synth_dir, trained, extra=ridge_args)) == 0
+    table = (ridge / "cv_table.csv").read_text()
+    assert table.splitlines()[0] == "lambda,cv_mean,cv_se"
+    assert len(table.splitlines()) == 9
+    assert table == (trained / "cv_table.csv").read_text()
+    lasso_rows = [line.split(",") for line in (lasso / "cv_table.csv").read_text().splitlines()]
+    ridge_rows = [line.split(",") for line in table.splitlines()]
+    assert [row[0] for row in ridge_rows] == [row[0] for row in lasso_rows]  # one grid
+    assert all(r[1] != l[1] for r, l in zip(ridge_rows[1:], lasso_rows[1:]))
+    model = json.loads((trained / "model.json").read_text())
+    assert f"chosen={model['lambda']!r}\n" in (ridge / "cv_summary.txt").read_text()
+
+
+def test_cv_rejects_mlr(synth_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["cv"] + base_args(synth_dir, out, extra=["--set", "method=mlr"])) == 1
+    assert capsys.readouterr().err == "error: method mlr has no lambda to cross-validate\n"
+    assert not (out / "cv_table.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+def test_polynomial_expansion_needs_the_lasso(synth_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    extra = ["--set", "method=ridge", "--expansion", "polynomial"]
+    assert main([command] + base_args(synth_dir, out, extra=extra)) == 1
+    assert capsys.readouterr().err == "error: polynomial expansion is only solved by the lasso\n"
+    assert not (out / "cv_table.csv").exists()
+
+
 def test_train_predict_evaluate_report(synth_dir, tmp_path):
     out = tmp_path / "out"
     args = base_args(synth_dir, out, extra=["--lambda", "0.0121"])

@@ -1,4 +1,4 @@
-"""Property test of the eigen ridge path on random dense designs.
+"""Property test of the tridiagonal ridge path on random dense designs.
 
 Shapes with n < p and n > p, rank-deficient designs (duplicated columns)
 and a grid drawn from [1e-6, 1e3]. Every point must be a ridge solution to
@@ -22,9 +22,11 @@ from ozolasso.solvers import DenseDesign, ridge_path
     duplicates=st.integers(0, 3),
     lams=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=6),
 )
-# without a refinement step, the eigenvectors' loss of orthogonality in the
-# zero-eigenvalue cluster left a residual 1.12 times the bound here
+# a cluster of zero eigenvalues (n < p and a duplicated column): an
+# eigenvector solve, unrefined, left a residual 1.12 times the bound here
 @example(seed=14913, n=21, p=36, duplicates=1, lams=[1.0])
+# one column: no off-diagonal, solved without the tridiagonal routines
+@example(seed=0, n=5, p=1, duplicates=0, lams=[1e-6, 1.0, 1e-6])
 def test_ridge_path_solves_each_lambda(seed, n, p, duplicates, lams):
     rng = np.random.default_rng(seed)
     X = standardized_matrix(rng, n, p)

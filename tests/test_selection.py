@@ -217,8 +217,8 @@ def test_blocked_fold_mode():
 
 def test_ridge_train_solves_once_and_cv_picks_the_cholesky_lambda(tmp_path, monkeypatch):
     """A ridge train with CV makes one Cholesky solve, the final fit: the CV
-    path comes from one eigendecomposition per fold. It picks the lambda that
-    a per-lambda Cholesky path over the same folds picks."""
+    path comes from one tridiagonal reduction per fold. It picks the lambda
+    that a per-lambda Cholesky path over the same folds picks."""
     write_files(SynthConfig(n_days=60, seed=9), tmp_path)
     config = RunConfig(
         pollutant_file=str(tmp_path / "pollutants.csv"),

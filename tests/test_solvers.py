@@ -95,8 +95,8 @@ def test_ridge_identity_design_value():
 
 
 def test_ridge_path_matches_one_solve_per_lambda():
-    """Each point of the eigen path is a ridge solution to the tolerances of
-    assert_ridge_solution, whatever the points before it."""
+    """Each point of the tridiagonal path is a ridge solution to the
+    tolerances of assert_ridge_solution, whatever the points before it."""
     rng = np.random.default_rng(4)
     X = standardized_matrix(rng, 30, 12)
     y = rng.normal(size=30)
@@ -129,6 +129,31 @@ def test_ridge_path_not_positive_definite_names_no_pivot():
             assert "pivot" not in str(exc)
             raised += 1
     assert raised > 0
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_ridge_path_at_one_and_two_columns(p):
+    """One column has no off-diagonal, two have one reflector: each point
+    is still a ridge solution, and equal lambdas give equal bits."""
+    rng = np.random.default_rng(6)
+    X = standardized_matrix(rng, 15, p)
+    y = X[:, 0] + rng.normal(size=15)
+    path = ridge_path(DenseDesign(X), y, [1e-6, 0.5, 1e-6])
+    for fit in path:
+        assert_ridge_solution(X, y, fit)
+    assert path[0].beta.tobytes() == path[2].beta.tobytes()
+
+
+def test_ridge_path_tridiagonal_solve_failure_names_no_pivot(monkeypatch):
+    """A tridiagonal solve that finds T + n*lambda*I not positive definite
+    raises SingularDesignError, which names no pivot."""
+    rng = np.random.default_rng(7)
+    X = standardized_matrix(rng, 20, 5)
+    monkeypatch.setattr(solvers.lapack, "dptsv", lambda d, e, b: (d, e, b, 3))
+    with pytest.raises(SingularDesignError) as exc:
+        ridge_path(DenseDesign(X), rng.normal(size=20), [0.1])
+    assert exc.value.pivot is None and "pivot" not in str(exc.value)
+    assert "not positive definite at lambda=0.1" in str(exc.value)
 
 
 def test_ridge_norm_shrinks_with_lambda():
