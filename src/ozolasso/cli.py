@@ -103,21 +103,15 @@ def _write_cv_table(path: Path, cv: selection.CvResult, nonzero=None) -> None:
 
 
 def cmd_cv(config: RunConfig) -> int:
-    if config.method == "mlr":
-        raise pipeline.PipelineError("method mlr has no lambda to cross-validate")
-    pipeline.check_method(config.method, config.expansion)
+    pipeline.check_method(config.method, config.expansion, cv=True)
     out = _out_dir(config)
     data, _ = pipeline.load_training(config)
     design = pipeline.build_design(data, config.expansion)
-    if config.method == "ridge":  # every ridge weight is nonzero: no nonzero column
-        cv = pipeline.cross_validate(config, design, data.y, solvers.ridge_path)
-        _write_cv_table(out / "cv_table.csv", cv)
-    else:
-        cv = pipeline.cross_validate(config, design, data.y)
-        fits = solvers.lasso_path(
-            design, data.y, cv.grid, tol=config.tol, max_sweeps=config.max_sweeps
-        )
-        _write_cv_table(out / "cv_table.csv", cv, [int(f.active_set.size) for f in fits])
+    cv = pipeline.cross_validate(config, design, data.y, config.method)
+    nonzero = None  # every ridge weight is nonzero: no nonzero column
+    if config.method == "lasso":
+        nonzero = [int(f.active_set.size) for f in solvers.lasso_path(design, data.y, cv.grid)]
+    _write_cv_table(out / "cv_table.csv", cv, nonzero)
     chosen = selection.select_lambda(cv, config.cv_rule)
     summary = "\n".join(
         [

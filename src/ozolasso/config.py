@@ -23,7 +23,7 @@ CHOICES = {
     "cv_rule": ("min", "one_se"),
     "fold_mode": ("shuffled", "blocked"),
 }
-MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0}
+MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_gap_hours": 0, "seed": 0}
 # report method -> (fit method, expansion); persistence fits nothing
 REPORT_METHODS = {
     "lasso-linear": ("lasso", "linear"),
@@ -54,8 +54,6 @@ class RunConfig:
     cv_rule: str = "min"
     seed: int = 0
     fold_mode: str = "shuffled"
-    tol: float = 1e-7
-    max_sweeps: int = 10000
     max_gap_hours: int = 3
     out_dir: str = "out"
     report_methods: str = "lasso-linear,lasso-polynomial,ridge,mlr,persistence"
@@ -102,14 +100,15 @@ class RunConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")
-        for method in self.report_method_names():
+        methods = self.report_method_names()
+        for i, method in enumerate(methods):
             if method not in REPORT_METHODS:
                 raise ConfigError(
                     f"report_methods: {method!r} is not one of {tuple(REPORT_METHODS)}")
-        for name in ("tol", "cv_ratio"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+            if method in methods[:i]:
+                raise ConfigError(f"report_methods: {method!r} is repeated")
+        if not math.isfinite(self.cv_ratio) or self.cv_ratio <= 0:
+            raise ConfigError(f"cv_ratio must be a finite number > 0, got {self.cv_ratio!r}")
         if self.cv_ratio >= 1:
             # the grid must descend from lambda_max: the 1-SE rule assumes it
             raise ConfigError(f"cv_ratio must be < 1, got {self.cv_ratio!r}")

@@ -212,6 +212,8 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
         for name in needed:
             if name not in header:
                 raise IngestError(f"{path}: malformed header, missing column {name!r}")
+            if header.count(name) > 1:
+                raise IngestError(f"{path}: malformed header, column {name!r} repeated")
         # A header over more than one line is quoted. The rest is decoded in
         # the 8 KiB chunks the csv parse reads, so a bad byte raises the same
         # error.

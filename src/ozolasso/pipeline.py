@@ -6,7 +6,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 from dataclasses import dataclass
@@ -142,33 +141,39 @@ def build_design(data: TrainingData, expansion: str):
     return ExpandedDesign.fit(data.base)
 
 
-def choose_lambda(config: RunConfig, design, y, fit_path=None):
+def _cv_path(method: str):
+    """The path that cross-validates ``method``'s lambda, looked up at the
+    call so that a wrapped solver is the one called; mlr fits no lambda."""
+    paths = {"lasso": solvers.lasso_path, "ridge": solvers.ridge_path}
+    if method not in paths:
+        raise PipelineError(f"method {method} has no lambda to cross-validate")
+    return paths[method]
+
+
+def choose_lambda(config: RunConfig, design, y, method: str):
     """(lambda, CvResult | None) per the config: explicit value or CV."""
     explicit = config.lambda_value()
     if explicit is not None:
         return explicit, None
-    cv = cross_validate(config, design, y, fit_path)
+    cv = cross_validate(config, design, y, method)
     return selection.select_lambda(cv, config.cv_rule), cv
 
 
-def cross_validate(config: RunConfig, design, y, fit_path=None) -> selection.CvResult:
-    """k-fold CV over the configured grid, descending from lambda_max.
-
-    ``fit_path`` defaults to the Lasso path at the configured tolerance.
-    """
-    if fit_path is None:
-        fit_path = functools.partial(
-            solvers.lasso_path, tol=config.tol, max_sweeps=config.max_sweeps
-        )
+def cross_validate(config: RunConfig, design, y, method: str) -> selection.CvResult:
+    """k-fold CV of ``method`` over the configured grid, descending from
+    lambda_max."""
     grid = selection.make_lambda_grid(design, y, config.cv_points, config.cv_ratio)
     return selection.kfold_cv(
         design, y, config.cv_k, grid, config.seed,
-        fit_path=fit_path, fold_mode=config.fold_mode,
+        fit_path=_cv_path(method), fold_mode=config.fold_mode,
     )
 
 
-def check_method(method: str, expansion: str) -> None:
-    """Only the Lasso fits the polynomial expansion."""
+def check_method(method: str, expansion: str, cv: bool = False) -> None:
+    """Only the Lasso fits the polynomial expansion, and, for ``cv``, only
+    a method with a lambda can be cross-validated."""
+    if cv:
+        _cv_path(method)
     if expansion == "polynomial" and method != "lasso":
         raise PipelineError("polynomial expansion is only solved by the lasso")
 
@@ -181,15 +186,12 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
 
     cv = None
     if method == "lasso":
-        lam, cv = choose_lambda(config, design, data.y)
-        fit = solvers.fit_lasso(
-            design, data.y,
-            solvers.LassoConfig(lam=lam, tol=config.tol, max_sweeps=config.max_sweeps),
-        )
+        lam, cv = choose_lambda(config, design, data.y, method)
+        fit = solvers.fit_lasso(design, data.y, solvers.LassoConfig(lam=lam))
         if not fit.converged:
             logger.warning("lasso did not converge in %d kinks", fit.sweeps_used)
     elif method == "ridge":
-        lam, cv = choose_lambda(config, design, data.y, solvers.ridge_path)
+        lam, cv = choose_lambda(config, design, data.y, method)
         fit = solvers.fit_ridge(design, data.y, lam)
     elif method == "mlr":
         fit = solvers.fit_ols(design, data.y)
@@ -200,7 +202,7 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
         fit, data.params, data.kept_names, data.all_names,
         variant=config.variant, expansion=expansion, target_mode=config.target_mode,
         design=expanded,
-        solver_meta={"tol": config.tol, "max_sweeps": config.max_sweeps, "seed": config.seed},
+        solver_meta={"tol": solvers.TOL, "max_sweeps": solvers.MAX_SWEEPS, "seed": config.seed},
     )
     return model, cv, fit
 

@@ -18,7 +18,9 @@ from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 
 LAMBDA_CONVENTION = "eq7-halflambda"
 COND_WARN_THRESHOLD = 1e12
+TOL = 1e-7
 KKT_TOL_FACTOR = 10.0  # certificate tolerance, in units of tol
+MAX_SWEEPS = 10_000  # the kinks a homotopy may pass
 
 
 class SolverError(Exception):
@@ -37,8 +39,8 @@ class SingularDesignError(SolverError):
 @dataclass
 class LassoConfig:
     lam: float
-    tol: float = 1e-7
-    max_sweeps: int = 10_000
+    tol: float = TOL
+    max_sweeps: int = MAX_SWEEPS
 
     def __post_init__(self):
         if not math.isfinite(self.lam) or self.lam < 0:
@@ -523,8 +525,8 @@ def lasso_path(
     design,
     y: np.ndarray,
     grid: np.ndarray,
-    tol: float = 1e-7,
-    max_sweeps: int = 10_000,
+    tol: float = TOL,
+    max_sweeps: int = MAX_SWEEPS,
 ) -> Iterator[ModelFit]:
     """Fits along a descending lambda grid from one homotopy, yielded as the
     path reaches each lambda; the grid is validated before this returns.

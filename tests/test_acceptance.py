@@ -80,7 +80,7 @@ def synth_run(tmp_path_factory):
     rows, schema = pipeline.build_rows(cfg)
     train_rows, test_rows = pipeline.split_rows(cfg, rows)
     data = pipeline.prepare_training(cfg, train_rows, schema)
-    lam, _ = pipeline.choose_lambda(cfg, DenseDesign(data.base), data.y)
+    lam, _ = pipeline.choose_lambda(cfg, DenseDesign(data.base), data.y, "lasso")
     fit = fit_lasso(DenseDesign(data.base), data.y, LassoConfig(lam=lam))
     ridge = fit_ridge(DenseDesign(data.base), data.y, lam)
     model = modelio.build_model_dict(

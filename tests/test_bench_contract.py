@@ -11,17 +11,21 @@ the benchmark.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import typing
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ozolasso import ingest, pipeline
+from ozolasso import ingest, pipeline, solvers, synth
+from ozolasso.cli import main
 from ozolasso.config import RunConfig
+from ozolasso.solvers import LassoConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -135,3 +139,34 @@ def test_hooks_read_attributes_the_results_have():
         fields = {f.name for f in dataclasses.fields(returned)} if dataclasses.is_dataclass(returned) else set()
         for attr in attrs:
             assert attr in fields or hasattr(returned, attr), f"{name} result has no {attr}"
+
+
+@pytest.mark.parametrize("max_sweeps", [solvers.MAX_SWEEPS, 1])
+def test_lasso_model_holds_the_threshold_that_certified_it(tmp_path, monkeypatch, max_sweeps):
+    """``check_outputs`` in perfbench/run.py rebuilds a Lasso model's
+    certificate threshold as LassoConfig(lam=..., tol=solver.tol).kkt_tol:
+    model.json must record the solver's constants, and that threshold must
+    be the one its fit was certified against, converged or not."""
+    synth.write_files(synth.SynthConfig(n_days=60, seed=9), tmp_path / "data")
+    if max_sweeps != solvers.MAX_SWEEPS:  # a fit cut short, which must fail its certificate
+        monkeypatch.setattr(solvers, "LassoConfig",
+                            functools.partial(LassoConfig, max_sweeps=max_sweeps))
+    certified, thresholds = solvers._certified, []
+
+    def spy(*args, **kwargs):
+        thresholds.append(inspect.signature(certified).bind(*args, **kwargs).arguments["kkt_tol"])
+        return certified(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_certified", spy)
+    assert main(["train", "--lambda", "0.0121", "--out-dir", str(tmp_path / "out"),
+                 "--set", f"pollutant_file={tmp_path / 'data' / 'pollutants.csv'}",
+                 "--set", f"meteo_file={tmp_path / 'data' / 'meteorology.csv'}",
+                 "--set", "train_start=2015-01-01", "--set", "train_end=2015-02-17",
+                 "--set", "test_start=2015-02-18", "--set", "test_end=2015-03-01"]) == 0
+    model = json.loads((tmp_path / "out" / "model.json").read_text())
+    solver = model["solver"]
+    assert (solver["tol"], solver["max_sweeps"]) == (solvers.TOL, solvers.MAX_SWEEPS)
+    kkt_tol = LassoConfig(lam=model["lambda"], tol=solver["tol"]).kkt_tol
+    assert thresholds == [kkt_tol]
+    worst = max(model["kkt"]["zero_violation"], model["kkt"]["active_violation"])
+    assert solver["converged"] == (worst <= kkt_tol) == (max_sweeps == solvers.MAX_SWEEPS)

@@ -1,12 +1,13 @@
 """Integration tests driving the command-line interface end to end."""
 
 import csv
+import functools
 import io
 import json
 
 import pytest
 
-from ozolasso import pipeline
+from ozolasso import pipeline, solvers
 from ozolasso.cli import SHORTCUTS, main
 from ozolasso.config import RunConfig
 from ozolasso.features import FeatureDescriptor
@@ -170,8 +171,10 @@ def test_cv_follows_method_ridge(synth_dir, tmp_path):
 
 
 def test_cv_rejects_mlr(synth_dir, tmp_path, capsys):
+    """Before any input is read: the pollutant file here does not exist."""
     out = tmp_path / "out"
-    assert main(["cv"] + base_args(synth_dir, out, extra=["--set", "method=mlr"])) == 1
+    extra = ["--set", "method=mlr", "--set", f"pollutant_file={tmp_path / 'absent.csv'}"]
+    assert main(["cv"] + base_args(synth_dir, out, extra=extra)) == 1
     assert capsys.readouterr().err == "error: method mlr has no lambda to cross-validate\n"
     assert not (out / "cv_table.csv").exists()
 
@@ -284,13 +287,15 @@ def test_split_checked_before_any_input_is_read(synth_dir, tmp_path, capsys, com
 @pytest.mark.parametrize("extra, field", [
     (["--lambda", "nan"], "lambda"),
     (["--lambda", "inf"], "lambda"),
-    (["--set", "tol=nan"], "tol"),
+    # no longer a key: rejected as unknown before its value is read
+    (["--set", "tol=nan"], "unknown config key 'tol'"),
     (["--set", "cv_ratio=inf"], "cv_ratio"),
 ])
 def test_non_finite_numbers_rejected(synth_dir, tmp_path, capsys, extra, field):
     out = tmp_path / "out"
     assert main(["train"] + base_args(synth_dir, out, extra=extra)) == 1
-    assert f"error: {field} must be a finite number" in capsys.readouterr().err
+    message = field if field.startswith("unknown") else f"{field} must be a finite number"
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "model.json").exists()
 
 
@@ -299,11 +304,11 @@ def test_non_finite_numbers_rejected(synth_dir, tmp_path, capsys, extra, field):
     (["--set", "cv_k=1"], "cv_k must be >= 2"),
     (["--set", "cv_points=0"], "cv_points must be >= 1"),
     (["--set", "cv_ratio=2"], "cv_ratio must be < 1"),
-    (["--set", "max_sweeps=0"], "max_sweeps must be >= 1"),
+    (["--set", "max_sweeps=0"], "unknown config key 'max_sweeps'"),
     (["--set", "max_gap_hours=-1"], "max_gap_hours must be >= 0"),
     (["--seed", "-1"], "seed must be >= 0"),
-    (["--set", "tol=small"], "tol must be of type float"),
-    # no longer a key: a config that still sets it fails instead of being ignored
+    (["--set", "tol=small"], "unknown config key 'tol'"),
+    # no longer keys: a config that still sets one fails instead of being ignored
     (["--set", "memory_budget_mb=1"], "unknown config key 'memory_budget_mb'"),
 ])
 def test_out_of_range_numbers_rejected(synth_dir, tmp_path, capsys, extra, message):
@@ -365,12 +370,24 @@ def test_report_rejects_an_unknown_method_before_any_fit(synth_dir, tmp_path, ca
     assert not out.exists()
 
 
-def test_report_shows_an_uncertified_lasso_as_a_failed_row(synth_dir, tmp_path):
-    """A lasso fit that stops before it converges gets a failed row, and no
-    weights file or top-weights block."""
+def test_report_rejects_a_repeated_method_before_any_fit(synth_dir, tmp_path, capsys):
     out = tmp_path / "out"
     args = base_args(synth_dir, out, extra=[
-        "--lambda", "0.0121", "--set", "max_sweeps=1",
+        "--lambda", "0.0121", "--set", "report_methods=ridge, persistence,ridge",
+        "--set", f"pollutant_file={tmp_path / 'absent.csv'}",
+    ])
+    assert main(["report"] + args) == 1
+    assert capsys.readouterr().err == "error: report_methods: 'ridge' is repeated\n"
+    assert not out.exists()
+
+
+def test_report_shows_an_uncertified_lasso_as_a_failed_row(synth_dir, tmp_path, monkeypatch):
+    """A lasso fit that stops before it converges gets a failed row, and no
+    weights file or top-weights block."""
+    monkeypatch.setattr(solvers, "LassoConfig", functools.partial(solvers.LassoConfig, max_sweeps=1))
+    out = tmp_path / "out"
+    args = base_args(synth_dir, out, extra=[
+        "--lambda", "0.0121",
         "--set", "report_methods=lasso-linear,ridge,persistence",
     ])
     assert main(["report"] + args) == 0

@@ -60,18 +60,16 @@ def test_validate_choices():
         RunConfig(variant="max1h").validate_choices()
     with pytest.raises(ConfigError, match="cv_rule"):
         RunConfig(cv_rule="median").validate_choices()
-    with pytest.raises(ConfigError, match="tol"):
-        RunConfig(tol=float("nan")).validate_choices()
     with pytest.raises(ConfigError, match="cv_ratio"):
         RunConfig(cv_ratio=float("inf")).validate_choices()
     with pytest.raises(ConfigError, match="lambda"):
         RunConfig(lam="nan").validate_choices()
-    for bad in ({"cv_k": 1}, {"cv_points": 0}, {"max_sweeps": 0},
+    for bad in ({"cv_k": 1}, {"cv_points": 0},
                 {"max_gap_hours": -1}, {"seed": -1}, {"cv_ratio": 1.0}, {"cv_ratio": 2.0}):
         (name,) = bad
         with pytest.raises(ConfigError, match=name):
             RunConfig(**bad).validate_choices()
-    RunConfig(cv_k=2, cv_points=1, max_sweeps=1, max_gap_hours=0, cv_ratio=0.999).validate_choices()
+    RunConfig(cv_k=2, cv_points=1, max_gap_hours=0, cv_ratio=0.999).validate_choices()
 
 
 def test_load_config(tmp_path):
@@ -93,6 +91,10 @@ def test_load_config(tmp_path):
     path.write_text("granularity=hourly\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(path)
+    for removed in ("tol=1e-07", "max_sweeps=10000"):  # solver constants, not keys
+        path.write_text(removed + "\n")
+        with pytest.raises(ConfigError, match=f"unknown config key {removed.split('=')[0]!r}"):
+            load_config(path)
     path.write_text("variant max\n")
     with pytest.raises(ConfigError, match="key=value"):
         load_config(path)
@@ -102,13 +104,13 @@ def test_set_option_type_coercion():
     cfg = RunConfig()
     set_option(cfg, "seed", "7")
     assert cfg.seed == 7
-    set_option(cfg, "tol", "1e-9")
-    assert cfg.tol == 1e-9
+    set_option(cfg, "cv_ratio", "1e-3")
+    assert cfg.cv_ratio == 1e-3
     set_option(cfg, "lam", "cv")
     assert cfg.lam == "cv"
     with pytest.raises(ConfigError):
         set_option(cfg, "nope", "1")
-    for key, value in (("cv_k", "abc"), ("cv_k", "2.5"), ("tol", "tiny")):
+    for key, value in (("cv_k", "abc"), ("cv_k", "2.5"), ("cv_ratio", "tiny")):
         with pytest.raises(ConfigError, match=f"{key} must be of type"):
             set_option(cfg, key, value)
     assert cfg.cv_k == 5
@@ -116,7 +118,7 @@ def test_set_option_type_coercion():
 
 def test_effective_config_round_trip(tmp_path):
     cfg = RunConfig(variant="max8h", lam="0.0118", cv_ratio=1.0 / 3.0,
-                    tol=3e-8, seed=11, train_start="2015-01-01",
+                    seed=11, train_start="2015-01-01",
                     train_end="2015-06-30", out_dir="some/dir")
     path = tmp_path / "effective.cfg"
     write_effective_config(cfg, path)
@@ -135,9 +137,10 @@ CHOICES = {
     "cv_rule": ("min", "one_se"),
     "fold_mode": ("shuffled", "blocked"),
 }
-MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_sweeps": 1, "max_gap_hours": 0, "seed": 0}
-FLOAT_RANGES = {"tol": (0.0, math.inf), "cv_ratio": (0.0, 1.0)}  # open intervals
-# comma-separated lists: every non-blank item must be one of these names
+MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_gap_hours": 0, "seed": 0}
+FLOAT_RANGES = {"cv_ratio": (0.0, 1.0)}  # open intervals
+# comma-separated lists: every non-blank item must be one of these names, and
+# no name may come twice
 LISTS = {"report_methods": ("lasso-linear", "lasso-polynomial", "ridge", "mlr", "persistence")}
 FREE_TEXT = ("pollutant_file", "meteo_file", "forecast_file", "train_start", "train_end",
              "test_start", "test_end", "out_dir")
@@ -162,7 +165,8 @@ def accepted(key: str, text: str) -> bool:
         low, high = FLOAT_RANGES[key]
         return low < value < high
     if key in LISTS:
-        return all(item.strip() in LISTS[key] for item in value.split(",") if item.strip())
+        items = [item.strip() for item in value.split(",") if item.strip()]
+        return all(item in LISTS[key] for item in items) and len(set(items)) == len(items)
     if key == "lam":
         if value == "cv":
             return True

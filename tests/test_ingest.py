@@ -155,6 +155,18 @@ def test_missing_header_column(tmp_path):
         parse_hourly_file(path, POLLUTANTS)
 
 
+@pytest.mark.parametrize("row", [
+    "2016-07-01,0,1,2,3,4,7,0.2,8,99",  # the numpy tokenizer, numbers as float
+    "2016-07-01,0,1,2,3,4,7,0.2,,99",  # a blank cell: the tokenizer, numbers as str
+    '2016-07-01,0,1,2,3,4,7,0.2,8,"99"',  # a quote: the csv parse
+])
+def test_repeated_header_column(tmp_path, row):
+    """A needed column named twice is rejected, not read from its first copy."""
+    path = write(tmp_path, POL_HEADER + ",o3\n" + row + "\n")
+    with pytest.raises(IngestError, match="malformed header, column 'o3' repeated"):
+        parse_hourly_file(path, POLLUTANTS)
+
+
 def test_empty_file(tmp_path):
     path = write(tmp_path, "")
     with pytest.raises(IngestError, match="header row required"):
