@@ -103,7 +103,7 @@ def _write_cv_table(path: Path, cv: selection.CvResult, nonzero=None) -> None:
 
 
 def cmd_cv(config: RunConfig) -> int:
-    pipeline.check_method(config.method, config.expansion, cv=True)
+    pipeline.cv_path(config.method)  # mlr is rejected before any input is read
     out = _out_dir(config)
     data, _ = pipeline.load_training(config)
     design = pipeline.build_design(data, config.expansion)
@@ -128,7 +128,8 @@ def cmd_cv(config: RunConfig) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     out = _out_dir(config)
-    model, cv, _ = pipeline.train(config)
+    data, _ = pipeline.load_training(config)
+    model, cv, _ = pipeline.fit_method(config, data, config.method, config.expansion)
     modelio.save_model(model, out / "model.json")
     write_effective_config(config, out / "effective_config.cfg")
     if cv is not None:
@@ -239,7 +240,8 @@ def cmd_report(config: RunConfig) -> int:
         if note:
             results.append(evaluation.MethodResult(method, None, None, None, note=note))
             continue
-        metrics = pipeline.evaluate_method_on_test(model, test_rows)
+        dates, obs, pred = pipeline.predict_series(model, test_rows)
+        metrics = evaluation.evaluate_predictions(pred, obs, dates)
         results.append(
             evaluation.MethodResult(method, metrics, len(model["weights"]), fit.beta.size)
         )

@@ -24,7 +24,8 @@ CHOICES = {
     "fold_mode": ("shuffled", "blocked"),
 }
 MINIMUMS = {"cv_k": 2, "cv_points": 1, "max_gap_hours": 0, "seed": 0}
-# report method -> (fit method, expansion); persistence fits nothing
+# report method -> (fit method, expansion); persistence fits nothing. Its
+# values are the only (method, expansion) pairs a config may set.
 REPORT_METHODS = {
     "lasso-linear": ("lasso", "linear"),
     "lasso-polynomial": ("lasso", "polynomial"),
@@ -100,6 +101,8 @@ class RunConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")
+        if (self.method, self.expansion) not in REPORT_METHODS.values():
+            raise ConfigError("polynomial expansion is only solved by the lasso")
         methods = self.report_method_names()
         for i, method in enumerate(methods):
             if method not in REPORT_METHODS:
@@ -136,17 +139,22 @@ def set_item(config: RunConfig, item: str, where: str) -> None:
     if "=" not in item:
         raise ConfigError(f"{where}: expected key=value, got {item!r}")
     key, _, value = item.partition("=")
-    set_option(config, key.strip(), value.strip())
+    set_option(config, key.strip(), value)
 
 
 def set_option(config: RunConfig, key: str, value: str) -> None:
+    """Set ``key`` to ``value`` parsed by its type; the config file that
+    ``write_effective_config`` writes reparses to the same value."""
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
     kind = _FIELD_TYPES[key]
+    value = value.strip()
     try:
         parsed = kind(value)
     except ValueError:
         raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    if kind is str and "".join(parsed.splitlines()) != parsed:
+        raise ConfigError(f"{key} must be one line, got {value!r}")
     setattr(config, key, parsed)
 
 

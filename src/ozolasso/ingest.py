@@ -199,9 +199,6 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
     tokenizer, numbers as str" or "csv parse, for <why>".
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -62,10 +62,11 @@ def build_model_dict(
     variant: str,
     expansion: str,
     target_mode: str,
-    design: ExpandedDesign | None = None,
+    design: DenseDesign | ExpandedDesign | None = None,
     solver_meta: dict | None = None,
 ) -> dict:
-    """Assemble the persistable model document from a fit."""
+    """Assemble the persistable model document from a fit. ``design`` is
+    the fit's design, read only for a polynomial expansion."""
     if expansion == "polynomial" and design is None:
         raise ModelIOError("polynomial model requires its expanded design")
     weights = []

@@ -13,11 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, ingest, modelio, parallel, selection, solvers
+from . import ingest, modelio, parallel, selection, solvers
 from .config import ConfigError, RunConfig
 from .expansion import ExpandedDesign, expansion_size
 from .features import (
-    FeatureError,
     FeatureRows,
     StandardizationParams,
     apply_standardizer,
@@ -111,12 +110,9 @@ class TrainingData:
 
 
 def prepare_training(config: RunConfig, train_rows: FeatureRows, schema) -> TrainingData:
+    y_raw = train_rows.target_raw
     if config.target_mode == "delta":
-        y_raw = train_rows.target_raw - train_rows.current_anchor
-    elif config.target_mode == "direct":
-        y_raw = train_rows.target_raw
-    else:
-        raise FeatureError(f"unknown target mode {config.target_mode!r}")
+        y_raw = y_raw - train_rows.current_anchor
     params = fit_standardizer(train_rows.x, y_raw)
     base, y = apply_standardizer(params, train_rows.x, y_raw)
     all_names = [d.name for d in schema]
@@ -141,7 +137,7 @@ def build_design(data: TrainingData, expansion: str):
     return ExpandedDesign.fit(data.base)
 
 
-def _cv_path(method: str):
+def cv_path(method: str):
     """The path that cross-validates ``method``'s lambda, looked up at the
     call so that a wrapped solver is the one called; mlr fits no lambda."""
     paths = {"lasso": solvers.lasso_path, "ridge": solvers.ridge_path}
@@ -165,25 +161,14 @@ def cross_validate(config: RunConfig, design, y, method: str) -> selection.CvRes
     grid = selection.make_lambda_grid(design, y, config.cv_points, config.cv_ratio)
     return selection.kfold_cv(
         design, y, config.cv_k, grid, config.seed,
-        fit_path=_cv_path(method), fold_mode=config.fold_mode,
+        fit_path=cv_path(method), fold_mode=config.fold_mode,
     )
 
 
-def check_method(method: str, expansion: str, cv: bool = False) -> None:
-    """Only the Lasso fits the polynomial expansion, and, for ``cv``, only
-    a method with a lambda can be cross-validated."""
-    if cv:
-        _cv_path(method)
-    if expansion == "polynomial" and method != "lasso":
-        raise PipelineError("polynomial expansion is only solved by the lasso")
-
-
 def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: str):
-    """Fit one method on the training data; returns (model dict, CvResult|None)."""
-    check_method(method, expansion)
+    """Fit one of the ``REPORT_METHODS`` pairs on the training data; returns
+    (model dict, CvResult | None, fit)."""
     design = build_design(data, expansion)
-    expanded = design if expansion == "polynomial" else None
-
     cv = None
     if method == "lasso":
         lam, cv = choose_lambda(config, design, data.y, method)
@@ -193,33 +178,18 @@ def fit_method(config: RunConfig, data: TrainingData, method: str, expansion: st
     elif method == "ridge":
         lam, cv = choose_lambda(config, design, data.y, method)
         fit = solvers.fit_ridge(design, data.y, lam)
-    elif method == "mlr":
+    else:  # mlr
         fit = solvers.fit_ols(design, data.y)
-    else:
-        raise PipelineError(f"unknown method {method!r}")
 
     model = modelio.build_model_dict(
         fit, data.params, data.kept_names, data.all_names,
         variant=config.variant, expansion=expansion, target_mode=config.target_mode,
-        design=expanded,
+        design=design,
         solver_meta={"tol": solvers.TOL, "max_sweeps": solvers.MAX_SWEEPS, "seed": config.seed},
     )
     return model, cv, fit
 
 
-def train(config: RunConfig):
-    """Full training chain on a checked config; returns (model dict,
-    CvResult|None, test rows)."""
-    data, test_rows = load_training(config)
-    model, cv, _ = fit_method(config, data, config.method, config.expansion)
-    return model, cv, test_rows
-
-
 def predict_series(model: dict, rows: FeatureRows):
     """(dates, observed, predicted) on raw rows."""
     return rows.dates.tolist(), rows.target_raw, modelio.predict_rows(model, rows)
-
-
-def evaluate_method_on_test(model: dict, test_rows) -> evaluation.EvalMetrics:
-    dates, obs, pred = predict_series(model, test_rows)
-    return evaluation.evaluate_predictions(pred, obs, dates)

@@ -179,13 +179,18 @@ def test_cv_rejects_mlr(synth_dir, tmp_path, capsys):
     assert not (out / "cv_table.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("command", ["cv", "train", "ingest", "featurize", "predict", "report"])
 def test_polynomial_expansion_needs_the_lasso(synth_dir, tmp_path, capsys, command):
+    """The pair is rejected as the config is checked, before any input
+    file is read: the pollutant file is missing."""
     out = tmp_path / "out"
-    extra = ["--set", "method=ridge", "--expansion", "polynomial"]
+    extra = ["--set", "method=ridge", "--expansion", "polynomial",
+             "--set", f"pollutant_file={tmp_path / 'missing.csv'}"]
+    if command == "predict":
+        extra += ["--model", str(tmp_path / "model.json")]
     assert main([command] + base_args(synth_dir, out, extra=extra)) == 1
     assert capsys.readouterr().err == "error: polynomial expansion is only solved by the lasso\n"
-    assert not (out / "cv_table.csv").exists()
+    assert not out.exists()
 
 
 def test_train_predict_evaluate_report(synth_dir, tmp_path):

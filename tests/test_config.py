@@ -1,7 +1,9 @@
 """Configuration parsing, validation, and round-tripping."""
 
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,10 @@ def test_validate_choices():
         with pytest.raises(ConfigError, match=name):
             RunConfig(**bad).validate_choices()
     RunConfig(cv_k=2, cv_points=1, max_gap_hours=0, cv_ratio=0.999).validate_choices()
+    RunConfig(method="lasso", expansion="polynomial").validate_choices()
+    for method in ("ridge", "mlr"):
+        with pytest.raises(ConfigError, match="polynomial expansion is only solved by the lasso"):
+            RunConfig(method=method, expansion="polynomial").validate_choices()
 
 
 def test_load_config(tmp_path):
@@ -114,6 +120,9 @@ def test_set_option_type_coercion():
         with pytest.raises(ConfigError, match=f"{key} must be of type"):
             set_option(cfg, key, value)
     assert cfg.cv_k == 5
+    with pytest.raises(ConfigError, match=r"out_dir must be one line, got 'a\\nlam=0.5'"):
+        set_option(cfg, "out_dir", "a\nlam=0.5")
+    assert cfg.out_dir == "out"
 
 
 def test_effective_config_round_trip(tmp_path):
@@ -144,6 +153,8 @@ FLOAT_RANGES = {"cv_ratio": (0.0, 1.0)}  # open intervals
 LISTS = {"report_methods": ("lasso-linear", "lasso-polynomial", "ridge", "mlr", "persistence")}
 FREE_TEXT = ("pollutant_file", "meteo_file", "forecast_file", "train_start", "train_end",
              "test_start", "test_end", "out_dir")
+# a text value is one line: it may hold none of the characters str.splitlines breaks on
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def test_every_key_has_a_rule():
@@ -153,9 +164,12 @@ def test_every_key_has_a_rule():
 
 def accepted(key: str, text: str) -> bool:
     """Whether ``key=text`` should pass set_option and validate_choices."""
+    text = text.strip()  # set_option strips a value, as a config-file line is
     try:
         value = type(getattr(RunConfig(), key))(text)
     except ValueError:
+        return False
+    if isinstance(value, str) and any(ch in value for ch in LINE_BREAKS):
         return False
     if key in CHOICES:
         return value in CHOICES[key]
@@ -192,7 +206,8 @@ def candidate_text(key: str):
         typed = st.lists(item, max_size=4).map(",".join)
     else:
         typed = st.text(max_size=12)
-    return typed | st.text(max_size=6)
+    broken = st.lists(st.sampled_from(["a", " ", "lam=0.5", *LINE_BREAKS]), max_size=4)
+    return typed | st.text(max_size=6) | broken.map("".join)
 
 
 @settings(max_examples=400, deadline=None)
@@ -209,3 +224,8 @@ def test_set_option_and_validate_choices_over_every_key(data):
         assert key in str(exc)  # "lambda ..." names the lam key
     else:
         assert accepted(key, text)
+        # and the config it made survives its effective_config.cfg
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "effective_config.cfg"
+            write_effective_config(config, path)
+            assert load_config(path) == config

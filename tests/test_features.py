@@ -7,7 +7,7 @@ import pytest
 
 import features_oracle as oracle
 from conftest import make_day, make_day_pair, make_days
-from ozolasso.config import RunConfig
+from ozolasso.config import ConfigError, RunConfig
 from ozolasso.features import (
     FeatureError,
     N_BASE_MAX,
@@ -199,8 +199,8 @@ def test_delta_target_modes():
 
     assert training_target("delta") == [7.0, 10.0]
     assert training_target("direct") == [55.0, 60.0]
-    with pytest.raises(FeatureError):
-        training_target("weekly")
+    with pytest.raises(ConfigError, match="target_mode"):  # before any row is read
+        RunConfig(target_mode="weekly").validate_choices()
 
 
 def test_standardizer_basic_column():

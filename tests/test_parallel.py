@@ -111,7 +111,7 @@ def bad_meteorology(clean: Path, tmp_path: Path, fault: str) -> Path:
 @pytest.mark.parametrize("fault, message", [
     ("duplicate stamp", "error: DuplicateTimestampError: duplicate record for 2015-01-01 hour 04\n"),
     ("missing column", "error: IngestError: {path}: malformed header, missing column 'pressure'\n"),
-    ("missing path", "error: {path}\n"),
+    ("missing path", "error: [Errno 2] No such file or directory: '{path}'\n"),
 ])
 def test_a_bad_meteorology_file_fails_alike(fault, message, clean, tmp_path, monkeypatch, capsys):
     meteo = bad_meteorology(clean, tmp_path, fault)
@@ -119,6 +119,17 @@ def test_a_bad_meteorology_file_fails_alike(fault, message, clean, tmp_path, mon
         use(monkeypatch, mode)
         assert main(["featurize", *args(clean, tmp_path / mode, meteo)]) == 1
         assert capsys.readouterr().err == message.format(path=meteo)
+        assert sorted(p.name for p in (tmp_path / mode).iterdir()) == []
+
+
+def test_a_missing_pollutant_file_fails_alike(clean, tmp_path, monkeypatch, capsys):
+    (tmp_path / "meteorology.csv").write_bytes((clean / "meteorology.csv").read_bytes())
+    pollutants = tmp_path / "pollutants.csv"
+    for mode in MODES:
+        use(monkeypatch, mode)
+        assert main(["featurize", *args(tmp_path, tmp_path / mode)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{pollutants}'\n")
         assert sorted(p.name for p in (tmp_path / mode).iterdir()) == []
 
 

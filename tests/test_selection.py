@@ -230,11 +230,11 @@ def test_ridge_train_solves_once_and_cv_picks_the_cholesky_lambda(tmp_path, monk
     solves = []
     spd_solve = solvers._spd_solve
     monkeypatch.setattr(solvers, "_spd_solve", lambda A, b: solves.append(b.size) or spd_solve(A, b))
-    model, cv, _ = pipeline.train(config)
+    data, _ = pipeline.load_training(config)
+    model, cv, _ = pipeline.fit_method(config, data, config.method, config.expansion)
     assert len(solves) == 1
     assert model["lambda"] == cv.lambda_min
 
-    data, _ = pipeline.load_training(config)
     reference = kfold_cv(
         DenseDesign(data.base), data.y, config.cv_k, cv.grid, config.seed,
         fit_path=lambda X, y, grid: [solvers.fit_ridge(X, y, lam) for lam in grid],
