@@ -153,8 +153,13 @@ def set_option(config: RunConfig, key: str, value: str) -> None:
         parsed = kind(value)
     except ValueError:
         raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    if kind is str and "".join(parsed.splitlines()) != parsed:
-        raise ConfigError(f"{key} must be one line, got {value!r}")
+    if kind is str:
+        if "".join(parsed.splitlines()) != parsed:
+            raise ConfigError(f"{key} must be one line, got {value!r}")
+        try:  # an argument byte that is not UTF-8 arrives surrogate-escaped
+            parsed.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{key} must be valid UTF-8 text, got {value!r}")
     setattr(config, key, parsed)
 
 

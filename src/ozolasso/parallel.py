@@ -9,8 +9,15 @@ the child's copies of the handlers, which keep it where the caller never
 looks or write it out of order. Fork, not spawn: a spawned worker would
 import numpy and scipy again, which costs more than the work it takes over.
 A fork in a process with threads is safe only if no other thread holds a
-lock the child needs: OpenBLAS stops its threads in its own fork handler,
-and the child makes no BLAS call.
+lock the child needs. The only threads here are OpenBLAS's: it stops them
+in its own fork handler, and each process starts its own again at its next
+BLAS call. A cross-validation fold's child makes many BLAS and LAPACK
+calls; tests/test_parallel.py forks one under OpenBLAS's default of a
+thread per CPU, and it finishes and writes the inline run's bytes. It is
+slow, though: with two threads in each of two processes on two CPUs, a
+paper-scale ridge CV took 3.4 times as long as inline. So a call that
+makes BLAS calls passes ``threads=blas_threads()``, and runs inline unless
+the CPUs hold that many threads for each process.
 """
 
 from __future__ import annotations
@@ -21,16 +28,22 @@ import signal
 import sys
 from contextlib import contextmanager
 
-# Bytes of text to parse or format below which the call runs inline. Timed
-# on a 2-vCPU x86-64 VM, in fresh processes, serial against forked: loading
-# two hourly files of 0.5 MB or 1 MB each took the same time either way
-# (fork, the pickled result and the second process's slower parse on a
-# shared core eat the saving); files of 2.4 MB each loaded 23% faster, and
-# 5 MB ones 25%. So the call forks from twice the size at which the parse
-# stopped losing. The writer, which sends nothing back, already gained from
-# 0.3 MB of features.csv text; it keeps this one threshold on purpose, with
-# the parse's crossover as its safety margin, so text of 0.3-2 MiB is
-# written inline.
+# Bytes of text to parse or format, or of a design to cross-validate, below
+# which the call runs inline. Timed on a 2-vCPU x86-64 VM, in fresh
+# processes, serial against forked: loading two hourly files of 0.5 MB or
+# 1 MB each took the same time either way (fork, the pickled result and the
+# second process's slower parse on a shared core eat the saving); files of
+# 2.4 MB each loaded 23% faster, and 5 MB ones 25%. So the call forks from
+# twice the size at which the parse stopped losing. The writer, which sends
+# nothing back, already gained from 0.3 MB of features.csv text; it keeps
+# this one threshold on purpose, with the parse's crossover as its safety
+# margin, so text of 0.3-2 MiB is written inline. Cross-validation folds are
+# gated by the 8np bytes of an n x p design, stored or streamed, on the same
+# constant. A lasso CV at p = 918 (2 folds x 10 lambdas, one BLAS thread,
+# the median of 7 to 15 calls in one process) forked read 3% faster to 7%
+# slower at 48 rows (0.34 MB), and from 96 rows (0.67 MB) on 6-43% faster in
+# 8 of 9 runs (once 18% slower); so the constant keeps about the parse's
+# margin.
 MIN_BYTES = 2 << 20
 
 
@@ -42,11 +55,26 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def forks(nbytes: int) -> bool:
-    """Whether ``beside`` runs a call on ``nbytes`` of text in a child: the
-    platform can fork, a second CPU is usable and the text is at least
-    MIN_BYTES."""
-    return hasattr(os, "fork") and nbytes >= MIN_BYTES and usable_cpus() >= 2
+def blas_threads() -> int:
+    """Threads of one BLAS call in this process, as OpenBLAS sets them when
+    it loads: the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS set to a positive integer, at most one per usable CPU;
+    when none is, one per usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(threads, usable_cpus())
+    return usable_cpus()
+
+
+def forks(nbytes: int, threads: int = 1) -> bool:
+    """Whether ``beside`` runs a call on ``nbytes`` in a child: the platform
+    can fork, the bytes are at least MIN_BYTES, and the usable CPUs hold
+    ``threads`` running threads of the caller and as many of the child."""
+    return hasattr(os, "fork") and nbytes >= MIN_BYTES and usable_cpus() >= 2 * threads
 
 
 def _child(fn, args, fd: int):
@@ -90,18 +118,18 @@ def _start(fn, args):
 
 
 @contextmanager
-def beside(fn, *args, nbytes: int):
+def beside(fn, *args, nbytes: int, threads: int = 1):
     """Yield a function that returns ``fn(*args)``.
 
-    When ``forks(nbytes)``, a forked child starts the call at once, and the
-    yielded function waits for it: it returns the child's result or raises
-    its exception with the same type, message and attributes. Otherwise, or
-    when no process can be forked, the yielded function makes the call
-    itself. Either way the caller sees the errors of its own work in the
+    When ``forks(nbytes, threads)``, a forked child starts the call at
+    once, and the yielded function waits for it: it returns the child's
+    result or raises its exception with the same type, message and
+    attributes. Otherwise, or when no process can be forked, the yielded
+    function makes the call itself. Either way the caller sees the errors of its own work in the
     block before those of the call, as in serial code. A child still
     running when the block exits is killed; it is always reaped.
     """
-    started = _start(fn, args) if forks(nbytes) else None
+    started = _start(fn, args) if forks(nbytes, threads) else None
     if started is None:
         yield lambda: fn(*args)
         return

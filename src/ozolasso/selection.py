@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .solvers import (
     _center,
     corr_abs_max,
@@ -26,6 +28,7 @@ class CvResult:
     lambda_min: float
     lambda_1se: float
     fold_assignment: np.ndarray  # row -> fold index
+    fold_errors: np.ndarray  # (fold, lambda) -> mean squared held-out error
 
 
 def make_lambda_grid(
@@ -64,6 +67,34 @@ def make_folds(n: int, k: int, seed: int | None, mode: str = "shuffled") -> np.n
     return assignment
 
 
+def _score_folds(design, y, grid, assignment, fit_path, folds):
+    """For each fold of ``folds`` in turn: its mean squared held-out error at
+    each lambda, the warnings its fits issued as (message, category,
+    filename, lineno), and the exception it raised, or None. Stops after a
+    fold that raises; the caller raises it in fold order."""
+    scored = []
+    for fold in folds:
+        errors, failure = np.empty(len(grid)), None
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                held = np.flatnonzero(assignment == fold)
+                train = np.flatnonzero(assignment != fold)
+                if train.size < 2:
+                    raise SelectionError(f"fold {fold}: fewer than 2 training rows")
+                d_tr, d_te = design.take_rows(train), design.take_rows(held)
+                y_te = y[held]
+                for i, fit in enumerate(fit_path(d_tr, y[train], grid)):
+                    pred = fit.beta0 + d_te.predict(fit.beta)
+                    errors[i] = float(np.mean((pred - y_te) ** 2))
+            except Exception as exc:  # raised by kfold_cv after the folds before it
+                failure = exc
+        scored.append((errors, [(w.message, w.category, w.filename, w.lineno) for w in caught],
+                       failure))
+        if failure is not None:
+            break
+    return scored
+
+
 def kfold_cv(
     design,
     y: np.ndarray,
@@ -80,23 +111,39 @@ def kfold_cv(
     order: ``solvers.lasso_path`` (one homotopy, yielding each fit as it is
     made) or ``solvers.ridge_path``. Each fit is scored as it arrives, so a
     fold never holds its whole path of dense betas.
+
+    A forked child scores the folds 1, 3, ... while this process scores
+    0, 2, ... (``parallel.beside``), when the design's 8np bytes, the size
+    of its matrix stored, reach ``parallel.MIN_BYTES`` and the CPUs hold
+    the BLAS threads of both processes. Each fold is the same computation
+    either way, so the errors keep their bits. The warnings of every fold
+    are issued again here, and the first fold that raised is raised, in
+    fold order, as a serial loop shows them; when fold 0 raises, the other
+    folds are not waited for.
     """
     y = np.asarray(y, dtype=float)
-    n = design.shape[0]
+    n, p = design.shape
     grid = np.asarray(grid, dtype=float)
     assignment = make_folds(n, k, seed, fold_mode)
 
+    folds, nbytes, threads = range(k), 8 * n * p, parallel.blas_threads()
+    # forked, the child takes the odd folds; inline, this process runs all in order
+    if parallel.forks(nbytes, threads):
+        mine, theirs = folds[0::2], folds[1::2]
+    else:
+        mine, theirs = folds, range(0)
+    score = (design, y, grid, assignment, fit_path)
+    with parallel.beside(_score_folds, *score, theirs, nbytes=nbytes, threads=threads) as others:
+        scored = dict(zip(mine, _score_folds(*score, mine)))
+        if scored[0][2] is None:  # else fold 0 raised, and no fold comes before it
+            scored |= dict(zip(theirs, others()))
     fold_errors = np.empty((k, len(grid)))
-    for fold in range(k):
-        held = np.flatnonzero(assignment == fold)
-        train = np.flatnonzero(assignment != fold)
-        if train.size < 2:
-            raise SelectionError(f"fold {fold}: fewer than 2 training rows")
-        d_tr, d_te = design.take_rows(train), design.take_rows(held)
-        y_te = y[held]
-        for i, fit in enumerate(fit_path(d_tr, y[train], grid)):
-            pred = fit.beta0 + d_te.predict(fit.beta)
-            fold_errors[fold, i] = float(np.mean((pred - y_te) ** 2))
+    for fold in folds:
+        fold_errors[fold], issued, failure = scored[fold]
+        for message, category, filename, lineno in issued:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if failure is not None:
+            raise failure
 
     cv_mean = fold_errors.mean(axis=0)
     cv_se = fold_errors.std(axis=0, ddof=1) / np.sqrt(k)
@@ -110,6 +157,7 @@ def kfold_cv(
         lambda_min=float(grid[i_min]),
         lambda_1se=float(grid[i_1se]),
         fold_assignment=assignment,
+        fold_errors=fold_errors,
     )
 
 

@@ -289,6 +289,19 @@ def test_split_checked_before_any_input_is_read(synth_dir, tmp_path, capsys, com
     assert capsys.readouterr().err == "error: train and test date ranges overlap\n"
 
 
+def test_an_out_dir_that_is_not_utf8_is_rejected_before_any_input_is_read(synth_dir, tmp_path,
+                                                                          capsys):
+    """``train --out-dir $'o\\xff'``: the byte arrives surrogate-escaped, and
+    effective_config.cfg could not be written after model.json."""
+    out = tmp_path / "o\udcff"
+    args = base_args(synth_dir, out)
+    args[args.index(f"pollutant_file={synth_dir / 'pollutants.csv'}")] = (
+        f"pollutant_file={tmp_path / 'absent.csv'}")
+    assert main(["train"] + args) == 1
+    assert capsys.readouterr().err == f"error: out_dir must be valid UTF-8 text, got {str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("extra, field", [
     (["--lambda", "nan"], "lambda"),
     (["--lambda", "inf"], "lambda"),

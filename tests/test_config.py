@@ -122,6 +122,8 @@ def test_set_option_type_coercion():
     assert cfg.cv_k == 5
     with pytest.raises(ConfigError, match=r"out_dir must be one line, got 'a\\nlam=0.5'"):
         set_option(cfg, "out_dir", "a\nlam=0.5")
+    with pytest.raises(ConfigError, match=r"out_dir must be valid UTF-8 text, got 'o\\udcff'"):
+        set_option(cfg, "out_dir", "o\udcff")
     assert cfg.out_dir == "out"
 
 

@@ -1,8 +1,9 @@
 """``parallel.beside`` run through its forked worker and inline: the same
-artifacts, errors, logs and output, and no child process left behind.
+artifacts, fold errors, warnings, errors, logs and output, and no child
+process left behind.
 
-The worker path is forced by reporting two usable CPUs and a size floor of
-0 bytes; the inline path by reporting one CPU.
+The worker path is forced by reporting two usable CPUs, one BLAS thread and
+a size floor of 0 bytes; the inline path by reporting one CPU.
 """
 
 import importlib
@@ -17,21 +18,32 @@ import time
 from datetime import date as Date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ozolasso
-from ozolasso import parallel
+from conftest import standardized_matrix
+from ozolasso import parallel, selection
 from ozolasso.atomic import write_lines
 from ozolasso.cli import main
+from ozolasso.expansion import ExpandedDesign
 from ozolasso.ingest import DuplicateTimestampError
-from ozolasso.solvers import SingularDesignError
+from ozolasso.solvers import DenseDesign, SingularDesignError, lasso_path, ridge_path
 
 MODES = ("worker", "inline")
 
 
 def use(monkeypatch, mode: str) -> None:
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2 if mode == "worker" else 1)
+    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
     monkeypatch.setattr(parallel, "MIN_BYTES", 0)
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that gains an entry each time ``beside`` forks."""
+    forked, start = [], parallel._start
+    monkeypatch.setattr(parallel, "_start", lambda *a: forked.append(a) or start(*a))
+    return forked
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +85,8 @@ def test_the_worker_runs_in_another_process_only_when_it_pays(monkeypatch):
     use(monkeypatch, "worker")
     with parallel.beside(os.getpid, nbytes=0) as pid:
         assert pid() != os.getpid()
+    with parallel.beside(os.getpid, nbytes=0, threads=2) as pid:  # 2 threads x 2 processes
+        assert pid() == os.getpid()
     for cpus, floor, fork in ((1, 0, "ok"), (2, 10, "ok"), (2, 0, "fails"), (2, 0, "missing")):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(parallel, "MIN_BYTES", floor)
@@ -82,6 +96,22 @@ def test_the_worker_runs_in_another_process_only_when_it_pays(monkeypatch):
             monkeypatch.delattr(os, "fork")
         with parallel.beside(os.getpid, nbytes=9) as pid:
             assert pid() == os.getpid()
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, 1),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "64"}, 4),
+])
+def test_blas_threads_are_counted_as_openblas_counts_them(env, threads, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    assert parallel.blas_threads() == threads
 
 
 @pytest.mark.parametrize("files", ["clean", "dirty"])
@@ -177,16 +207,18 @@ def test_write_lines_removes_both_files_when_a_half_raises(mode, failing, tmp_pa
     assert target.read_bytes() == b"h\r\n0\r\n1\r\n2\r\n3\r\n4\r\n"
 
 
-def run_forking(argv: list[str], script: str = "", **kwargs) -> subprocess.CompletedProcess:
+def run_forking(argv: list[str], script: str = "", unset=(), **kwargs) -> subprocess.CompletedProcess:
     """The CLI on ``argv`` in a fresh interpreter whose ``beside`` forks at
-    any size, after the lines of ``script``."""
+    any size, after the lines of ``script``, without the environment
+    variables ``unset``."""
     script = ("import functools, sys\n"
               "from ozolasso import cli, parallel\n"
-              "parallel.MIN_BYTES, parallel.usable_cpus = 0, lambda: 2\n"
+              "parallel.MIN_BYTES, parallel.usable_cpus, parallel.blas_threads = 0, lambda: 2, lambda: 1\n"
               + script + "sys.exit(cli.main(sys.argv[1:]))\n")
     src = str(Path(ozolasso.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("PYTHONUNBUFFERED", None)  # a file is then block-buffered
+    for var in ("PYTHONUNBUFFERED", *unset):  # without the first, a file is block-buffered
+        env.pop(var, None)
     return subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=120, **kwargs)
 
 
@@ -227,6 +259,156 @@ def test_verbose_logs_both_tokenizer_lines_in_file_order(clean, tmp_path, monkey
             f"{clean / 'pollutants.csv'}: numpy tokenizer",
             f"{clean / 'meteorology.csv'}: numpy tokenizer",
         ]
+
+
+# --- cross-validation: the odd folds in the worker ---
+
+def cv_problem(kind: str):
+    """(design, y, grid, fit_path) of a small CV of each kind."""
+    rng = np.random.default_rng(21)
+    base = standardized_matrix(rng, 40, 6)
+    y = base[:, 0] - base[:, 1] + rng.normal(size=40)
+    design = ExpandedDesign.fit(base) if kind == "lasso-expanded" else DenseDesign(base)
+    fit_path = ridge_path if kind == "ridge" else lasso_path
+    return design, y, selection.make_lambda_grid(design, y, n_points=8, ratio=1e-3), fit_path
+
+
+def serial_fold_errors(design, y, grid, fit_path, assignment) -> np.ndarray:
+    """The reference: every fold scored in turn, in this process."""
+    rows = []
+    for fold in range(assignment.max() + 1):
+        held, train = np.flatnonzero(assignment == fold), np.flatnonzero(assignment != fold)
+        d_te = design.take_rows(held)
+        rows.append([np.mean((fit.beta0 + d_te.predict(fit.beta) - y[held]) ** 2)
+                     for fit in fit_path(design.take_rows(train), y[train], grid)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["lasso-dense", "lasso-expanded", "ridge"])
+def test_cv_fold_errors_are_bitwise_equal_forked_and_inline(kind, monkeypatch):
+    design, y, grid, fit_path = cv_problem(kind)
+    forked = count_forks(monkeypatch)
+    cvs = {}
+    for mode in MODES:
+        use(monkeypatch, mode)
+        cvs[mode] = selection.kfold_cv(design, y, 5, grid, seed=3, fit_path=fit_path)
+    assert len(forked) == 1
+    worker, inline = cvs["worker"], cvs["inline"]
+    reference = serial_fold_errors(design, y, grid, fit_path, inline.fold_assignment)
+    assert inline.fold_errors.tobytes() == reference.tobytes()
+    assert worker.fold_errors.tobytes() == reference.tobytes()
+    assert worker.cv_mean.tobytes() == inline.cv_mean.tobytes()
+    assert worker.cv_se.tobytes() == inline.cv_se.tobytes()
+    assert (worker.lambda_min, worker.lambda_1se) == (inline.lambda_min, inline.lambda_1se)
+
+
+def test_cv_folds_stay_inline_when_the_blas_threads_fill_the_cpus(monkeypatch):
+    """Two OpenBLAS threads in each of two processes on two CPUs: a forked
+    ridge CV at paper scale (1,095 x 938) took 3.4 times as long."""
+    design, y, grid, _ = cv_problem("lasso-dense")
+    use(monkeypatch, "worker")
+    monkeypatch.setattr(parallel, "blas_threads", lambda: 2)
+    forked = count_forks(monkeypatch)
+    selection.kfold_cv(design, y, 5, grid, seed=3)
+    assert forked == []
+
+
+def failing_in(folds, raised, y, assignment, then=lasso_path):
+    """A fit path that raises ``raised(fold)`` on the training rows of each
+    of ``folds`` and calls ``then`` on the others."""
+    held_out = {float(y[assignment == fold][0]): fold for fold in folds}
+
+    def fit_path(d_tr, y_tr, grid):
+        for value, fold in held_out.items():
+            if value not in y_tr:
+                raise raised(fold)
+        return then(d_tr, y_tr, grid)
+
+    return fit_path
+
+
+@pytest.mark.parametrize("raised", [
+    lambda fold: selection.SelectionError(f"fold {fold} fails"),
+    lambda fold: SingularDesignError(f"fold {fold} is singular", pivot=fold + 3),
+], ids=["SelectionError", "SingularDesignError"])
+@pytest.mark.parametrize("folds", [(1,), (2,), (1, 2), (2, 3)])
+def test_a_failing_fold_raises_alike_forked_and_inline(raised, folds, monkeypatch):
+    """The first failing fold's exception, with its type, message and
+    attributes, whichever process ran it: fold 1 runs in the worker, fold 2
+    in the parent."""
+    design, y, grid, _ = cv_problem("lasso-dense")
+    fit_path = failing_in(folds, raised, y, selection.make_folds(len(y), 5, 3))
+    expected = raised(min(folds))
+    for mode in MODES:
+        use(monkeypatch, mode)
+        with pytest.raises(type(expected)) as caught:
+            selection.kfold_cv(design, y, 5, grid, seed=3, fit_path=fit_path)
+        assert str(caught.value) == str(expected)
+        assert vars(caught.value) == vars(expected)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_remains_when_the_parents_own_fold_raises(monkeypatch):
+    design, y, grid, _ = cv_problem("lasso-dense")
+
+    def slowly(d_tr, y_tr, grid):
+        time.sleep(60)
+        return lasso_path(d_tr, y_tr, grid)
+
+    fit_path = failing_in((0,), lambda fold: selection.SelectionError(f"fold {fold} fails"),
+                          y, selection.make_folds(len(y), 5, 3), then=slowly)
+    use(monkeypatch, "worker")
+    began = time.monotonic()
+    with pytest.raises(selection.SelectionError, match="fold 0 fails"):
+        selection.kfold_cv(design, y, 5, grid, seed=3, fit_path=fit_path)
+    assert time.monotonic() - began < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_ill_conditioned_warnings_of_forked_folds_name_the_caller_in_fold_order(monkeypatch):
+    """Each fold's ridge_path warning, issued again by the parent with its
+    category, message, file and line: the line in ``selection`` that called
+    ridge_path, as a serial loop shows it."""
+    rng = np.random.default_rng(4)
+    col = rng.normal(size=50)
+    design = DenseDesign(np.column_stack([col, col + 1e-7 * rng.normal(size=50)]))
+    y = rng.normal(size=50)
+    source, first = inspect.getsourcelines(selection._score_folds)
+    call = first + next(i for i, line in enumerate(source) if "fit_path(d_tr" in line)
+    caught = {}
+    for mode in MODES:
+        use(monkeypatch, mode)
+        with pytest.warns(RuntimeWarning, match="ill-conditioned") as caught[mode]:
+            selection.kfold_cv(design, y, 4, [1e-16], seed=0, fit_path=ridge_path)
+    seen = {mode: [(w.category, str(w.message), w.filename, w.lineno) for w in caught[mode]]
+            for mode in MODES}
+    assert len(seen["inline"]) == 4
+    assert {where[2:] for where in seen["inline"]} == {(selection.__file__, call)}
+    assert seen["worker"] == seen["inline"]
+
+
+@pytest.mark.parametrize("method", ["lasso", "ridge"])
+def test_forked_cv_under_default_blas_threads_writes_the_inline_table(method, clean, tmp_path):
+    """OpenBLAS with its default thread count in the parent and in the fold
+    worker: the fork neither deadlocks nor changes a byte. The benchmark
+    pins one thread, so only this test runs the fork with more."""
+    argv = ["cv", "--set", f"method={method}", "--set", "cv_points=20",
+            "--set", "train_start=2015-01-01", "--set", "train_end=2015-01-14",
+            "--set", "test_start=2015-01-15", "--set", "test_end=2015-01-20"]
+    report = ("start = parallel._start\n"
+              "parallel._start = lambda fn, a: print('fork', fn.__name__, file=sys.stderr)"
+              " or start(fn, a)\n")
+    tables = {}
+    for mode, script in (("worker", report), ("inline", "parallel.usable_cpus = lambda: 1\n")):
+        proc = run_forking([*argv, *args(clean, tmp_path / mode)], script, capture_output=True,
+                           text=True, unset=("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                             "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+        assert proc.returncode == 0, proc.stderr
+        assert ("fork _score_folds" in proc.stderr.splitlines()) == (mode == "worker")
+        tables[mode] = (tmp_path / mode / "cv_table.csv").read_bytes()
+    assert tables["worker"] == tables["inline"]
 
 
 # constructor arguments of the exceptions that take more than a message
