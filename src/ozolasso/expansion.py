@@ -41,13 +41,15 @@ class ExpandedDesign:
     # moment block width; separate from solvers._CORR_CHUNK, and changing it moves bits
     CHUNK = 4096
 
-    def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray, cross=None):
+    def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray, cross=None,
+                 scaling=None):
         self.base = np.ascontiguousarray(base, dtype=float)
         self.p0 = base.shape[1]
         self.col_mean = col_mean
         self.col_std = col_std
         self._cross = cross_index(self.p0) if cross is None else cross
         self._corr_err = None  # screen's error weights, formed on first use
+        self._scaling = scaling  # screen's divisor and zero-variance columns (_scale)
 
     @classmethod
     def fit(cls, base: np.ndarray) -> "ExpandedDesign":
@@ -177,9 +179,17 @@ class ExpandedDesign:
             self._corr_err = self._error_weights(self._square_sums())
         corr = self._gram_terms(self.base.T @ v / n, (self.base * v[:, None]).T @ self.base / n)
         corr -= self.col_mean * (v.sum() / n)
-        np.divide(corr, self.col_std, out=corr, where=self.col_std > 0)
-        corr[self.col_std == 0] = 0.0
+        divisor, zero = self._scale()
+        corr /= divisor
+        corr[zero] = 0.0
         return corr, self._corr_err
+
+    def _scale(self) -> tuple[np.ndarray, np.ndarray]:
+        """col_std with 1 at its zeros, and the indices of those zeros."""
+        if self._scaling is None:
+            std = self.col_std
+            self._scaling = np.where(std > 0, std, 1.0), np.flatnonzero(std == 0)
+        return self._scaling
 
     def predict(self, beta: np.ndarray) -> np.ndarray:
         """X @ beta, summed over the nonzero coordinates of beta in index order."""
@@ -191,4 +201,5 @@ class ExpandedDesign:
 
     def take_rows(self, idx: np.ndarray) -> "ExpandedDesign":
         """Row subset sharing the training expansion moments."""
-        return ExpandedDesign(self.base[idx], self.col_mean, self.col_std, self._cross)
+        return ExpandedDesign(self.base[idx], self.col_mean, self.col_std, self._cross,
+                              self._scale())

@@ -282,9 +282,9 @@ def ridge_path(design, y: np.ndarray, grid, fit_intercept: bool = True) -> list[
 # A joining column whose squared distance from the span of the active columns
 # is at most this share of its squared norm lies in that span and stays out.
 _SPAN_TOL = 1e-10
-# Join steps are bounded this many columns at a time: p-long temporaries of
-# the 422,739-column expansion would add tens of MiB to the peak.
-_SLICE = 1 << 16
+# Lower join bounds are formed this many columns at a time, in four
+# preallocated slices that stay in cache (8,192 and 32,768 were slower).
+_WIDTH = 1 << 14
 # Upper join bounds are first taken at this many columns, those with the
 # smallest lower bounds.
 _NEAR = 64
@@ -339,18 +339,51 @@ def _join_steps(h, c, a, c_err=0.0, a_err=0.0):
     return out
 
 
-def _carry(c, a, t, r, u, e, u_norm, unit):
-    """X'r/n carried a step t along the segment: c - t a, the residual
-    rho = r - t u, and e' with |(c - t a)_j - X_j'rho/n| <= e' w_j, given
-    |c_j - X_j'r/n| <= e w_j and a, the screen of u (norm u_norm). e' adds
-    a's error, t ||u|| w_j / 2, and the rounding of both subtractions:
-    with ||X_j|| / n <= w_j / unit, at most eps (2 (||rho|| + t ||u||) /
-    unit + e + t ||u||) w_j, twice a first-order bound."""
+def _lower_bounds(h, c, a, c_scale, a_scale, w, out, buf):
+    """_join_steps(h, c, a, c_scale w, a_scale w) into ``out``, bit for bit,
+    for w >= 0: one pass through the (4, width) ``buf``, both signs at once.
+    A side whose divisor is <= 0 divides by +0 instead, to inf, or NaN where
+    its numerator is 0, and fmin takes the other side; both sides fail only
+    where a_scale < 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, c.size, buf.shape[1]):
+            sl = slice(s, s + buf.shape[1])
+            ce, ae, num, bot = buf[:, : out[sl].size]
+            np.multiply(w[sl], c_scale, out=ce)
+            np.multiply(w[sl], a_scale, out=ae)
+            # the sides c_j - t a_j = h - t, then = t - h: (h -+ c) over (1 -+ a)
+            for op, q in ((np.subtract, out[sl]), (np.add, num)):
+                np.subtract(op(h, c[sl], out=num), ce, out=num)
+                np.maximum(num, 0.0, out=num)
+                np.add(op(1.0, a[sl], out=bot), ae, out=bot)
+                np.divide(num, np.maximum(bot, 0.0, out=bot), out=q)
+            np.fmin(out[sl], num, out=out[sl])
+        if a_scale < 0:
+            np.fmin(out, np.inf, out=out)
+    return out
+
+
+def _pick(lo, near, kth, thr):
+    """The columns with lo <= thr < inf in index order; lo >= kth outside near."""
+    if thr < kth:
+        return np.sort(near[lo[near] <= thr])
+    return np.flatnonzero((lo <= thr) & (lo < np.inf))
+
+
+def _carry(c, a, t, r, u, e, u_norm, unit, out=None):
+    """X'r/n carried a step t along the segment: c - t a, written into
+    ``out`` (which may be a), the residual rho = r - t u, and e' with
+    |(c - t a)_j - X_j'rho/n| <= e' w_j, given |c_j - X_j'r/n| <= e w_j
+    and a, the screen of u (norm u_norm). e' adds a's error, t ||u|| w_j
+    / 2, and the rounding of both subtractions: with ||X_j|| / n <= w_j /
+    unit, at most eps (2 (||rho|| + t ||u||) / unit + e + t ||u||) w_j,
+    twice a first-order bound."""
     rho = r - t * u
     tu = t * u_norm
     eps = np.finfo(float).eps
     e += tu / 2 + eps * (2 * (float(np.linalg.norm(rho)) + tu) / unit + e + tu)
-    return c - t * a, rho, e
+    out = np.multiply(a, t, out=out)
+    return np.subtract(c, out, out=out), rho, e
 
 
 def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
@@ -370,10 +403,15 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     may lie within the bound of the minimum is recomputed exactly
     (_exact_corr) before the decision, so a streamed design and a
     DenseDesign of its columns pass the same kinks, whichever segments
-    screen afresh. A column that just joined may not drop at the next
-    kink, one that just dropped may rejoin there only with the other sign,
-    and a joining column in the span of the active set stays out until a
-    drop. X_A is kept as rows, one appended at a join and deleted at a drop.
+    screen afresh. Lower join bounds are taken for every column in one
+    fused pass (_lower_bounds), upper ones only at the near set: the _NEAR
+    smallest lower bounds (more while none is finite) and the column just
+    dropped; below the k-th smallest lower bound the candidates come from
+    the near set alone (_pick). A column that just joined may not drop at
+    the next kink, one that just dropped may rejoin there only with the
+    other sign, and a joining column in the span of the active set stays
+    out until a drop. X_A is kept as rows, one appended at a join and
+    deleted at a drop.
 
     Yields (beta, r, kinks since the previous yield, X'r/n carried to the
     lambda, err) at each lambda of the descending ``lams``: every entry of
@@ -385,6 +423,7 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
     unit = rounding_unit(n)
     active, signs, blocked, joined, dropped = [], [], set(), -1, -1
     XT = design.rows([])
+    lo, buf = np.empty(p), np.empty((4, min(p, _WIDTH)))  # reused at every kink
     h, kinks, total = 0.0, 0, 0  # h is set from the opening segment's screen
     lams = iter(lams)
     lam = next(lams, None)
@@ -404,10 +443,7 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
             h = corr_abs_max(design, r, screen=(c, w))
         a = design.screen(u)[0] if active else np.zeros(p)  # u = 0 with no active column
         c_err = e + r_norm / 2  # |c_j - design_corr(r)_j| <= c_err w_j
-        lo, hi = np.empty(p), np.full(p, np.inf)
-        for s in range(0, p, _SLICE):
-            sl = slice(s, s + _SLICE)
-            lo[sl] = _join_steps(h, c[sl], a[sl], c_err * w[sl], u_norm * w[sl])
+        _lower_bounds(h, c, a, c_err, u_norm, w, lo, buf)
         lo[active + sorted(blocked)] = np.inf
         if dropped >= 0:  # it left at +-h on its own side: only the other side takes it back
             (c_k,), (a_k,) = dropped_sign * _exact_corr(design, np.array([dropped]), (r, u))
@@ -417,20 +453,20 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
         drop[~(drop > 0) | (np.array(active) == joined)] = np.inf
         t_drop = float(drop.min(initial=np.inf))
 
-        # Upper bounds only at the k smallest lower bounds (hi is inf
-        # elsewhere): their minimum still bounds the least join step from
-        # above, so the candidates below include every column that could
-        # attain it.
-        k = 0
+        # Upper bounds only at the near set, the k smallest lower bounds
+        # and the dropped column: their minimum still bounds the least join
+        # step from above, so the candidates include every column that
+        # could attain it.
+        k, hi = 0, np.zeros(0)
         while True:  # the next join; a column in the span is blocked and the pick repeated
-            while k < p and not hi.min() < np.inf:  # no finite upper bound yet: widen
+            while k < p and not hi.min(initial=np.inf) < np.inf:  # no finite upper bound yet: widen
                 k = min(max(4 * k, _NEAR), p)
                 near = np.argpartition(lo, k - 1)[:k]
-                near = near[lo[near] < np.inf]
-                hi[near] = _join_steps(h, c[near], a[near], -c_err * w[near], -u_norm * w[near])
+                kth, near = lo[near[-1]], near[(lo[near] < np.inf) & (near != dropped)]
+                hi = _join_steps(h, c[near], a[near], -c_err * w[near], -u_norm * w[near])
                 if dropped >= 0:  # its step is exact, and only the other side counts
-                    hi[dropped] = lo[dropped]
-            idx = np.flatnonzero((lo <= min(float(hi.min()), t_drop)) & (lo < np.inf))
+                    near, hi = np.append(near, dropped), np.append(hi, lo[dropped])
+            idx = _pick(lo, near, kth, min(float(hi.min(initial=np.inf)), t_drop))
             ce, ae = _exact_corr(design, idx, (r, u))
             steps = np.where(idx == dropped, lo[idx], _join_steps(h, ce, ae))
             i = int(np.argmin(steps)) if idx.size else -1
@@ -442,7 +478,7 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
             if float(x @ x - n * (g @ g)) > _SPAN_TOL * float(x @ x):
                 break
             blocked.add(int(idx[i]))
-            lo[idx[i]] = hi[idx[i]] = np.inf
+            lo[idx[i]], hi[near == idx[i]] = np.inf, np.inf
         t = min(t_join, t_drop)
 
         while lam is not None and h - lam / 2 <= t:
@@ -463,7 +499,7 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
         if lam is None or total == max_kinks:
             return
         h -= t
-        c, rho, e = _carry(c, a, t, r, u, e, u_norm, unit)
+        c, rho, e = _carry(c, a, t, r, u, e, u_norm, unit, out=a)
         if t_join < t_drop:
             joined, dropped = int(idx[i]), -1
             active.append(joined)

@@ -60,3 +60,38 @@ def test_corr_abs_max_is_the_full_pass_max(seed, n, p0, kind, subset, vector, ex
     for d in (design, DenseDesign(design.block(0, p))):
         got = corr_abs_max(d, v, excluded)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 40),
+    p0=st.sampled_from([2, 5, 12, 70]),
+    kind=st.sampled_from(["random", "zero-variance", "ties"]),
+    subset=st.booleans(),
+    vector=st.sampled_from(["normal", "zero", "large"]),
+)
+def test_screen_keeps_the_bits_of_the_masked_divide(seed, n, p0, kind, subset, vector):
+    """The screen divides by a stored divisor, 1 at zero-variance columns,
+    and zeroes those columns by a stored index: the bits of the moment
+    correction, a divide where std > 0 and a zero-set where std == 0."""
+    design, rng = make_design(seed, n, p0, kind, subset)
+    m, base = design.shape[0], design.base
+    v = {"normal": lambda: rng.normal(size=m), "zero": lambda: np.zeros(m),
+         "large": lambda: 1e6 * rng.normal(size=m)}[vector]()
+    expected = design._gram_terms(base.T @ v / m, (base * v[:, None]).T @ base / m)
+    expected -= design.col_mean * (v.sum() / m)
+    np.divide(expected, design.col_std, out=expected, where=design.col_std > 0)
+    expected[design.col_std == 0] = 0.0
+    assert design.screen(v)[0].tobytes() == expected.tobytes()
+
+
+def test_row_subsets_share_the_screens_divisor():
+    """A fold's take_rows designs divide by the parent's divisor and zero
+    its zero-variance index: the same objects, formed once."""
+    design, _ = make_design(5, 30, 12, "zero-variance", False)
+    divisor, zero = design._scale()
+    assert zero.size and (divisor[zero] == 1.0).all()
+    train, held = design.take_rows(np.arange(0, 30, 2)), design.take_rows(np.arange(1, 30, 2))
+    for fold in (train, held, train.take_rows(np.arange(5))):
+        assert fold._scale()[0] is divisor and fold._scale()[1] is zero

@@ -492,6 +492,27 @@ def test_streamed_homotopy_screens_with_the_gram_pass(monkeypatch):
         assert p_s.beta.tobytes() == p_m.beta.tobytes()
 
 
+def _paths_over_near_counts(monkeypatch, design, y):
+    """The path's (beta bytes, sweeps_used, converged) with upper bounds
+    at 1, _NEAR and every column, and for each its picks: True where the
+    full mask ran with lower bounds tied at the k-th."""
+    grid = np.geomspace(1.0, 1e-3, 30)
+    pick, paths = solvers._pick, []
+
+    def recorded(lo, near, kth, thr):
+        picks.append(thr >= kth and kth < np.inf and (lo == kth).sum() > (lo[near] == kth).sum())
+        return pick(lo, near, kth, thr)
+
+    monkeypatch.setattr(solvers, "_pick", recorded)
+    for near in (1, solvers._NEAR, design.shape[1]):
+        monkeypatch.setattr(solvers, "_NEAR", near)
+        picks = []
+        paths.append(([(f.beta.tobytes(), f.sweeps_used, f.converged)
+                       for f in lasso_path(design, y, grid)], picks))
+    monkeypatch.undo()
+    return paths
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_path_keeps_its_bits_however_many_upper_join_bounds_are_taken(monkeypatch, seed):
     """Upper join bounds taken only at the columns with the smallest lower
@@ -502,14 +523,34 @@ def test_path_keeps_its_bits_however_many_upper_join_bounds_are_taken(monkeypatc
     base = standardized_matrix(rng, 40, 8)
     base[:, 3] = base[:, 4]  # twins: one joins in the other's span, is blocked, and one bound widens
     y = base[:, 1] * base[:, 2] + base[:, 4] + 0.5 * rng.normal(size=40)
-    design = ExpandedDesign.fit(base)
-    grid = np.geomspace(1.0, 1e-3, 30)
-    paths = []
-    for near in (1, solvers._NEAR, design.shape[1]):
-        monkeypatch.setattr(solvers, "_NEAR", near)
-        fits = lasso_path(design, y, grid)
-        paths.append([(f.beta.tobytes(), f.sweeps_used, f.converged) for f in fits])
-    assert paths[0] == paths[1] == paths[2]
+    (one, _), (default, _), (every, _) = _paths_over_near_counts(
+        monkeypatch, ExpandedDesign.fit(base), y)
+    assert one == default == every
+
+
+@pytest.mark.parametrize("kind", ["tied", "blocked"])
+def test_near_set_pick_keeps_the_bits_on_ties_and_repeated_picks(monkeypatch, kind):
+    """Candidates are read from the near set alone only below the k-th
+    smallest lower bound. tied: 70 copies of one dense column tie the
+    lower bounds at the default k-th, so the full mask runs there;
+    blocked: four equal base columns block one column after another, so
+    picks repeat at every near count. The paths stay bitwise equal."""
+    rng = np.random.default_rng(0)
+    if kind == "tied":
+        X = standardized_matrix(rng, 40, 30)
+        X = np.hstack([X[:, :15], np.repeat(X[:, :1], 70, axis=1), X[:, 15:]])
+        design, y = DenseDesign(X), X[:, 0] + X[:, 3] - X[:, 20] + 0.5 * rng.normal(size=40)
+    else:
+        base = standardized_matrix(rng, 40, 8)
+        base[:, 3] = base[:, 4] = base[:, 5] = base[:, 6]
+        design = ExpandedDesign.fit(base)
+        y = base[:, 1] * base[:, 2] + base[:, 4] + 0.5 * rng.normal(size=40)
+    paths = _paths_over_near_counts(monkeypatch, design, y)
+    assert paths[0][0] == paths[1][0] == paths[2][0]
+    for fits, picks in paths:  # each kink and the last segment pick once, and again after a block
+        assert len(picks) > sum(f[1] for f in fits) + 1
+    if kind == "tied":
+        assert any(paths[1][1])
 
 
 def _counted_path(monkeypatch, design, y, grid, refresh):
