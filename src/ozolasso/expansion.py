@@ -38,7 +38,7 @@ class ExpandedDesign:
     column (their coordinate can never activate).
     """
 
-    # moment block width; separate from solvers._CORR_CHUNK, and changing it moves bits
+    # moment block width; changing it moves bits
     CHUNK = 4096
 
     def __init__(self, base: np.ndarray, col_mean: np.ndarray, col_std: np.ndarray, cross=None,

@@ -77,10 +77,9 @@ class ModelFit:
 # bounds the distance of c_j, and of design_corr's X_j'v/n, from the exact
 # product, so ||v|| w_j bounds |c_j - design_corr(v)_j|.
 
-# Columns per chunk of a design_corr pass. A separate decision from
-# ExpandedDesign.CHUNK, and changing either width moves bits (the expansion
-# moments differ in the last place between 2048 and 4096).
-_CORR_CHUNK = 2048
+# Columns formed at a time by _exact_corr. The width moves no bits, as each
+# column is summed along its own row; it bounds the memory of a batch.
+_BATCH = 2048
 
 
 def rounding_unit(n: int) -> float:
@@ -113,32 +112,22 @@ class DenseDesign:
         return self.X @ beta
 
     def screen(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(design_corr, w): the dense screen is design_corr itself, and
-        w_j = rounding_unit(n) ||X_j|| / n."""
+        """(X'v/n, w): one product, w_j = rounding_unit(n) ||X_j|| / n."""
+        n = self.shape[0]
         if self._corr_err is None:
-            n = self.shape[0]
             self._corr_err = np.linalg.norm(self.X, axis=0) * (rounding_unit(n) / n)
-        return design_corr(self, v), self._corr_err
+        return self.X.T @ v / n, self._corr_err
 
 
 def design_block(design, j0: int, j1: int) -> np.ndarray:
+    """Columns [j0, j1) of the design. No solver reads it: it stays as the
+    layer boundary whose calls the benchmark counts."""
     return design.block(j0, j1)
 
 
-def _chunk_rows(design, j0: int) -> np.ndarray:
-    """The chunk of columns starting at j0 as contiguous rows: the layout
-    that makes products bitwise equal for streamed and stored designs."""
-    return np.ascontiguousarray(design_block(design, j0, min(j0 + _CORR_CHUNK, design.shape[1])).T)
-
-
 def design_corr(design, v: np.ndarray) -> np.ndarray:
-    """X_j'v / n for every column, one chunk of columns at a time."""
-    n, p = design.shape
-    corr = np.empty(p)
-    for j0 in range(0, p, _CORR_CHUNK):
-        block_t = _chunk_rows(design, j0)
-        corr[j0 : j0 + block_t.shape[0]] = block_t @ v / n
-    return corr
+    """X_j'v / n for every column, each as _exact_corr forms it."""
+    return _exact_corr(design, np.arange(design.shape[1]), [v])[0]
 
 
 # --- closed-form solvers ---
@@ -294,16 +283,16 @@ _REFRESH = 16.0
 
 
 def _exact_corr(design, idx: np.ndarray, vectors) -> np.ndarray:
-    """X_j'v/n at the columns ``idx`` for each of ``vectors``, bitwise as
-    design_corr forms them: each chunk holding one of ``idx`` is multiplied
-    whole."""
+    """X_j'v/n at the columns ``idx`` for each of ``vectors``: the n
+    products of column j summed along its own row (numpy's pairwise sum),
+    so its bits do not depend on the columns formed beside it. The columns
+    are formed _BATCH at a time."""
     n = design.shape[0]
-    out = np.empty((len(vectors), idx.size))
-    for j0 in (np.unique(idx // _CORR_CHUNK) * _CORR_CHUNK).tolist():
-        block_t = _chunk_rows(design, j0)
-        sel = np.flatnonzero((idx >= j0) & (idx < j0 + _CORR_CHUNK))
+    out = np.empty((len(vectors), len(idx)))
+    for s in range(0, len(idx), _BATCH):
+        rows = design.rows(idx[s : s + _BATCH])
         for row, v in zip(out, vectors):
-            row[sel] = (block_t @ v / n)[idx[sel] - j0]
+            row[s : s + _BATCH] = (rows * v).sum(axis=1) / n
     return out
 
 
@@ -327,23 +316,17 @@ def corr_abs_max(design, v: np.ndarray, exclude=None, screen=None) -> float:
     return float(np.abs(_exact_corr(design, top, [v])).max(initial=0.0))
 
 
-def _join_steps(h, c, a, c_err=0.0, a_err=0.0):
-    """A lower bound on the step t >= 0 at which |c_j - t a_j| first reaches
-    h - t, for c and a known to within c_err and a_err; inf where it never
-    does. With both errors negated it is an upper bound."""
-    out = np.full(c.size, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sign in (1.0, -1.0):
-            bot = 1.0 - sign * a + a_err
-            np.minimum(out, np.maximum(h - sign * c - c_err, 0.0) / bot, out=out, where=bot > 0)
-    return out
-
-
 def _lower_bounds(h, c, a, c_scale, a_scale, w, out, buf):
-    """_join_steps(h, c, a, c_scale w, a_scale w) into ``out``, bit for bit,
-    for w >= 0: one pass through the (4, width) ``buf``, both signs at once.
-    A side whose divisor is <= 0 divides by +0 instead, to inf, or NaN where
-    its numerator is 0, and fmin takes the other side; both sides fail only
+    """A lower bound, into ``out``, on the step t >= 0 at which |c_j - t a_j|
+    first reaches h - t, for c and a known to within c_scale w_j and
+    a_scale w_j (w >= 0): the least over the sides s = +-1 whose divisor
+    is > 0 of max(h - s c_j - c_scale w_j, 0) / (1 - s a_j + a_scale w_j),
+    inf where neither is. With both scales negated it is an upper bound,
+    and with both 0 the exact step.
+
+    One pass through the (4, width) ``buf``, both signs at once. A side
+    whose divisor is <= 0 divides by +0 instead, to inf, or NaN where its
+    numerator is 0, and fmin takes the other side; both sides fail only
     where a_scale < 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         for s in range(0, c.size, buf.shape[1]):
@@ -463,12 +446,14 @@ def _homotopy(design, yc: np.ndarray, lams: list[float], max_kinks: int):
                 k = min(max(4 * k, _NEAR), p)
                 near = np.argpartition(lo, k - 1)[:k]
                 kth, near = lo[near[-1]], near[(lo[near] < np.inf) & (near != dropped)]
-                hi = _join_steps(h, c[near], a[near], -c_err * w[near], -u_norm * w[near])
+                hi = _lower_bounds(h, c[near], a[near], -c_err, -u_norm, w[near],
+                                   np.empty(near.size), buf)
                 if dropped >= 0:  # its step is exact, and only the other side counts
                     near, hi = np.append(near, dropped), np.append(hi, lo[dropped])
             idx = _pick(lo, near, kth, min(float(hi.min(initial=np.inf)), t_drop))
             ce, ae = _exact_corr(design, idx, (r, u))
-            steps = np.where(idx == dropped, lo[idx], _join_steps(h, ce, ae))
+            steps = _lower_bounds(h, ce, ae, 0.0, 0.0, w[idx], np.empty(idx.size), buf)
+            steps[idx == dropped] = lo[dropped]
             i = int(np.argmin(steps)) if idx.size else -1
             t_join = float(steps[i]) if idx.size else np.inf
             if t_join >= t_drop:

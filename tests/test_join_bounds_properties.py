@@ -1,11 +1,12 @@
 """Property test of the homotopy's fused join-step bounds and its pick.
 
-``solvers._lower_bounds`` forms ``_join_steps``'s lower bounds for every
-column in one pass through preallocated slices, dividing by +0 where
-``_join_steps`` masks a side out; it must keep ``_join_steps``'s bits on the
-edges of that masking (a divisor ``1 -+ a + a_err`` exactly 0, ``a = +-1``,
-zero and negated error scales, numerators ``h -+ c`` below the error) and
-for every column count against the slice width. ``solvers._pick`` takes
+``solvers._lower_bounds`` forms the join-step bounds for every column in
+one pass through preallocated slices, dividing by +0 where the two-sign
+formula ``_join_steps`` below, its oracle, masks a side out; it must keep
+``_join_steps``'s bits on the edges of that masking (a divisor
+``1 -+ a + a_err`` exactly 0, ``a = +-1``, zero and negated error scales,
+numerators ``h -+ c`` below the error) and for every column count against
+the slice width. ``solvers._pick`` takes
 the candidates from the near set alone below the k-th smallest lower
 bound; it must give the columns of the full mask.
 """
@@ -14,7 +15,20 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ozolasso import solvers
-from ozolasso.solvers import _join_steps, _lower_bounds, _pick
+from ozolasso.solvers import _lower_bounds, _pick
+
+
+def _join_steps(h, c, a, c_err=0.0, a_err=0.0):
+    """A lower bound on the step t >= 0 at which |c_j - t a_j| first reaches
+    h - t, for c and a known to within c_err and a_err; inf where it never
+    does. With both errors negated it is an upper bound."""
+    out = np.full(c.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sign in (1.0, -1.0):
+            bot = 1.0 - sign * a + a_err
+            np.minimum(out, np.maximum(h - sign * c - c_err, 0.0) / bot, out=out, where=bot > 0)
+    return out
+
 
 SPECIAL = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1.5, -1.5, 2.0, -2.0, "h", "-h", "normal"])
 SCALES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, 1e-12])

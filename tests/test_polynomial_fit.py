@@ -24,15 +24,16 @@ def polynomial_training(seed: int, n: int, p0: int) -> pipeline.TrainingData:
 
 def test_polynomial_fit_makes_no_full_pass(monkeypatch):
     """CV, lambda_max and the final certificate come from Gram-form screens
-    and chunk rechecks: no design_corr pass, and fewer columns generated in
-    total than the expansion has."""
+    and exact rechecks of single columns: no design_corr pass, and fewer
+    columns generated in total (by ``rows``, which ``block`` calls too) than
+    the expansion has."""
     data = polynomial_training(0, 160, 400)
     p = expansion_size(400)
     corr_calls, columns = [], []
-    design_corr, block = solvers.design_corr, ExpandedDesign.block
+    design_corr, rows = solvers.design_corr, ExpandedDesign.rows
     monkeypatch.setattr(solvers, "design_corr", lambda d, v: corr_calls.append(1) or design_corr(d, v))
-    monkeypatch.setattr(ExpandedDesign, "block",
-                        lambda self, j0, j1: columns.append(j1 - j0) or block(self, j0, j1))
+    monkeypatch.setattr(ExpandedDesign, "rows",
+                        lambda self, idx: columns.append(len(idx)) or rows(self, idx))
     model, cv, fit = pipeline.fit_method(CONFIG, data, "lasso", "polynomial")
     assert fit.converged and fit.active_set.size > 0 and cv is not None
     assert corr_calls == []

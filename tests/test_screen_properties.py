@@ -33,7 +33,7 @@ def make_design(seed, n, p0, kind, subset):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(6, 40),
-    p0=st.sampled_from([2, 5, 12, 70]),  # 70: 2,555 columns, two design_corr chunks
+    p0=st.sampled_from([2, 5, 12, 70]),  # 70: 2,555 columns, past one _exact_corr batch
     kind=st.sampled_from(["random", "zero-variance", "ties"]),
     subset=st.booleans(),
     vector=st.sampled_from(["normal", "zero", "column", "large"]),

@@ -395,7 +395,9 @@ def test_duality_gap_matches_a_dense_oracle():
 def test_gram_pass_within_its_bound_of_design_corr():
     """The Gram-form pass against the streamed product, on the training rows
     and on a row subset (whose columns are not centred), with zero-variance
-    expanded columns: the square of a +-1 column and a constant column."""
+    expanded columns: the square of a +-1 column and a constant column. The
+    dense screen, one product over a DenseDesign of the same columns, is
+    held to its bound the same way."""
     rng = np.random.default_rng(18)
     base = standardized_matrix(rng, 40, 9)
     base[:, 0] = np.resize([1.0, -1.0], 40)
@@ -403,7 +405,9 @@ def test_gram_pass_within_its_bound_of_design_corr():
     design = ExpandedDesign.fit(base)
     constant = design.col_std == 0
     assert constant[design.p0] and constant.sum() > 9
-    for d in (design, design.take_rows(rng.permutation(40)[:25])):
+    subset = design.take_rows(rng.permutation(40)[:25])
+    p = design.shape[1]
+    for d in (design, subset, DenseDesign(design.block(0, p)), DenseDesign(subset.block(0, p))):
         n = d.shape[0]
         for v in (rng.normal(size=n), 1e6 * rng.normal(size=n), np.ones(n), np.zeros(n)):
             corr, weights = d.screen(v)
