@@ -11,8 +11,9 @@ from . import parallel
 
 
 @contextmanager
-def atomic_open(path: str | Path):
-    """Yield a text file that replaces ``path`` when the block completes.
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Yield a file, text or with ``mode="wb"`` binary, that replaces
+    ``path`` when the block completes.
 
     Writes go to a ``.tmp`` sibling. If the block raises, the sibling is
     removed and ``path`` keeps its earlier contents.
@@ -20,7 +21,7 @@ def atomic_open(path: str | Path):
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        with tmp.open("w", newline="") as fh:
+        with tmp.open(mode, newline=None if "b" in mode else "") as fh:
             yield fh
         tmp.replace(path)
     finally:

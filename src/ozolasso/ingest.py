@@ -97,15 +97,20 @@ class DayGrid:
 _TOKEN_CHUNK = 64
 
 
-def _parse_distinct(tokens, parse) -> list:
-    """parse() applied once per distinct token; None where it raises ValueError."""
+def _parsed_tokens(tokens, parse) -> dict:
+    """parse() of each distinct token; None where it raises ValueError."""
     parsed = {}
     for token in set(tokens):
         try:
             parsed[token] = parse(token)
         except ValueError:
             parsed[token] = None
-    return [parsed[token] for token in tokens]
+    return parsed
+
+
+def _parse_distinct(tokens, parse) -> list:
+    """parse() applied once per distinct token; None where it raises ValueError."""
+    return list(map(_parsed_tokens(tokens, parse).__getitem__, tokens))
 
 
 def _parse_column(tokens, var: str) -> tuple[np.ndarray, int]:
@@ -160,26 +165,29 @@ def _tokenize(path: Path, positions: list[int], floats: bool) -> list:
     return [rows[name] if dtype[name] == float else rows[name].tolist() for name in dtype.names]
 
 
-def _stamp_rows(dates, hours, rows) -> tuple[list[int], list[int], list[tuple[int, str]]]:
-    """The rows with a valid timestamp, their ``ordinal * 24 + hour`` stamps,
-    and the (line number, reason) of each row rejected. A row whose cells
-    are all blank is skipped, not rejected; with ``rows`` None (the
-    tokenizer has already skipped blank lines) none is."""
-    days = _parse_distinct(dates, lambda t: Date.fromisoformat(t.strip()).toordinal())
-    hours = _parse_distinct(hours, lambda t: int(t.strip()))
-    kept: list[int] = []
-    stamps: list[int] = []
+def _stamp_rows(dates, hours, rows) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """The indices of the rows with a valid timestamp, their int64
+    ``ordinal * 24 + hour`` stamps, and the (line number, reason) of each
+    row rejected. A row whose cells are all blank is skipped, not rejected;
+    with ``rows`` None (the tokenizer has already skipped blank lines) none
+    is."""
+    day_of = _parsed_tokens(dates, lambda t: Date.fromisoformat(t.strip()).toordinal())
+    hour_of = _parsed_tokens(hours, lambda t: int(t.strip()))
+    # per row: the day ordinal, or -1 if unparseable; the hour, -1 if
+    # unparseable, or 24 if outside [0, 23]
+    code = {t: -1 if d is None else d for t, d in day_of.items()}
+    day = np.fromiter(map(code.__getitem__, dates), dtype=np.int64, count=len(dates))
+    code = {t: -1 if h is None else h if 0 <= h <= 23 else 24 for t, h in hour_of.items()}
+    hour = np.fromiter(map(code.__getitem__, hours), dtype=np.int64, count=len(hours))
+    unparseable = (day < 0) | (hour < 0)
     rejected: list[tuple[int, str]] = []
-    for i, (day, hour) in enumerate(zip(days, hours)):
-        if day is None or hour is None:
-            if rows is None or any(cell.strip() for cell in rows[i]):
-                rejected.append((i + 2, "unparseable timestamp"))
-        elif not 0 <= hour <= 23:
-            rejected.append((i + 2, f"hour {hour} outside [0,23]"))
-        else:
-            kept.append(i)
-            stamps.append(day * 24 + hour)
-    return kept, stamps, rejected
+    for i in np.flatnonzero(unparseable | (hour > 23)).tolist():
+        if not unparseable[i]:
+            rejected.append((i + 2, f"hour {hour_of[hours[i]]} outside [0,23]"))
+        elif rows is None or any(cell.strip() for cell in rows[i]):
+            rejected.append((i + 2, "unparseable timestamp"))
+    kept = np.flatnonzero(~unparseable & (hour <= 23))
+    return kept, day[kept] * 24 + hour[kept], rejected
 
 
 def parse_hourly_file(path: str | Path, variables) -> ParseResult:
@@ -229,7 +237,7 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
             except ValueError:
                 why = "a short row"
     if split is not None:
-        kept, stamps, rejected = _stamp_rows(columns[0], columns[1], None)
+        kept, keys, rejected = _stamp_rows(columns[0], columns[1], None)
         if rejected:
             floats, split, why = False, None, "a rejected row"
     if split is None:
@@ -240,13 +248,12 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
         width = max(positions) + 1
         rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
         columns = list(zip(*map(itemgetter(*positions), rows))) or [()] * len(positions)
-        kept, stamps, rejected = _stamp_rows(columns[0], columns[1], rows)
+        kept, keys, rejected = _stamp_rows(columns[0], columns[1], rows)
 
-    keys = np.array(stamps, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     if repeats.size:  # the first row, in file order, whose stamp came before
-        day, hour = divmod(stamps[int(repeats.min())], 24)
+        day, hour = divmod(int(keys[repeats.min()]), 24)
         raise DuplicateTimestampError(Date.fromordinal(day), hour)
 
     values: dict[str, np.ndarray] = {}
@@ -256,7 +263,7 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
             column, n = _apply_rules(cells, np.zeros(len(cells), dtype=bool), var)
         else:
             if len(kept) < len(cells):
-                cells = [cells[i] for i in kept]
+                cells = [cells[i] for i in kept.tolist()]
             column, n = _parse_column(cells, var)
         values[var] = column[order]
         coerced += n

@@ -6,14 +6,17 @@ byte-identical.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import ingest, modelio, parallel, selection, solvers
+from .atomic import atomic_open
 from .config import ConfigError, RunConfig
 from .expansion import ExpandedDesign, expansion_size
 from .features import (
@@ -41,12 +44,146 @@ class IngestStats:
     incomplete_days: int
 
 
+# The day grids of the last parse, kept in the out dir: a later command on
+# the same inputs loads them instead of parsing the hourly files again.
+DAY_CACHE = "day_blocks.cache"
+_CACHE_FORMAT = "ozolasso day blocks 1"
+
+
+class _CacheMiss(Exception):
+    """Why the day-block cache cannot be used: no file, key, length or digest."""
+
+
+def _day_cache_key(config: RunConfig) -> str:
+    """sha256 over the cache format, numpy's version, this package's source,
+    ``max_gap_hours`` and the bytes of each input file: all that the day
+    grids depend on. Raises OSError when a file cannot be read."""
+    key = hashlib.sha256(f"{_CACHE_FORMAT}\0numpy {np.__version__}\0"
+                         f"max_gap_hours {config.max_gap_hours}\0".encode())
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        key.update(source.name.encode() + b"\0" + hashlib.sha256(source.read_bytes()).digest())
+    for name in (config.pollutant_file, config.meteo_file, config.forecast_file):
+        if not name:
+            key.update(b"-")
+            continue
+        digest = hashlib.sha256()
+        with Path(name).open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        key.update(b"+" + digest.digest())
+    return key.hexdigest()
+
+
+def _grid_arrays(days: ingest.DayGrid) -> list[np.ndarray]:
+    """A day grid's arrays in the cache's order, little-endian: the
+    ordinals, each variable's grid, each variable's fill counts."""
+    return [np.ascontiguousarray(days.ordinals, "<i8"),
+            *(np.ascontiguousarray(days.values[v], "<f8") for v in days.values),
+            *(np.ascontiguousarray(days.fill_count[v], "<i8") for v in days.values)]
+
+
+def _spec(days: ingest.DayGrid | None) -> dict | None:
+    return None if days is None else {"n_days": len(days), "variables": list(days.values)}
+
+
+def _empty_grid(spec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unfilled ordinals, stacked grids and stacked fill counts of the grid
+    that ``spec`` describes: the bytes ``_grid_arrays`` writes, in order."""
+    n, k = spec["n_days"], len(spec["variables"])
+    return np.empty(n, "<i8"), np.empty((k, n, 24), "<f8"), np.empty((k, n), "<i8")
+
+
+def _day_grid(names: list[str], ordinals, values, fills) -> ingest.DayGrid:
+    return ingest.DayGrid(ordinals, dict(zip(names, values)), dict(zip(names, fills)))
+
+
+def _write_day_cache(path: Path, key: str, days, forecast_days, stats: IngestStats) -> None:
+    """Keep the day grids at ``path`` under ``key``: a one-line sorted JSON
+    header, then the arrays' raw bytes. The header's ``sha256`` covers the
+    rest of the header and the arrays. A cache that cannot be written is
+    left out; an empty directory in its place is removed first."""
+    arrays = [a for grid in (days, forecast_days) if grid is not None for a in _grid_arrays(grid)]
+    header = {"key": key, "days": _spec(days), "forecast": _spec(forecast_days),
+              "stats": asdict(stats)}
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+    for a in arrays:
+        digest.update(a)
+    header["sha256"] = digest.hexdigest()
+    try:
+        if path.is_dir():
+            path.rmdir()
+        with atomic_open(path, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            for a in arrays:
+                fh.write(memoryview(a))
+    except OSError as exc:
+        logger.debug("day blocks: cache not written (%s)", exc)
+
+
+def _read_day_cache(path: Path, key: str):
+    """The (days, forecast days, stats) kept at ``path`` under ``key``.
+    Raises _CacheMiss when the file cannot be read ("no file"), holds
+    another key or a header this code does not write ("key"), or a payload
+    of another length ("length") or digest ("digest")."""
+    try:
+        with path.open("rb") as fh:
+            line = fh.readline()
+            try:
+                header = json.loads(line)
+                if header["key"] != key:
+                    raise _CacheMiss("key")
+                specs = [header["days"], header["forecast"]]
+                grids = [() if spec is None else _empty_grid(spec) for spec in specs]
+                stats = IngestStats(**header["stats"])
+                claimed = header.pop("sha256")
+            except (ValueError, TypeError, KeyError):
+                raise _CacheMiss("key")
+            arrays = [a for grid in grids for a in grid]
+            if len(line) + sum(a.nbytes for a in arrays) != os.fstat(fh.fileno()).st_size:
+                raise _CacheMiss("length")
+            digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+            for a in arrays:  # a read cut short leaves bytes the digest rejects
+                fh.readinto(a)
+                digest.update(a)
+    except OSError:
+        raise _CacheMiss("no file")
+    if digest.hexdigest() != claimed:
+        raise _CacheMiss("digest")
+    days, forecast_days = (_day_grid(spec["variables"], *grid) if grid else None
+                           for spec, grid in zip(specs, grids))
+    return days, forecast_days, stats
+
+
 def load_day_blocks(config: RunConfig):
-    """Parse the pollutant and meteorology files into assembled day grids;
-    the meteorology file in a forked child beside the pollutant one when it
-    is large enough (``parallel.beside``). Logs the split each file took."""
+    """(days, forecast days or None, IngestStats) of the pollutant,
+    meteorology and forecast files.
+
+    A ``DAY_CACHE`` file in the out dir written under the same key
+    (``_day_cache_key``) is loaded in place of the parse. Otherwise the
+    files are parsed and the cache is written: the meteorology file in a
+    forked child beside the pollutant one when it is large enough
+    (``parallel.beside``), logging the split each file took. An input that
+    cannot be read fails as the parse fails, cache or not."""
     if not config.pollutant_file or not config.meteo_file:
         raise ConfigError("pollutant_file and meteo_file are required")
+    try:
+        key = _day_cache_key(config)
+    except OSError:
+        return _parse_day_blocks(config)
+    cache = Path(config.out_dir) / DAY_CACHE
+    try:
+        blocks = _read_day_cache(cache, key)
+    except _CacheMiss as miss:
+        logger.debug("day blocks: cache miss (%s)", miss)
+    else:
+        logger.debug("day blocks: cache hit %s", cache)
+        return blocks
+    blocks = _parse_day_blocks(config)
+    _write_day_cache(cache, key, *blocks)
+    return blocks
+
+
+def _parse_day_blocks(config: RunConfig):
     meteo = config.meteo_file
     size = os.path.getsize(meteo) if os.path.isfile(meteo) else 0  # else the parse fails in turn
     with parallel.beside(ingest.parse_hourly_file, meteo, ingest.METEO_VARS,

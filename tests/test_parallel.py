@@ -123,8 +123,11 @@ def test_artifacts_are_byte_identical(files, request, tmp_path, monkeypatch):
         for command in ("ingest", "featurize"):
             assert main([command, *args(data, tmp_path / mode)]) == 0
         written[mode] = {f.name: f.read_bytes() for f in (tmp_path / mode).iterdir()}
-    assert sorted(written["worker"]) == ["canonical.csv", "feature_manifest.txt",
-                                         "features.csv", "ingest_report.txt"]
+    # ingest parses (meteorology in the worker or inline) and keeps the day
+    # blocks, which featurize then loads: the cache's bytes match too
+    assert sorted(written["worker"]) == ["canonical.csv", "day_blocks.cache",
+                                         "feature_manifest.txt", "features.csv",
+                                         "ingest_report.txt"]
     assert written["worker"] == written["inline"]
 
 
@@ -256,6 +259,7 @@ def test_verbose_logs_both_tokenizer_lines_in_file_order(clean, tmp_path, monkey
         caplog.clear()
         assert main(["-v", "featurize", *args(clean, tmp_path / mode)]) == 0
         assert [r.getMessage() for r in caplog.records if r.name == "ozolasso.pipeline"] == [
+            "day blocks: cache miss (no file)",
             f"{clean / 'pollutants.csv'}: numpy tokenizer",
             f"{clean / 'meteorology.csv'}: numpy tokenizer",
         ]
