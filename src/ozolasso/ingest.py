@@ -270,23 +270,6 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
     return ParseResult(HourlyTable(keys[order], values), rejected, coerced, split)
 
 
-def merge_records(*tables: HourlyTable) -> HourlyTable:
-    """Join hourly tables (e.g. pollutant + meteorology files) on their keys.
-
-    A later table's present value wins; a missing one never erases an earlier
-    value.
-    """
-    keys = np.unique(np.concatenate([t.keys for t in tables]))
-    values: dict[str, np.ndarray] = {}
-    for table in tables:
-        at = np.searchsorted(keys, table.keys)
-        for var, column in table.values.items():
-            merged = values.setdefault(var, np.full(len(keys), np.nan))
-            present = ~np.isnan(column)
-            merged[at[present]] = column[present]
-    return HourlyTable(keys, values)
-
-
 def _fill_gaps(grid: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, np.ndarray]:
     """Linearly interpolate interior nan runs of length <= max_gap_hours
     along each row; returns the filled grid and the cells filled per row."""
@@ -305,41 +288,34 @@ def _fill_gaps(grid: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, np.nda
     return out, fill.sum(axis=1)
 
 
-def assemble_days(
-    table: HourlyTable,
-    max_gap_hours: int = 3,
-    variables=ALL_VARS,
-) -> DayGrid:
-    """Group hourly values into a day grid and apply the gap-fill policy.
+def assemble_days(*tables: HourlyTable, max_gap_hours: int = 3, variables=ALL_VARS) -> DayGrid:
+    """Place the hourly tables' values (e.g. the pollutant and meteorology
+    files) into one day grid and apply the gap-fill policy.
 
-    Interior gaps of <= max_gap_hours consecutive missing hours are filled by
-    linear interpolation between their neighbors within the day; anything
-    longer, and boundary gaps, leave the variable incomplete for that day.
+    A later table's present value wins; a missing one never erases an
+    earlier value. Interior gaps of <= max_gap_hours consecutive missing
+    hours are filled by linear interpolation between their neighbors within
+    the day; anything longer, and boundary gaps, leave the variable
+    incomplete for that day.
     """
-    ordinals, day_of_row = np.unique(table.keys // 24, return_inverse=True)
-    hour_of_row = table.keys % 24
+    ordinals = np.unique(np.concatenate([t.keys // 24 for t in tables]))
+    cells = [np.searchsorted(ordinals, t.keys // 24) * 24 + t.keys % 24 for t in tables]
     values: dict[str, np.ndarray] = {}
     fills: dict[str, np.ndarray] = {}
     for var in variables:
-        grid = np.full((len(ordinals), 24), np.nan)
-        if var in table.values:
-            grid[day_of_row, hour_of_row] = table.values[var]
-        values[var], fills[var] = _fill_gaps(grid, max_gap_hours)
+        grid = np.full(len(ordinals) * 24, np.nan)
+        for table, cell in zip(tables, cells):
+            if var in table.values:
+                present = ~np.isnan(table.values[var])
+                grid[cell[present]] = table.values[var][present]
+        values[var], fills[var] = _fill_gaps(grid.reshape(-1, 24), max_gap_hours)
     return DayGrid(ordinals, values, fills)
-
-
-def days_to_table(days: DayGrid) -> HourlyTable:
-    """Flatten a day grid back into an hourly table (nan slots stay missing)."""
-    keys = (days.ordinals[:, None] * 24 + np.arange(24)).ravel()
-    return HourlyTable(keys, {var: grid.ravel() for var, grid in days.values.items()})
 
 
 def write_canonical(days: DayGrid, path: str | Path) -> None:
     """Emit the normalized hourly file with fixed column order."""
-    table = days_to_table(days)
-    keys = table.keys.tolist()
-    missing = [math.nan] * len(table)
-    columns = [table.values[v].tolist() if v in table.values else missing for v in ALL_VARS]
+    keys = (days.ordinals[:, None] * 24 + np.arange(24)).ravel().tolist()
+    columns = [days.values[v].ravel().tolist() for v in ALL_VARS]
 
     def lines(lo, hi):
         # joined as csv.writer writes them: no date, hour, repr float or blank cell needs quoting

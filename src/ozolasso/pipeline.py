@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -82,19 +83,9 @@ def _grid_arrays(days: ingest.DayGrid) -> list[np.ndarray]:
             *(np.ascontiguousarray(days.fill_count[v], "<i8") for v in days.values)]
 
 
-def _spec(days: ingest.DayGrid | None) -> dict | None:
-    return None if days is None else {"n_days": len(days), "variables": list(days.values)}
-
-
-def _empty_grid(spec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unfilled ordinals, stacked grids and stacked fill counts of the grid
-    that ``spec`` describes: the bytes ``_grid_arrays`` writes, in order."""
-    n, k = spec["n_days"], len(spec["variables"])
-    return np.empty(n, "<i8"), np.empty((k, n, 24), "<f8"), np.empty((k, n), "<i8")
-
-
-def _day_grid(names: list[str], ordinals, values, fills) -> ingest.DayGrid:
-    return ingest.DayGrid(ordinals, dict(zip(names, values)), dict(zip(names, fills)))
+# The variables of the days' grid and the forecast's, in the order
+# _grid_arrays writes them: ingest fixes them, and the key pins its source.
+_GRID_VARS = (ingest.ALL_VARS, ingest.METEO_VARS)
 
 
 def _write_day_cache(path: Path, key: str, days, forecast_days, stats: IngestStats) -> None:
@@ -103,7 +94,8 @@ def _write_day_cache(path: Path, key: str, days, forecast_days, stats: IngestSta
     rest of the header and the arrays. A cache that cannot be written is
     left out; an empty directory in its place is removed first."""
     arrays = [a for grid in (days, forecast_days) if grid is not None for a in _grid_arrays(grid)]
-    header = {"key": key, "days": _spec(days), "forecast": _spec(forecast_days),
+    header = {"key": key, "days": len(days),
+              "forecast": None if forecast_days is None else len(forecast_days),
               "stats": asdict(stats)}
     digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
     for a in arrays:
@@ -132,25 +124,31 @@ def _read_day_cache(path: Path, key: str):
                 header = json.loads(line)
                 if header["key"] != key:
                     raise _CacheMiss("key")
-                specs = [header["days"], header["forecast"]]
-                grids = [() if spec is None else _empty_grid(spec) for spec in specs]
+                # a day count per grid; None for no forecast
+                counts = [n if n is None else operator.index(n) for n in (header["days"], header["forecast"])]
                 stats = IngestStats(**header["stats"])
                 claimed = header.pop("sha256")
             except (ValueError, TypeError, KeyError):
                 raise _CacheMiss("key")
-            arrays = [a for grid in grids for a in grid]
-            if len(line) + sum(a.nbytes for a in arrays) != os.fstat(fh.fileno()).st_size:
+            # per day, 8 bytes each: its ordinal, and per variable 24 cells and a fill count
+            sizes = [8 * n * (1 + 25 * len(names)) for n, names in zip(counts, _GRID_VARS) if n is not None]
+            if min(sizes, default=0) < 0 or len(line) + sum(sizes) != os.fstat(fh.fileno()).st_size:
                 raise _CacheMiss("length")
+            grids = [None if n is None else ingest.DayGrid(
+                         np.empty(n, "<i8"), {v: np.empty((n, 24), "<f8") for v in names},
+                         {v: np.empty(n, "<i8") for v in names})
+                     for n, names in zip(counts, _GRID_VARS)]
             digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
-            for a in arrays:  # a read cut short leaves bytes the digest rejects
-                fh.readinto(a)
+            # each array already has its cache dtype, so _grid_arrays hands
+            # back the grids' own arrays and the reads land in them
+            for a in [a for grid in grids if grid is not None for a in _grid_arrays(grid)]:
+                fh.readinto(a)  # a read cut short leaves bytes the digest rejects
                 digest.update(a)
     except OSError:
         raise _CacheMiss("no file")
     if digest.hexdigest() != claimed:
         raise _CacheMiss("digest")
-    days, forecast_days = (_day_grid(spec["variables"], *grid) if grid else None
-                           for spec, grid in zip(specs, grids))
+    days, forecast_days = grids
     return days, forecast_days, stats
 
 
@@ -183,30 +181,38 @@ def load_day_blocks(config: RunConfig):
     return blocks
 
 
+def _log_parse(path: str, parsed: ingest.ParseResult) -> None:
+    """Log at -v the split a file's parse took and the first rows it rejected."""
+    logger.debug("%s: %s", Path(path), parsed.split)
+    if parsed.rejected:
+        logger.debug("%s: %d rejected row(s): %s", Path(path), len(parsed.rejected),
+                     "; ".join(f"line {line}: {why}" for line, why in parsed.rejected[:10]))
+
+
 def _parse_day_blocks(config: RunConfig):
     meteo = config.meteo_file
     size = os.path.getsize(meteo) if os.path.isfile(meteo) else 0  # else the parse fails in turn
     with parallel.beside(ingest.parse_hourly_file, meteo, ingest.METEO_VARS,
                          nbytes=size) as meteorology:
         pol = ingest.parse_hourly_file(config.pollutant_file, ingest.POLLUTANTS)
-        logger.debug("%s: %s", Path(config.pollutant_file), pol.split)
+        _log_parse(config.pollutant_file, pol)
         met = meteorology()
-    logger.debug("%s: %s", Path(meteo), met.split)
-    hourly = ingest.merge_records(pol.records, met.records)
-    if not len(hourly):
+    _log_parse(meteo, met)
+    n_rows = len(np.union1d(pol.records.keys, met.records.keys))
+    if not n_rows:
         raise PipelineError("input files contain no usable rows")
-    days = ingest.assemble_days(hourly, config.max_gap_hours)
+    days = ingest.assemble_days(pol.records, met.records, max_gap_hours=config.max_gap_hours)
 
     forecast_days = None
     if config.forecast_file:
         fc = ingest.parse_hourly_file(config.forecast_file, ingest.METEO_VARS)
-        logger.debug("%s: %s", Path(config.forecast_file), fc.split)
+        _log_parse(config.forecast_file, fc)
         forecast_days = ingest.assemble_days(
-            fc.records, config.max_gap_hours, variables=ingest.METEO_VARS
+            fc.records, max_gap_hours=config.max_gap_hours, variables=ingest.METEO_VARS
         )
 
     stats = IngestStats(
-        n_rows=len(hourly),
+        n_rows=n_rows,
         n_rejected=len(pol.rejected) + len(met.rejected),
         n_coerced=pol.coerced_missing + met.coerced_missing,
         n_days=len(days),

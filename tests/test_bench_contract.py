@@ -60,6 +60,7 @@ RETIRED = {
     "solvers.design_diag",  # no caller since the homotopy replaced coordinate descent
     "selection.column_scores",  # lambda_max comes from solvers.corr_abs_max
     "solvers.design_predict",  # each design predicts itself: DenseDesign/ExpandedDesign.predict
+    "ingest.merge_records",  # assemble_days places each parsed table's values in the grid itself
 }
 
 

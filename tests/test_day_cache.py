@@ -192,6 +192,13 @@ def change_a_stat(path: Path) -> None:
     path.write_bytes(raw[:at] + b"9" + raw[at:])
 
 
+def claim_a_trillion_days(path: Path) -> None:
+    """A header whose day count would take terabytes to allocate."""
+    raw = path.read_bytes()
+    assert raw.count(b'"days": 60,') == 1
+    path.write_bytes(raw.replace(b'"days": 60,', b'"days": 1000000000000,'))
+
+
 def truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:-8])
 
@@ -217,6 +224,7 @@ def directory(path: Path) -> None:
 @pytest.mark.parametrize("damage, reason", [
     (flip_a_payload_byte, "digest"),
     (change_a_stat, "digest"),
+    (claim_a_trillion_days, "length"),
     (truncate, "length"),
     (append, "length"),
     (foreign_header, "key"),
@@ -237,6 +245,31 @@ def test_a_damaged_cache_is_a_miss_that_gets_rewritten(damage, reason, data, tmp
     caplog.clear()
     pipeline.load_day_blocks(config)
     assert day_block_lines(caplog) == [f"day blocks: cache hit {cache}"]
+
+
+@pytest.mark.parametrize("bad_rows", [1, 12])
+def test_a_parse_logs_the_rows_it_rejects(bad_rows, data, tmp_path, caplog):
+    """At -v a parse names each file's first 10 rejected rows and their
+    count; a cache hit parses nothing and names none."""
+    caplog.set_level(logging.DEBUG, logger="ozolasso.pipeline")
+    config = copy_inputs(data, tmp_path / "run")
+    pol = tmp_path / "run" / "pollutants.csv"
+    lines = pol.read_text().splitlines()
+    for row in range(2, 2 + bad_rows):
+        lines[row] = "not-a-date," + lines[row].split(",", 1)[1]
+    pol.write_text("\n".join(lines) + "\n")
+    assert pipeline.load_day_blocks(config)[2].n_rejected == bad_rows
+    shown = "; ".join(f"line {row + 1}: unparseable timestamp" for row in range(2, 2 + min(bad_rows, 10)))
+    assert day_block_lines(caplog) == [
+        "day blocks: cache miss (no file)",
+        f"{pol}: csv parse, for a rejected row",
+        f"{pol}: {bad_rows} rejected row(s): {shown}",
+        f"{tmp_path / 'run' / 'meteorology.csv'}: numpy tokenizer, numbers as str",
+        f"{tmp_path / 'run' / 'forecast.csv'}: numpy tokenizer, numbers as str",
+    ]
+    caplog.clear()
+    pipeline.load_day_blocks(config)
+    assert day_block_lines(caplog) == [f"day blocks: cache hit {tmp_path / 'run' / CACHE}"]
 
 
 def test_a_cache_that_cannot_be_written_is_left_out(data, tmp_path, caplog):

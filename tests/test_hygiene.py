@@ -1,15 +1,18 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses, no
 function in ``src/`` has a parameter it never reads, no dataclass in
-``src/`` has a field nothing reads, the solvers reach every design through
-its own members, every shortcut flag of the CLI sets a config key, and
-only ``parallel.py`` forks a worker.
+``src/`` has a field nothing reads, no public name in ``src/`` goes unread
+but the few that code outside it reads, the solvers reach every design
+through its own members, every shortcut flag of the CLI sets a config key,
+and only ``parallel.py`` forks a worker.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
 exempt: it keeps a binding that code outside the module reads. A parameter
 is read when its name is loaded anywhere in the function's body, nested
 functions included. A dataclass field is read when ``.field`` is loaded
-anywhere in ``src/``, ``tests/`` or ``perfbench/``.
+anywhere in ``src/``, ``tests/`` or ``perfbench/``. A public name is read
+when a module in ``src/`` loads it (as ``name`` or ``.name``) or imports it
+on a line not marked ``# noqa: F401``.
 """
 
 import ast
@@ -148,6 +151,87 @@ def test_the_scan_finds_an_unread_dataclass_field(tmp_path):
         "def f(a, b):\n    b.stored = a.kept\n    return a\n"
     )
     assert unread_fields(module, [module]) == ["A.unread", "B.stored"]
+
+
+def public_names(path: Path) -> list[str]:
+    """module.name for each public function, class and module-level
+    assignment, and module.Class.name for each public method."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [f"{path.stem}.{name}" for name in names if not name.startswith("_")]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not m.name.startswith("_")]
+    return found
+
+
+def names_read(paths) -> set[str]:
+    """Every name the modules load, as ``name`` or ``.name``, or import
+    from a module on a line not marked ``# noqa: F401``."""
+    read = set()
+    for path in paths:
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names if "# noqa: F401" not in lines[a.lineno - 1]}
+    return read
+
+
+def unread_public_names(paths) -> list[str]:
+    read = names_read(paths)
+    return [name for path in paths for name in public_names(path)
+            if name.rsplit(".", 1)[1] not in read]
+
+
+# Public names that nothing in src/ reads, each with a file outside it that
+# does: what keeps it in the program.
+READ_OUTSIDE = {
+    "solvers.design_block": "perfbench/run.py",  # traced by name
+    "expansion.ExpandedDesign.n_features": "perfbench/child.py",  # the pass counter
+    "solvers.design_corr": "tests/test_solvers.py",  # the tests' reference for X'v/n
+    "features.build_schema": "tests/test_features.py",
+}
+
+
+def test_every_public_name_is_read():
+    assert sorted(unread_public_names(SOURCES)) == sorted(READ_OUTSIDE)
+
+
+@pytest.mark.parametrize("name, reader", READ_OUTSIDE.items())
+def test_each_name_read_outside_src_is_read_there(name, reader):
+    """The file loads or imports the name, or names it as a string, as
+    perfbench/run.py names the functions it traces."""
+    path = ROOT / reader
+    strings = {node.value for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant)}
+    assert name.rsplit(".", 1)[1] in names_read([path]) or name in strings
+
+
+def test_the_scan_finds_an_unread_public_name(tmp_path):
+    (tmp_path / "b.py").write_text("def used():\n    pass\n\n\ndef kept():\n    pass\n")
+    (tmp_path / "a.py").write_text(
+        "from b import used\nfrom b import kept  # noqa: F401\n\nLIMIT = 1\n_hidden = 2\n\n\n"
+        "def helper():\n    return LIMIT\n\n\nclass Thing:\n    def called(self):\n"
+        "        return helper()\n\n    def never(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n\ndef orphan():\n    return Thing().called()\n"
+    )
+    assert unread_public_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.Thing.never", "a.orphan", "b.kept",
+    ]
 
 
 def design_adapters(path: Path) -> list[str]:

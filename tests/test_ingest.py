@@ -15,8 +15,6 @@ from ozolasso.ingest import (
     HourlyTable,
     IngestError,
     assemble_days,
-    days_to_table,
-    merge_records,
     parse_hourly_file,
     write_canonical,
 )
@@ -248,7 +246,8 @@ def test_interpolation_idempotent():
     o3[3:5] = np.nan
     o3[0] = np.nan  # boundary, stays missing
     once = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
-    twice = assemble_days(days_to_table(once), max_gap_hours=3, variables=("o3",))
+    refilled = table(records_for_day(once.values["o3"][0]))
+    twice = assemble_days(refilled, max_gap_hours=3, variables=("o3",))
     np.testing.assert_array_equal(once.values["o3"][0], twice.values["o3"][0])
     assert twice.fill_count["o3"].tolist() == [0]
 
@@ -263,24 +262,27 @@ def test_day_count_matches_distinct_dates():
     ]
 
 
-def test_merge_records_joins_on_timestamp():
+def test_assemble_joins_tables_on_timestamp():
     a = table([(Date(2016, 7, 1), 0, {"o3": 1.0})])
     b = table([
         (Date(2016, 7, 1), 0, {"temperature": 20.0}),
         (Date(2016, 7, 1), 1, {"temperature": 21.0}),
     ])
-    merged = merge_records(a, b)
-    assert len(merged) == 2
-    assert record(merged, 0)[2] == {"o3": 1.0, "temperature": 20.0}
-    assert record(merged, 1)[2] == {"temperature": 21.0}
+    days = assemble_days(a, b, max_gap_hours=0, variables=("o3", "temperature"))
+    assert len(days) == 1
+    o3, temperature = days.values["o3"][0], days.values["temperature"][0]
+    assert (o3[0], temperature[0]) == (1.0, 20.0)
+    assert np.isnan(o3[1]) and temperature[1] == 21.0
+    assert np.isnan(o3[2:]).all() and np.isnan(temperature[2:]).all()
 
 
-def test_merge_later_value_wins_and_missing_never_erases():
+def test_assemble_later_value_wins_and_missing_never_erases():
     a = table([(Date(2016, 7, 1), 0, {"o3": 1.0}), (Date(2016, 7, 1), 1, {"o3": 2.0})])
     b = table([(Date(2016, 7, 1), 0, {"o3": 5.0}), (Date(2016, 7, 1), 1, {"o3": np.nan})])
-    merged = merge_records(a, b)
-    assert record(merged, 0)[2] == {"o3": 5.0}
-    assert record(merged, 1)[2] == {"o3": 2.0}
+    days = assemble_days(a, b, max_gap_hours=0, variables=("o3",))
+    assert days.values["o3"][0, :2].tolist() == [5.0, 2.0]
+    days = assemble_days(b, a, max_gap_hours=0, variables=("o3",))
+    assert days.values["o3"][0, :2].tolist() == [1.0, 2.0]
 
 
 def test_table_keys_must_be_sorted_and_unique():

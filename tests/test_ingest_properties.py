@@ -145,7 +145,7 @@ def assert_same_parse(got, want, variables, max_gap_hours):
         r.day.toordinal() * 24 + r.hour for r in want.records
     ]
     assert_same_days(
-        ingest.assemble_days(got.records, max_gap_hours, variables),
+        ingest.assemble_days(got.records, max_gap_hours=max_gap_hours, variables=variables),
         oracle.assemble_days(want.records, max_gap_hours, variables),
     )
 
@@ -171,11 +171,13 @@ def test_columnar_ingest_matches_row_wise(tmp_path, data, max_gap_hours):
         elif kind == "cells":
             assert taken.startswith("numpy")
         assert_same_parse(got, want, variables, max_gap_hours)
-        parsed.append((got, want))
+        parsed.append((variables, got, want))
 
-    (got_a, want_a), (got_b, want_b) = parsed
+    (vars_a, got_a, want_a), (vars_b, got_b, want_b) = parsed
+    # a variable in both files is where a later present value must win
+    event(f"files share a variable: {bool(set(vars_a) & set(vars_b))}")
     assert_same_days(
-        ingest.assemble_days(ingest.merge_records(got_a.records, got_b.records), max_gap_hours),
+        ingest.assemble_days(got_a.records, got_b.records, max_gap_hours=max_gap_hours),
         oracle.assemble_days(oracle.merge_records(want_a.records, want_b.records), max_gap_hours),
     )
 
