@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, modelio, pipeline, selection, solvers, synth
+from . import evaluation, modelio, parallel, pipeline, selection, solvers, synth
 from .atomic import write_csv, write_lines, write_text
 from .config import (REPORT_METHODS, ConfigError, RunConfig, load_config, set_item,
                      write_effective_config)
@@ -320,6 +320,10 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    pinned = parallel.set_blas_threads(1)  # so no environment variable changes a result
+    logging.getLogger(__name__).debug(
+        f"blas: one thread in {', '.join(pinned)}" if pinned
+        else "blas: no bundled OpenBLAS found; thread count left to the library")
     try:
         if args.command == "synth":
             return cmd_synth(args)

@@ -9,24 +9,29 @@ the child's copies of the handlers, which keep it where the caller never
 looks or write it out of order. Fork, not spawn: a spawned worker would
 import numpy and scipy again, which costs more than the work it takes over.
 A fork in a process with threads is safe only if no other thread holds a
-lock the child needs. The only threads here are OpenBLAS's: it stops them
-in its own fork handler, and each process starts its own again at its next
-BLAS call. A cross-validation fold's child makes many BLAS and LAPACK
-calls; tests/test_parallel.py forks one under OpenBLAS's default of a
-thread per CPU, and it finishes and writes the inline run's bytes. It is
-slow, though: with two threads in each of two processes on two CPUs, a
-paper-scale ridge CV took 3.4 times as long as inline. So a call that
-makes BLAS calls passes ``threads=blas_threads()``, and runs inline unless
-the CPUs hold that many threads for each process.
+lock the child needs. The only threads here are those of the OpenBLAS that
+numpy and scipy each bundle: it stops them in its own fork handler, and each
+process starts its own again at its next BLAS call. With two threads in each
+of two processes on two CPUs, a paper-scale ridge CV took 3.4 times as long
+as inline. So a call that makes BLAS calls passes
+``threads=blas_threads()``, the count in force, and runs inline unless the
+CPUs hold that many threads for each process. The CLI sets one thread, so no
+environment variable changes a result. Another BLAS counts as a thread per
+CPU: its threads cannot be set here, and an OpenMP pool may not survive a
+fork.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib.util
 import os
 import pickle
 import signal
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 # Bytes of text to parse or format, or of a design to cross-validate, below
 # which the call runs inline. Timed on a 2-vCPU x86-64 VM, in fresh
@@ -55,19 +60,31 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas() -> tuple:
+    """(file name, get, set) of the thread count of each OpenBLAS bundled in
+    ``numpy.libs`` and ``scipy.libs``, found once per process."""
+    found = []
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        libs = Path(importlib.util.find_spec(package).origin).parents[1] / f"{package}.libs"
+        for path in sorted(libs.glob(f"libscipy_openblas{suffix}-*")):
+            lib = ctypes.CDLL(str(path))
+            found.append((path.name, getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                          getattr(lib, f"scipy_openblas_set_num_threads{suffix}")))
+    return tuple(found)
+
+
+def set_blas_threads(n: int) -> list[str]:
+    """Run each bundled OpenBLAS on ``n`` threads; their file names."""
+    for _, get, set_threads in _openblas():
+        if get() != n:  # setting the same count again raised paper-max8h's peak RSS 3.5 MiB
+            set_threads(n)
+    return [name for name, _, _ in _openblas()]
+
+
 def blas_threads() -> int:
-    """Threads of one BLAS call in this process, as OpenBLAS sets them when
-    it loads: the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS set to a positive integer, at most one per usable CPU;
-    when none is, one per usable CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return min(threads, usable_cpus())
-    return usable_cpus()
+    """Threads of one BLAS call: the most a bundled OpenBLAS runs, else one per usable CPU."""
+    return max((get() for _, get, _ in _openblas()), default=usable_cpus())
 
 
 def forks(nbytes: int, threads: int = 1) -> bool:

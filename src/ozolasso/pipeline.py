@@ -203,18 +203,19 @@ def _parse_day_blocks(config: RunConfig):
         raise PipelineError("input files contain no usable rows")
     days = ingest.assemble_days(pol.records, met.records, max_gap_hours=config.max_gap_hours)
 
-    forecast_days = None
+    forecast_days, parsed = None, [pol, met]
     if config.forecast_file:
         fc = ingest.parse_hourly_file(config.forecast_file, ingest.METEO_VARS)
         _log_parse(config.forecast_file, fc)
+        parsed.append(fc)
         forecast_days = ingest.assemble_days(
             fc.records, max_gap_hours=config.max_gap_hours, variables=ingest.METEO_VARS
         )
 
     stats = IngestStats(
         n_rows=n_rows,
-        n_rejected=len(pol.rejected) + len(met.rejected),
-        n_coerced=pol.coerced_missing + met.coerced_missing,
+        n_rejected=sum(len(p.rejected) for p in parsed),
+        n_coerced=sum(p.coerced_missing for p in parsed),
         n_days=len(days),
         n_filled=int(sum(count.sum() for count in days.fill_count.values())),
         incomplete_days=int(np.isnan(np.stack(list(days.values.values()))).any(axis=(0, 2)).sum()),

@@ -56,6 +56,21 @@ def test_ingest_golden(synth_dir, tmp_path):
     assert "rejected rows: 0" in report
 
 
+
+def test_ingest_report_counts_the_forecast_files_problems(synth_dir, tmp_path):
+    """A forecast row with a bad timestamp is rejected and a row of 'oops'
+    cells is coerced to missing, and the report counts both."""
+    header, *rows = (synth_dir / "meteorology.csv").read_text().splitlines()
+    rows[40] = "2015-02-30," + rows[40].split(",", 1)[1]
+    rows[41] = ",".join(rows[41].split(",")[:2] + ["oops"] * (len(header.split(",")) - 2))
+    forecast = tmp_path / "forecast.csv"
+    forecast.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["ingest", *base_args(synth_dir, out, ["--set", f"forecast_file={forecast}"])]) == 0
+    report = (out / "ingest_report.txt").read_text()
+    assert "rejected rows: 1\n" in report
+    assert "cells coerced to missing: 7\n" in report
+
 def test_ingest_gap_counted(synth_dir, tmp_path):
     pol = (synth_dir / "pollutants.csv").read_text().splitlines()
     # drop hours 10 and 11 of the second day to leave an interior 2-hour gap

@@ -3,7 +3,8 @@ function in ``src/`` has a parameter it never reads, no dataclass in
 ``src/`` has a field nothing reads, no public name in ``src/`` goes unread
 but the few that code outside it reads, the solvers reach every design
 through its own members, every shortcut flag of the CLI sets a config key,
-and only ``parallel.py`` forks a worker.
+only ``parallel.py`` forks a worker, and no module in ``src/`` reads the
+environment.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
@@ -316,4 +317,38 @@ def test_the_scan_finds_a_process_spawn(tmp_path):
     assert process_spawns(module) == [
         "line 2: multiprocessing.pool", "line 3: concurrent.futures.Executor",
         "line 4: concurrent.futures", "line 5: os.fork", "line 9: os.fork",
+    ]
+
+
+def environment_reads(path: Path) -> list[str]:
+    """Each use of ``os.environ``, ``os.environb`` or ``os.getenv`` and each
+    import of one of them in the module."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and getattr(node.value, "id", None) == "os"):
+            found.append(f"line {node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"line {node.lineno}: os.{a.name}" for a in node.names if a.name in names]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_reads_the_environment(path):
+    """No environment variable changes what the program does: settings
+    come from the config file and the flags, and the CLI sets its BLAS
+    threads itself."""
+    assert environment_reads(path) == []
+
+
+def test_the_scan_finds_an_environment_read(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os\nfrom os import environ, path\nfrom os import getenv as read\n\n\n"
+        "def f():\n    return os.environ.get('A'), os.getenv('B'), os.environb, os.path.sep\n"
+    )
+    assert sorted(environment_reads(module)) == [
+        "line 2: os.environ", "line 3: os.getenv",
+        "line 7: os.environ", "line 7: os.environb", "line 7: os.getenv",
     ]

@@ -2,8 +2,9 @@
 artifacts, fold errors, warnings, errors, logs and output, and no child
 process left behind.
 
-The worker path is forced by reporting two usable CPUs, one BLAS thread and
-a size floor of 0 bytes; the inline path by reporting one CPU.
+The worker path is forced by reporting two usable CPUs and a size floor of
+0 bytes, with numpy's and scipy's OpenBLAS on one thread, as ``main`` sets
+them; the inline path by reporting one CPU.
 """
 
 import importlib
@@ -31,11 +32,21 @@ from ozolasso.ingest import DuplicateTimestampError
 from ozolasso.solvers import DenseDesign, SingularDesignError, lasso_path, ridge_path
 
 MODES = ("worker", "inline")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread():
+    """Each test starts with the bundled OpenBLAS on one thread, as ``main``
+    sets it, and the count found before is set again after it."""
+    found = parallel.blas_threads()
+    parallel.set_blas_threads(1)
+    yield
+    parallel.set_blas_threads(found)
 
 
 def use(monkeypatch, mode: str) -> None:
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2 if mode == "worker" else 1)
-    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
     monkeypatch.setattr(parallel, "MIN_BYTES", 0)
 
 
@@ -98,20 +109,33 @@ def test_the_worker_runs_in_another_process_only_when_it_pays(monkeypatch):
             assert pid() == os.getpid()
 
 
-@pytest.mark.parametrize("env, threads", [
-    ({}, 4),
-    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, 1),
-    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "64"}, 4),
-])
-def test_blas_threads_are_counted_as_openblas_counts_them(env, threads, monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+def test_blas_threads_are_counted_as_openblas_counts_them(monkeypatch):
+    """``set_blas_threads`` sets numpy's and scipy's OpenBLAS, each reads
+    the count back, and ``blas_threads`` is the larger; with no bundled
+    OpenBLAS found, nothing is set and it is one thread per usable CPU."""
+    names = parallel.set_blas_threads(3)
+    assert [name.split("-")[0] for name in names] == ["libscipy_openblas64_", "libscipy_openblas"]
+    (_, get_numpy, set_numpy), (_, get_scipy, set_scipy) = parallel._openblas()
+    assert (get_numpy(), get_scipy(), parallel.blas_threads()) == (3, 3, 3)
+    set_numpy(1)
+    assert (get_numpy(), get_scipy(), parallel.blas_threads()) == (1, 3, 3)
+    set_scipy(2)
+    assert (get_numpy(), get_scipy(), parallel.blas_threads()) == (1, 2, 2)
+    assert parallel.set_blas_threads(1) == names
+    assert (get_numpy(), get_scipy(), parallel.blas_threads()) == (1, 1, 1)
+    monkeypatch.setattr(parallel, "_openblas", lambda: ())
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
-    assert parallel.blas_threads() == threads
+    assert (parallel.set_blas_threads(1), parallel.blas_threads()) == ([], 4)
+
+
+def test_a_library_already_on_the_count_is_not_set_again(monkeypatch):
+    """Setting the count a library runs already is skipped: set again by
+    each command of paper-max8h's sequence, it raised the peak RSS 3.5 MiB."""
+    one, two = [], []
+    monkeypatch.setattr(parallel, "_openblas", lambda: (("a.so", lambda: 1, one.append),
+                                                        ("b.so", lambda: 2, two.append)))
+    assert parallel.set_blas_threads(1) == ["a.so", "b.so"]
+    assert (one, two) == ([], [1])
 
 
 @pytest.mark.parametrize("files", ["clean", "dirty"])
@@ -210,19 +234,25 @@ def test_write_lines_removes_both_files_when_a_half_raises(mode, failing, tmp_pa
     assert target.read_bytes() == b"h\r\n0\r\n1\r\n2\r\n3\r\n4\r\n"
 
 
-def run_forking(argv: list[str], script: str = "", unset=(), **kwargs) -> subprocess.CompletedProcess:
-    """The CLI on ``argv`` in a fresh interpreter whose ``beside`` forks at
-    any size, after the lines of ``script``, without the environment
-    variables ``unset``."""
+def run_cli(argv: list[str], script: str = "", blas_env=None, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI on ``argv`` in a fresh interpreter, after the lines of
+    ``script``; with ``blas_env``, the BLAS thread variables set are those
+    and no others."""
     script = ("import functools, sys\n"
-              "from ozolasso import cli, parallel\n"
-              "parallel.MIN_BYTES, parallel.usable_cpus, parallel.blas_threads = 0, lambda: 2, lambda: 1\n"
+              "from ozolasso import cli, parallel, selection\n"
               + script + "sys.exit(cli.main(sys.argv[1:]))\n")
     src = str(Path(ozolasso.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    for var in ("PYTHONUNBUFFERED", *unset):  # without the first, a file is block-buffered
-        env.pop(var, None)
+    env.pop("PYTHONUNBUFFERED", None)  # without it, a file is block-buffered
+    if blas_env is not None:
+        env = {var: value for var, value in env.items() if var not in BLAS_VARS} | blas_env
     return subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=120, **kwargs)
+
+
+def run_forking(argv: list[str], script: str = "", **kwargs) -> subprocess.CompletedProcess:
+    """``run_cli`` with a ``beside`` that forks at any size."""
+    return run_cli(argv, "parallel.MIN_BYTES, parallel.usable_cpus = 0, lambda: 2\n" + script,
+                   **kwargs)
 
 
 def test_featurize_stdout_in_a_file_holds_its_line_once(clean, tmp_path):
@@ -311,7 +341,7 @@ def test_cv_folds_stay_inline_when_the_blas_threads_fill_the_cpus(monkeypatch):
     ridge CV at paper scale (1,095 x 938) took 3.4 times as long."""
     design, y, grid, _ = cv_problem("lasso-dense")
     use(monkeypatch, "worker")
-    monkeypatch.setattr(parallel, "blas_threads", lambda: 2)
+    parallel.set_blas_threads(2)
     forked = count_forks(monkeypatch)
     selection.kfold_cv(design, y, 5, grid, seed=3)
     assert forked == []
@@ -395,24 +425,86 @@ def test_ill_conditioned_warnings_of_forked_folds_name_the_caller_in_fold_order(
 
 @pytest.mark.parametrize("method", ["lasso", "ridge"])
 def test_forked_cv_under_default_blas_threads_writes_the_inline_table(method, clean, tmp_path):
-    """OpenBLAS with its default thread count in the parent and in the fold
-    worker: the fork neither deadlocks nor changes a byte. The benchmark
-    pins one thread, so only this test runs the fork with more."""
+    """OpenBLAS with its default thread count on two CPUs, two threads, in
+    the parent and in the fold worker: the fork neither deadlocks nor
+    changes a byte. ``main`` sets one thread, so here its setting is
+    raised to two, in the worker run and in the inline run alike, and
+    each process that scores folds reports the count it runs."""
     argv = ["cv", "--set", f"method={method}", "--set", "cv_points=20",
             "--set", "train_start=2015-01-01", "--set", "train_end=2015-01-14",
             "--set", "test_start=2015-01-15", "--set", "test_end=2015-01-20"]
+    two_threads = ("import os\n"
+                   "pin, parent = parallel.set_blas_threads, os.getpid()\n"
+                   "parallel.set_blas_threads = lambda n: pin(2)\n"
+                   "score = selection._score_folds\n"
+                   "@functools.wraps(score)\n"
+                   "def reported(*a):\n"
+                   "    where = 'parent' if os.getpid() == parent else 'child'\n"
+                   "    print('blas threads', parallel.blas_threads(), 'in', where,\n"
+                   "          file=sys.stderr, flush=True)\n"
+                   "    return score(*a)\n"
+                   "selection._score_folds = reported\n")
     report = ("start = parallel._start\n"
               "parallel._start = lambda fn, a: print('fork', fn.__name__, file=sys.stderr)"
-              " or start(fn, a)\n")
+              " or start(fn, a)\n"
+              "parallel.usable_cpus = lambda: 4\n")  # room for 2 threads in each of 2 processes
     tables = {}
     for mode, script in (("worker", report), ("inline", "parallel.usable_cpus = lambda: 1\n")):
-        proc = run_forking([*argv, *args(clean, tmp_path / mode)], script, capture_output=True,
-                           text=True, unset=("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                             "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+        proc = run_forking([*argv, *args(clean, tmp_path / mode)], two_threads + script,
+                           capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert ("fork _score_folds" in proc.stderr.splitlines()) == (mode == "worker")
+        lines = proc.stderr.splitlines()
+        assert ("fork _score_folds" in lines) == (mode == "worker")
+        assert {line for line in lines if line.startswith("blas")} == (
+            {"blas threads 2 in parent", "blas threads 2 in child"} if mode == "worker"
+            else {"blas threads 2 in parent"})
         tables[mode] = (tmp_path / mode / "cv_table.csv").read_bytes()
     assert tables["worker"] == tables["inline"]
+
+
+@pytest.fixture(scope="module")
+def season(tmp_path_factory):
+    out = tmp_path_factory.mktemp("season")
+    assert main(["synth", "--out-dir", str(out), "--n-days", "120", "--seed", "4"]) == 0
+    return out
+
+
+def test_no_blas_thread_variable_changes_a_byte(season, tmp_path):
+    """``main`` sets one BLAS thread, so a ridge ``train`` and a Lasso
+    ``cv`` write the same bytes with no variable set, with one thread asked
+    for and with more: left to OpenBLAS's default of a thread per CPU, the
+    ridge model differed on two CPUs."""
+    common = ["--set", "cv_points=20", "--set", "train_start=2015-01-01",
+              "--set", "train_end=2015-03-31", "--set", "test_start=2015-04-01",
+              "--set", "test_end=2015-04-30"]
+    written = {}
+    for name, blas_env in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"}),
+                           ("more", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "3"})):
+        for command, method in (("train", "ridge"), ("cv", "lasso")):
+            out = tmp_path / name / command
+            proc = run_cli([command, "--set", f"method={method}", *common, *args(season, out)],
+                           blas_env=blas_env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        written[name] = {path.relative_to(tmp_path / name): path.read_bytes()
+                         for path in (tmp_path / name).glob("*/*")
+                         if path.name in ("model.json", "cv_table.csv")}
+    assert sorted(map(str, written["unset"])) == ["cv/cv_table.csv", "train/cv_table.csv",
+                                                  "train/model.json"]
+    assert written["unset"] == written["one"] == written["more"]
+
+
+def test_verbose_logs_the_blas_setting_and_writes_it_nowhere(clean, tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="ozolasso.cli")
+    names = parallel.set_blas_threads(1)
+    assert main(["-v", "ingest", *args(clean, tmp_path / "pinned")]) == 0
+    monkeypatch.setattr(parallel, "_openblas", lambda: ())
+    assert main(["-v", "ingest", *args(clean, tmp_path / "other")]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "ozolasso.cli"] == [
+        f"blas: one thread in {', '.join(names)}",
+        "blas: no bundled OpenBLAS found; thread count left to the library",
+    ]
+    for out in ("pinned", "other"):
+        assert [f.name for f in (tmp_path / out).iterdir() if b"blas" in f.read_bytes()] == []
 
 
 # constructor arguments of the exceptions that take more than a message
