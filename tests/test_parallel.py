@@ -109,7 +109,31 @@ def test_the_worker_runs_in_another_process_only_when_it_pays(monkeypatch):
             assert pid() == os.getpid()
 
 
-def test_blas_threads_are_counted_as_openblas_counts_them(monkeypatch):
+@pytest.mark.parametrize("env, threads", [
+    ({}, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3"}, 1),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "64"}, 4),
+])
+def test_blas_threads_are_counted_as_openblas_counts_them(env, threads):
+    """In a fresh process held to at most four CPUs, ``blas_threads`` reads
+    the count each bundled OpenBLAS took from the environment as it loaded:
+    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
+    set to a positive integer, else a thread per CPU, and at most one per
+    CPU. ``threads`` is that count on four CPUs."""
+    cpus = sorted(os.sched_getaffinity(0))[:4]
+    script = ("import os, sys\n"
+              "os.sched_setaffinity(0, map(int, sys.argv[1:]))\n"
+              "from ozolasso import parallel\n"
+              "print(parallel.blas_threads())\n")
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, cpus)], env=child_env(env),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{min(threads, len(cpus))}\n"
+
+
+def test_set_blas_threads_sets_each_bundled_openblas(monkeypatch):
     """``set_blas_threads`` sets numpy's and scipy's OpenBLAS, each reads
     the count back, and ``blas_threads`` is the larger; with no bundled
     OpenBLAS found, nothing is set and it is one thread per usable CPU."""
@@ -234,6 +258,18 @@ def test_write_lines_removes_both_files_when_a_half_raises(mode, failing, tmp_pa
     assert target.read_bytes() == b"h\r\n0\r\n1\r\n2\r\n3\r\n4\r\n"
 
 
+def child_env(blas_env=None) -> dict:
+    """This environment for a fresh interpreter that imports ``ozolasso``
+    from this checkout; with ``blas_env``, the BLAS thread variables set are
+    those and no others."""
+    src = str(Path(ozolasso.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # without it, a file is block-buffered
+    if blas_env is not None:
+        env = {var: value for var, value in env.items() if var not in BLAS_VARS} | blas_env
+    return env
+
+
 def run_cli(argv: list[str], script: str = "", blas_env=None, **kwargs) -> subprocess.CompletedProcess:
     """The CLI on ``argv`` in a fresh interpreter, after the lines of
     ``script``; with ``blas_env``, the BLAS thread variables set are those
@@ -241,12 +277,8 @@ def run_cli(argv: list[str], script: str = "", blas_env=None, **kwargs) -> subpr
     script = ("import functools, sys\n"
               "from ozolasso import cli, parallel, selection\n"
               + script + "sys.exit(cli.main(sys.argv[1:]))\n")
-    src = str(Path(ozolasso.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("PYTHONUNBUFFERED", None)  # without it, a file is block-buffered
-    if blas_env is not None:
-        env = {var: value for var, value in env.items() if var not in BLAS_VARS} | blas_env
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=child_env(blas_env),
+                          timeout=120, **kwargs)
 
 
 def run_forking(argv: list[str], script: str = "", **kwargs) -> subprocess.CompletedProcess:
