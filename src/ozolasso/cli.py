@@ -50,14 +50,15 @@ def cmd_ingest(config: RunConfig) -> int:
     out = _out_dir(config)
     days, _, stats = pipeline.load_day_blocks(config)
     write_canonical(days, out / "canonical.csv")
+    incomplete = np.isnan(np.stack(list(days.values.values()))).any(axis=(0, 2))
     report = "\n".join(
         [
             f"hourly rows: {stats.n_rows}",
             f"rejected rows: {stats.n_rejected}",
             f"cells coerced to missing: {stats.n_coerced}",
             f"interpolated cells: {stats.n_filled}",
-            f"days assembled: {stats.n_days}",
-            f"days with incomplete variables: {stats.incomplete_days}",
+            f"days assembled: {len(days)}",
+            f"days with incomplete variables: {int(incomplete.sum())}",
         ]
     )
     write_text(out / "ingest_report.txt", report + "\n")
@@ -316,15 +317,17 @@ def main(argv: list[str] | None = None) -> int:
                          help="signal-to-noise ratio, or 'inf'")
 
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    pinned = parallel.set_blas_threads(1)  # so no environment variable changes a result
-    logging.getLogger(__name__).debug(
-        f"blas: one thread in {', '.join(pinned)}" if pinned
-        else "blas: no bundled OpenBLAS found; thread count left to the library")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig acts once in a process, so -v sets the package's level,
+    # for this call only: a caller may run main again in the same process
+    package = logging.getLogger("ozolasso")
+    level = package.level
+    package.setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
+        pinned = parallel.set_blas_threads(1)  # so no environment variable changes a result
+        logging.getLogger("ozolasso.cli").debug(  # not __name__, "__main__" under python -m
+            f"blas: one thread in {', '.join(pinned)}" if pinned
+            else "blas: no bundled OpenBLAS found; thread count left to the library")
         if args.command == "synth":
             return cmd_synth(args)
         handler, required, splits = COMMANDS[args.command]
@@ -336,6 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # surface anything else with a nonzero status
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

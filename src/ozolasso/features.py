@@ -114,7 +114,7 @@ def compute_8h_means(o3_hours: np.ndarray):
 def build_schema(variant: str) -> list[FeatureDescriptor]:
     """Canonical base-feature descriptors for variant 'max' or 'max8h': the
     schema ``build_base_features`` declares for a grid of zero days."""
-    empty = DayGrid(np.empty(0, dtype=np.int64), {v: np.empty((0, 24)) for v in ALL_VARS}, {})
+    empty = DayGrid(np.empty(0, dtype=np.int64), {v: np.empty((0, 24)) for v in ALL_VARS})
     return build_base_features(empty, variant)[1]
 
 

@@ -79,14 +79,12 @@ class ParseResult:
 
 @dataclass
 class DayGrid:
-    """Assembled days: ascending ``ordinals``; per variable an
+    """Assembled days: ascending ``ordinals``, and per variable an
     (n_days, 24) float64 grid, nan where a value is still missing after gap
-    fill, and an int64 count of the cells filled on each day. A variable is
-    complete on a day when its grid row holds no nan."""
+    fill. A variable is complete on a day when its grid row holds no nan."""
 
     ordinals: np.ndarray
     values: dict[str, np.ndarray]
-    fill_count: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.ordinals)
@@ -270,9 +268,9 @@ def parse_hourly_file(path: str | Path, variables) -> ParseResult:
     return ParseResult(HourlyTable(keys[order], values), rejected, coerced, split)
 
 
-def _fill_gaps(grid: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, np.ndarray]:
+def _fill_gaps(grid: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, int]:
     """Linearly interpolate interior nan runs of length <= max_gap_hours
-    along each row; returns the filled grid and the cells filled per row."""
+    along each row; returns the filled grid and the number of cells filled."""
     valid = ~np.isnan(grid)
     hours = np.arange(grid.shape[1])
     # nearest valid hour at or before / at or after each slot; -1 and 24 when none
@@ -285,12 +283,14 @@ def _fill_gaps(grid: np.ndarray, max_gap_hours: int) -> tuple[np.ndarray, np.nda
     frac = (k - left) / (right - left)
     out = grid.copy()
     out[rows, k] = lo + frac * (hi - lo)
-    return out, fill.sum(axis=1)
+    return out, int(rows.size)
 
 
-def assemble_days(*tables: HourlyTable, max_gap_hours: int = 3, variables=ALL_VARS) -> DayGrid:
+def assemble_days(*tables: HourlyTable, max_gap_hours: int = 3,
+                  variables=ALL_VARS) -> tuple[DayGrid, int]:
     """Place the hourly tables' values (e.g. the pollutant and meteorology
-    files) into one day grid and apply the gap-fill policy.
+    files) into one day grid and apply the gap-fill policy; returns the
+    grid and the number of cells filled.
 
     A later table's present value wins; a missing one never erases an
     earlier value. Interior gaps of <= max_gap_hours consecutive missing
@@ -301,15 +301,16 @@ def assemble_days(*tables: HourlyTable, max_gap_hours: int = 3, variables=ALL_VA
     ordinals = np.unique(np.concatenate([t.keys // 24 for t in tables]))
     cells = [np.searchsorted(ordinals, t.keys // 24) * 24 + t.keys % 24 for t in tables]
     values: dict[str, np.ndarray] = {}
-    fills: dict[str, np.ndarray] = {}
+    filled = 0
     for var in variables:
         grid = np.full(len(ordinals) * 24, np.nan)
         for table, cell in zip(tables, cells):
             if var in table.values:
                 present = ~np.isnan(table.values[var])
                 grid[cell[present]] = table.values[var][present]
-        values[var], fills[var] = _fill_gaps(grid.reshape(-1, 24), max_gap_hours)
-    return DayGrid(ordinals, values, fills)
+        values[var], n = _fill_gaps(grid.reshape(-1, 24), max_gap_hours)
+        filled += n
+    return DayGrid(ordinals, values), filled
 
 
 def write_canonical(days: DayGrid, path: str | Path) -> None:

@@ -40,15 +40,13 @@ class IngestStats:
     n_rows: int
     n_rejected: int
     n_coerced: int
-    n_days: int
     n_filled: int
-    incomplete_days: int
 
 
 # The day grids of the last parse, kept in the out dir: a later command on
 # the same inputs loads them instead of parsing the hourly files again.
 DAY_CACHE = "day_blocks.cache"
-_CACHE_FORMAT = "ozolasso day blocks 1"
+_CACHE_FORMAT = "ozolasso day blocks 2"
 
 
 class _CacheMiss(Exception):
@@ -77,10 +75,9 @@ def _day_cache_key(config: RunConfig) -> str:
 
 def _grid_arrays(days: ingest.DayGrid) -> list[np.ndarray]:
     """A day grid's arrays in the cache's order, little-endian: the
-    ordinals, each variable's grid, each variable's fill counts."""
+    ordinals, then each variable's grid."""
     return [np.ascontiguousarray(days.ordinals, "<i8"),
-            *(np.ascontiguousarray(days.values[v], "<f8") for v in days.values),
-            *(np.ascontiguousarray(days.fill_count[v], "<i8") for v in days.values)]
+            *(np.ascontiguousarray(days.values[v], "<f8") for v in days.values)]
 
 
 # The variables of the days' grid and the forecast's, in the order
@@ -130,13 +127,12 @@ def _read_day_cache(path: Path, key: str):
                 claimed = header.pop("sha256")
             except (ValueError, TypeError, KeyError):
                 raise _CacheMiss("key")
-            # per day, 8 bytes each: its ordinal, and per variable 24 cells and a fill count
-            sizes = [8 * n * (1 + 25 * len(names)) for n, names in zip(counts, _GRID_VARS) if n is not None]
+            # per day, 8 bytes each: its ordinal, and per variable 24 cells
+            sizes = [8 * n * (1 + 24 * len(names)) for n, names in zip(counts, _GRID_VARS) if n is not None]
             if min(sizes, default=0) < 0 or len(line) + sum(sizes) != os.fstat(fh.fileno()).st_size:
                 raise _CacheMiss("length")
             grids = [None if n is None else ingest.DayGrid(
-                         np.empty(n, "<i8"), {v: np.empty((n, 24), "<f8") for v in names},
-                         {v: np.empty(n, "<i8") for v in names})
+                         np.empty(n, "<i8"), {v: np.empty((n, 24), "<f8") for v in names})
                      for n, names in zip(counts, _GRID_VARS)]
             digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
             # each array already has its cache dtype, so _grid_arrays hands
@@ -201,14 +197,14 @@ def _parse_day_blocks(config: RunConfig):
     n_rows = len(np.union1d(pol.records.keys, met.records.keys))
     if not n_rows:
         raise PipelineError("input files contain no usable rows")
-    days = ingest.assemble_days(pol.records, met.records, max_gap_hours=config.max_gap_hours)
+    days, n_filled = ingest.assemble_days(pol.records, met.records, max_gap_hours=config.max_gap_hours)
 
     forecast_days, parsed = None, [pol, met]
     if config.forecast_file:
         fc = ingest.parse_hourly_file(config.forecast_file, ingest.METEO_VARS)
         _log_parse(config.forecast_file, fc)
         parsed.append(fc)
-        forecast_days = ingest.assemble_days(
+        forecast_days, _ = ingest.assemble_days(
             fc.records, max_gap_hours=config.max_gap_hours, variables=ingest.METEO_VARS
         )
 
@@ -216,9 +212,7 @@ def _parse_day_blocks(config: RunConfig):
         n_rows=n_rows,
         n_rejected=sum(len(p.rejected) for p in parsed),
         n_coerced=sum(p.coerced_missing for p in parsed),
-        n_days=len(days),
-        n_filled=int(sum(count.sum() for count in days.fill_count.values())),
-        incomplete_days=int(np.isnan(np.stack(list(days.values.values()))).any(axis=(0, 2)).sum()),
+        n_filled=n_filled,
     )
     return days, forecast_days, stats
 

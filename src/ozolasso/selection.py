@@ -41,7 +41,7 @@ def make_lambda_grid(
     solvers.corr_abs_max, as the homotopy takes its start, so a fit at
     lambda_max is all-zero by construction.
     """
-    yc, _ = _center(np.asarray(y, dtype=float), True)
+    yc, _ = _center(np.asarray(y, dtype=float))
     lam_max = 2.0 * corr_abs_max(design, yc)
     if lam_max == 0.0:
         raise SelectionError("degenerate target: lambda_max is 0 (constant response)")

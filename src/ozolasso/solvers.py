@@ -39,14 +39,13 @@ class SingularDesignError(SolverError):
 @dataclass
 class LassoConfig:
     lam: float
-    tol: float = TOL
-    max_sweeps: int = MAX_SWEEPS
+    tol: float = TOL  # a recorded fit's, for its kkt_tol: a fit reads TOL itself
 
     def __post_init__(self):
         if not math.isfinite(self.lam) or self.lam < 0:
             raise SolverError(f"lambda must be finite and >= 0, got {self.lam!r}")
-        if not math.isfinite(self.tol) or self.tol <= 0 or self.max_sweeps < 1:
-            raise SolverError("tol must be finite and > 0, and max_sweeps >= 1")
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise SolverError("tol must be finite and > 0")
 
     @property
     def kkt_tol(self) -> float:
@@ -165,32 +164,30 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
-def _center(y: np.ndarray, fit_intercept: bool) -> tuple[np.ndarray, float]:
-    if fit_intercept:
-        beta0 = float(y.mean())
-        return y - beta0, beta0
-    return y, 0.0
+def _center(y: np.ndarray) -> tuple[np.ndarray, float]:
+    beta0 = float(y.mean())
+    return y - beta0, beta0
 
 
-def fit_ols(design, y: np.ndarray, fit_intercept: bool = True) -> ModelFit:
+def fit_ols(design, y: np.ndarray) -> ModelFit:
     """Normal-equation solution, the lambda=0 ridge solve; intercept is the
     response mean."""
-    return _ridge_solve(design, y, 0.0, fit_intercept, "ols")
+    return _ridge_solve(design, y, 0.0, "ols")
 
 
-def fit_ridge(design, y: np.ndarray, lam: float, fit_intercept: bool = True) -> ModelFit:
-    """beta = (X'X + n*lambda*I)^-1 X'y, the n-scaled penalty as printed:
-    one Cholesky solve."""
-    return _ridge_solve(design, y, lam, fit_intercept, "ridge")
+def fit_ridge(design, y: np.ndarray, lam: float) -> ModelFit:
+    """beta = (X'X + n*lambda*I)^-1 X'yc, yc = y less its mean, the n-scaled
+    penalty as printed: one Cholesky solve."""
+    return _ridge_solve(design, y, lam, "ridge")
 
 
-def _ridge_solve(design, y, lam, fit_intercept, method) -> ModelFit:
+def _ridge_solve(design, y, lam, method) -> ModelFit:
     # Shared by fit_ridge and fit_ols, so a warning from _spd_solve is the
     # same number of frames below each one's caller.
     lam = float(lam)
     if not 0.0 <= lam < math.inf:
         raise SolverError(f"lambda must be finite and >= 0, got {lam!r}")
-    yc, beta0 = _center(y, fit_intercept)
+    yc, beta0 = _center(y)
     X = design.block(0, design.shape[1])
     A = X.T @ X
     # the penalty written into the diagonal in place: a second p x p matrix
@@ -199,7 +196,7 @@ def _ridge_solve(design, y, lam, fit_intercept, method) -> ModelFit:
     return ModelFit(method, lam, beta0, _spd_solve(A, X.T @ yc))
 
 
-def ridge_path(design, y: np.ndarray, grid, fit_intercept: bool = True) -> list[ModelFit]:
+def ridge_path(design, y: np.ndarray, grid) -> list[ModelFit]:
     """fit_ridge at each lambda > 0 of the grid, from one Householder
     tridiagonalization Q'X'XQ = T per call (Golub & Van Loan, Matrix
     Computations, 8.3.1): beta = Q w, where (T + n*lambda*I) w = Q'X'y is
@@ -216,7 +213,7 @@ def ridge_path(design, y: np.ndarray, grid, fit_intercept: bool = True) -> list[
     grid = [float(lam) for lam in grid]
     if not all(0.0 < lam < math.inf for lam in grid):
         raise SolverError("ridge_path takes finite lambda > 0; lambda = 0 is fit_ols")
-    yc, beta0 = _center(y, fit_intercept)
+    yc, beta0 = _center(y)
     X = design.block(0, design.shape[1])
     n, p = X.shape
     b = X.T @ yc
@@ -534,21 +531,16 @@ def _exact_terms(design, beta, r) -> tuple[np.ndarray, float]:
 
 
 def fit_lasso(design, y: np.ndarray, config: LassoConfig) -> ModelFit:
-    """The Lasso at config.lam: the one-point path, certified exactly from
-    its residual (_exact_terms)."""
-    yc, beta0 = _center(np.asarray(y, dtype=float), True)
-    beta, r, kinks, *_ = next(_homotopy(design, yc, [config.lam], config.max_sweeps))
+    """The Lasso at config.lam: the one-point path of at most MAX_SWEEPS
+    kinks, certified exactly from its residual (_exact_terms) within
+    KKT_TOL_FACTOR * TOL, both read at the call."""
+    yc, beta0 = _center(np.asarray(y, dtype=float))
+    beta, r, kinks, *_ = next(_homotopy(design, yc, [config.lam], MAX_SWEEPS))
     terms = _exact_terms(design, beta, r)
-    return _certified(config.lam, beta0, beta, r, yc, *terms, kinks, config.kkt_tol)
+    return _certified(config.lam, beta0, beta, r, yc, *terms, kinks, KKT_TOL_FACTOR * TOL)
 
 
-def lasso_path(
-    design,
-    y: np.ndarray,
-    grid: np.ndarray,
-    tol: float = TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> Iterator[ModelFit]:
+def lasso_path(design, y: np.ndarray, grid: np.ndarray) -> Iterator[ModelFit]:
     """Fits along a descending lambda grid from one homotopy, yielded as the
     path reaches each lambda; the grid is validated before this returns.
 
@@ -556,15 +548,16 @@ def lasso_path(
     from the homotopy's X'r/n carried there, whose bound each fit's
     convergence test allows for. ``sweeps_used`` counts the kinks
     passed since the previous grid point. If the path needs more than
-    ``max_sweeps`` kinks, it stops at the last kink allowed: every lambda
+    MAX_SWEEPS kinks, it stops at the last kink allowed: every lambda
     left gets that beta, certified exactly once (_exact_terms), and reports
-    converged only if the certificate holds.
+    converged only if the certificate holds. The kink budget and the
+    certificate's KKT_TOL_FACTOR * TOL are read at the call.
     """
-    lams = [LassoConfig(float(lam), tol, max_sweeps).lam for lam in grid]  # validated
+    lams = [LassoConfig(float(lam)).lam for lam in grid]  # validated
     if any(b > a for a, b in zip(lams, lams[1:])):
         raise SolverError("the lambda grid must descend")
-    yc, beta0 = _center(np.asarray(y, dtype=float), True)
-    return _path_fits(design, yc, beta0, lams, KKT_TOL_FACTOR * tol, max_sweeps)
+    yc, beta0 = _center(np.asarray(y, dtype=float))
+    return _path_fits(design, yc, beta0, lams, KKT_TOL_FACTOR * TOL, MAX_SWEEPS)
 
 
 def _path_fits(design, yc, beta0, lams, kkt_tol, max_sweeps) -> Iterator[ModelFit]:

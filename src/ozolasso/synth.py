@@ -136,7 +136,7 @@ def generate(config: SynthConfig) -> dict:
     grids = {v: np.array([day[v] for day in meteo]) for v in METEO_VARS}
     grids.update({v: np.zeros((n_days, 24)) for v in POLLUTANTS})
     ordinals = START_DATE.toordinal() + np.arange(n_days)
-    rows, schema = build_base_features(DayGrid(ordinals, grids, {}), "max")
+    rows, schema = build_base_features(DayGrid(ordinals, grids), "max")
     names = [d.name for d in schema]
     # a fancy-index gather comes back F-ordered, and the mean below would
     # then sum in another order

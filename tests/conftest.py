@@ -34,7 +34,7 @@ def make_days(dates: list[Date], values: list[dict] | None = None) -> DayGrid:
         for i, var in enumerate(ALL_VARS)
     }
     ordinals = np.array([d.toordinal() for d in dates], dtype=np.int64)
-    return DayGrid(ordinals, grids, {v: np.zeros(len(dates), dtype=np.int64) for v in ALL_VARS})
+    return DayGrid(ordinals, grids)
 
 
 def make_day(date: Date, values: dict[str, np.ndarray] | None = None) -> DayGrid:

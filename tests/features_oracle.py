@@ -29,7 +29,6 @@ class DayBlock:
     date: Date
     values: dict[str, np.ndarray]  # each shape (24,), float64 with nan
     complete: dict[str, bool]
-    fill_count: dict[str, int]
 
 
 @dataclass
@@ -47,7 +46,6 @@ def day_blocks(days) -> list[DayBlock]:
             date=Date.fromordinal(int(ordinal)),
             values={var: grid[i] for var, grid in days.values.items()},
             complete={var: not np.isnan(grid[i]).any() for var, grid in days.values.items()},
-            fill_count={var: int(count[i]) for var, count in days.fill_count.items()},
         )
         for i, ordinal in enumerate(days.ordinals.tolist())
     ]

@@ -183,8 +183,9 @@ def test_criterion_06_ridge_closed_form():
     assert float(np.abs(fit_ridge(design, y, 0.0).beta - fit_ols(design, y).beta).max()) < 1e-8
     eye = np.eye(4)
     y4 = rng.normal(size=4)
-    fit = fit_ridge(DenseDesign(eye), y4, 0.5, fit_intercept=False)
-    np.testing.assert_allclose(fit.beta, y4 / (1 + 4 * 0.5), atol=1e-8)
+    fit = fit_ridge(DenseDesign(eye), y4, 0.5)
+    np.testing.assert_allclose(fit.beta, (y4 - y4.mean()) / (1 + 4 * 0.5), atol=1e-8)
+    assert fit.beta0 == y4.mean()
 
 
 def test_criterion_07_sparse_recovery(synth_run):

@@ -11,7 +11,6 @@ the benchmark.
 
 import ast
 import dataclasses
-import functools
 import importlib
 import importlib.util
 import inspect
@@ -149,9 +148,8 @@ def test_lasso_model_holds_the_threshold_that_certified_it(tmp_path, monkeypatch
     model.json must record the solver's constants, and that threshold must
     be the one its fit was certified against, converged or not."""
     synth.write_files(synth.SynthConfig(n_days=60, seed=9), tmp_path / "data")
-    if max_sweeps != solvers.MAX_SWEEPS:  # a fit cut short, which must fail its certificate
-        monkeypatch.setattr(solvers, "LassoConfig",
-                            functools.partial(LassoConfig, max_sweeps=max_sweeps))
+    cut_short = max_sweeps != solvers.MAX_SWEEPS  # a fit that must fail its certificate
+    monkeypatch.setattr(solvers, "MAX_SWEEPS", max_sweeps)
     certified, thresholds = solvers._certified, []
 
     def spy(*args, **kwargs):
@@ -166,8 +164,8 @@ def test_lasso_model_holds_the_threshold_that_certified_it(tmp_path, monkeypatch
                  "--set", "test_start=2015-02-18", "--set", "test_end=2015-03-01"]) == 0
     model = json.loads((tmp_path / "out" / "model.json").read_text())
     solver = model["solver"]
-    assert (solver["tol"], solver["max_sweeps"]) == (solvers.TOL, solvers.MAX_SWEEPS)
+    assert (solver["tol"], solver["max_sweeps"]) == (solvers.TOL, max_sweeps)
     kkt_tol = LassoConfig(lam=model["lambda"], tol=solver["tol"]).kkt_tol
     assert thresholds == [kkt_tol]
     worst = max(model["kkt"]["zero_violation"], model["kkt"]["active_violation"])
-    assert solver["converged"] == (worst <= kkt_tol) == (max_sweeps == solvers.MAX_SWEEPS)
+    assert solver["converged"] == (worst <= kkt_tol) == (not cut_short)

@@ -1,7 +1,6 @@
 """Integration tests driving the command-line interface end to end."""
 
 import csv
-import functools
 import io
 import json
 
@@ -417,7 +416,7 @@ def test_report_rejects_a_repeated_method_before_any_fit(synth_dir, tmp_path, ca
 def test_report_shows_an_uncertified_lasso_as_a_failed_row(synth_dir, tmp_path, monkeypatch):
     """A lasso fit that stops before it converges gets a failed row, and no
     weights file or top-weights block."""
-    monkeypatch.setattr(solvers, "LassoConfig", functools.partial(solvers.LassoConfig, max_sweeps=1))
+    monkeypatch.setattr(solvers, "MAX_SWEEPS", 1)
     out = tmp_path / "out"
     args = base_args(synth_dir, out, extra=[
         "--lambda", "0.0121",

@@ -20,7 +20,6 @@ def random_days(rng, ordinals, variables, hole_share) -> DayGrid:
     half of the cases) gets 1-3 nan hours."""
     days = make_days([Date.fromordinal(o) for o in ordinals])
     days.values = {var: days.values[var] for var in variables}
-    days.fill_count = {var: rng.integers(0, 4, len(ordinals)) for var in variables}
     for var, grid in days.values.items():
         high = 360.0 if var == "wind_direction" else 100.0
         grid[:] = rng.uniform(0.0, high, grid.shape)

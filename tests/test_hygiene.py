@@ -1,10 +1,11 @@
 """No module in ``src/`` or ``tests/`` imports a name it never uses, no
 function in ``src/`` has a parameter it never reads, no dataclass in
 ``src/`` has a field nothing reads, no public name in ``src/`` goes unread
-but the few that code outside it reads, the solvers reach every design
-through its own members, every shortcut flag of the CLI sets a config key,
-only ``parallel.py`` forks a worker, and no module in ``src/`` reads the
-environment.
+but the few that code outside it reads, no defaulted parameter or field in
+``src/`` goes unset by ``src/`` but the few that code outside it sets, the
+solvers reach every design through its own members, every shortcut flag of
+the CLI sets a config key, only ``parallel.py`` forks a worker, and no
+module in ``src/`` reads the environment.
 
 A name is used when it appears as an identifier anywhere in the module, or
 inside a quoted annotation. An import line marked ``# noqa: F401`` is
@@ -13,7 +14,10 @@ is read when its name is loaded anywhere in the function's body, nested
 functions included. A dataclass field is read when ``.field`` is loaded
 anywhere in ``src/``, ``tests/`` or ``perfbench/``. A public name is read
 when a module in ``src/`` loads it (as ``name`` or ``.name``) or imports it
-on a line not marked ``# noqa: F401``.
+on a line not marked ``# noqa: F401``. A defaulted parameter or field is
+set when a call of its function's name (its class's, for ``__init__`` and
+fields) passes it, unless the value passed is only another such parameter
+that nothing sets.
 """
 
 import ast
@@ -233,6 +237,117 @@ def test_the_scan_finds_an_unread_public_name(tmp_path):
     assert unread_public_names([tmp_path / "a.py", tmp_path / "b.py"]) == [
         "a.Thing.never", "a.orphan", "b.kept",
     ]
+
+
+def knobs_and_calls(path: Path):
+    """The module's knobs, each defaulted parameter and each defaulted
+    dataclass field as (knob, name it is called by, position, parameter),
+    and its calls, each as (call, {parameter: knob} of the function the
+    call is in). A method's position counts from after its first
+    parameter; ``__init__`` and a dataclass's fields are called by the
+    class name."""
+    knobs, calls = [], []
+
+    def visit(node, owner, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                       for d in child.decorator_list):
+                    names = [s.target.id for s in child.body
+                             if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                    knobs.extend((f"{path.stem}.{child.name}.{s.target.id}", child.name,
+                                  names.index(s.target.id), s.target.id) for s in child.body
+                                 if isinstance(s, ast.AnnAssign) and s.value is not None)
+                visit(child, child.name, {})
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                label = f"{path.stem}.{owner}.{child.name}" if owner else f"{path.stem}.{child.name}"
+                called = owner if owner and child.name == "__init__" else child.name
+                args, shift = child.args, 1 if owner else 0
+                positional = [*args.posonlyargs, *args.args]
+                first = len(positional) - len(args.defaults)
+                own = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+                own += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                knobs.extend((f"{label}.{name}", called, at, name) for name, at in own)
+                visit(child, None, {name: f"{label}.{name}" for name, _ in own})
+            else:
+                if isinstance(child, ast.Call):
+                    calls.append((child, scope))
+                visit(child, owner, scope)
+
+    visit(ast.parse(path.read_text()), None, {})
+    return knobs, calls
+
+
+def sets(call: ast.Call, position, parameter, scope=None, unset=()) -> bool:
+    """Whether the call passes the parameter: at its position, by name, or
+    through * or ** (which may hold it). A value forwarded from a knob in
+    ``unset`` of the function the call is in sets nothing."""
+    if any(k.arg is None for k in call.keywords) or position is not None and any(
+            isinstance(a, ast.Starred) for a in call.args[: position + 1]):
+        return True
+    given = [k.value for k in call.keywords if k.arg == parameter]
+    if position is not None and position < len(call.args):
+        given.append(call.args[position])
+    return any(not (isinstance(v, ast.Name) and (scope or {}).get(v.id) in unset) for v in given)
+
+
+def called_name(call: ast.Call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def unset_knobs(paths) -> list[str]:
+    """Each knob of the modules that no call in them sets, counting a value
+    one knob forwards to another as no setting when the first is unset."""
+    knobs, calls = [], {}
+    for path in paths:
+        found, made = knobs_and_calls(path)
+        knobs += found
+        for call, scope in made:
+            calls.setdefault(called_name(call), []).append((call, scope))
+    unset = set()
+    while True:
+        now = {knob for knob, name, position, parameter in knobs
+               if not any(sets(call, position, parameter, scope, unset)
+                          for call, scope in calls.get(name, []))}
+        if now == unset:
+            return sorted(unset)
+        unset = now
+
+
+# Knobs that no call in src/ sets, each with a file outside it that does:
+# what keeps each a setting.
+SET_OUTSIDE = {
+    "cli.main.argv": "perfbench/child.py",  # one call per command
+    "solvers.LassoConfig.tol": "perfbench/run.py",  # the tol model.json records, for kkt_tol
+}
+
+
+def test_every_knob_is_set_in_src():
+    """A defaulted parameter or field that only tests set is a setting no
+    command uses: a test can patch the constant it defaults to."""
+    assert [knob for knob in unset_knobs(SOURCES) if knob not in SET_OUTSIDE
+            and knob.split(".", 1)[1] not in READ_BY_NAME] == []
+
+
+@pytest.mark.parametrize("knob, setter", SET_OUTSIDE.items())
+def test_each_knob_set_outside_src_is_set_there(knob, setter):
+    assert knob in unset_knobs(SOURCES)
+    (_, name, position, parameter), = [k for p in SOURCES for k in knobs_and_calls(p)[0] if k[0] == knob]
+    made = knobs_and_calls(ROOT / setter)[1]
+    assert any(sets(call, position, parameter) for call, _ in made if called_name(call) == name)
+
+
+def test_the_scan_finds_a_knob_only_tests_set(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass D:\n    x: int\n"
+        "    y: int = 0\n    z: int = 0\n\n\nclass K:\n    def __init__(self, w=1):\n"
+        "        self.w = w\n\n    def m(self, v=0, *, u=1):\n        return v + u\n\n\n"
+        "def f(a, b=1, *, c=2):\n    return a + b + c\n\n\ndef g(t=1, s=2):\n"
+        "    return f(0, t, c=s)\n\n\n"
+        "def run(args):\n    D(1, 2)\n    K(w=2).m(*args)\n    g(s=3)\n    return f(1, c=3)\n"
+    )
+    assert unset_knobs([module]) == ["module.D.z", "module.K.m.u", "module.f.b", "module.g.t"]
 
 
 def design_adapters(path: Path) -> list[str]:

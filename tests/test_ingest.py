@@ -197,44 +197,46 @@ def complete(days, var):
 
 def test_assemble_complete_day_unchanged():
     o3 = np.arange(24, dtype=float)
-    days = assemble_days(table(records_for_day(o3)), variables=("o3",))
+    days, filled = assemble_days(table(records_for_day(o3)), variables=("o3",))
     assert len(days) == 1
     assert complete(days, "o3") == [True]
     np.testing.assert_array_equal(days.values["o3"][0], o3)
-    assert days.fill_count["o3"].tolist() == [0]
+    assert filled == 0
 
 
 def test_interior_gap_interpolated():
     o3 = np.full(24, 20.0)
     o3[9], o3[12] = 30.0, 36.0
     o3[10] = o3[11] = np.nan
-    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
+    days, filled = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     assert complete(days, "o3") == [True]
     assert days.values["o3"][0, 10] == pytest.approx(32.0)
     assert days.values["o3"][0, 11] == pytest.approx(34.0)
-    assert days.fill_count["o3"].tolist() == [2]
+    assert filled == 2
 
 
 def test_boundary_gap_stays_incomplete():
     o3 = np.arange(24, dtype=float)
     o3[:6] = np.nan
-    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
+    days, filled = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     assert complete(days, "o3") == [False]
     assert np.isnan(days.values["o3"][0, :6]).all()
+    assert filled == 0
 
 
 def test_gap_longer_than_policy_not_filled():
     o3 = np.arange(24, dtype=float)
     o3[10:14] = np.nan  # 4-hour run, policy allows 3
-    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
+    days, filled = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     assert complete(days, "o3") == [False]
+    assert filled == 0
 
 
 def test_filled_values_lie_between_anchors():
     rng = np.random.default_rng(5)
     o3 = rng.uniform(10, 60, 24)
     o3[7:10] = np.nan
-    days = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
+    days, _ = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     lo, hi = sorted((o3[6], o3[10]))
     filled = days.values["o3"][0, 7:10]
     assert np.all(filled >= lo) and np.all(filled <= hi)
@@ -245,18 +247,18 @@ def test_interpolation_idempotent():
     o3 = rng.uniform(10, 60, 24)
     o3[3:5] = np.nan
     o3[0] = np.nan  # boundary, stays missing
-    once = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
+    once, _ = assemble_days(table(records_for_day(o3)), max_gap_hours=3, variables=("o3",))
     refilled = table(records_for_day(once.values["o3"][0]))
-    twice = assemble_days(refilled, max_gap_hours=3, variables=("o3",))
+    twice, filled = assemble_days(refilled, max_gap_hours=3, variables=("o3",))
     np.testing.assert_array_equal(once.values["o3"][0], twice.values["o3"][0])
-    assert twice.fill_count["o3"].tolist() == [0]
+    assert filled == 0
 
 
 def test_day_count_matches_distinct_dates():
     records = []
     for d in (1, 2, 5):
         records.extend(records_for_day(np.arange(24, dtype=float), Date(2016, 7, d)))
-    days = assemble_days(table(records), variables=("o3",))
+    days, _ = assemble_days(table(records), variables=("o3",))
     assert [Date.fromordinal(o) for o in days.ordinals.tolist()] == [
         Date(2016, 7, 1), Date(2016, 7, 2), Date(2016, 7, 5)
     ]
@@ -268,7 +270,7 @@ def test_assemble_joins_tables_on_timestamp():
         (Date(2016, 7, 1), 0, {"temperature": 20.0}),
         (Date(2016, 7, 1), 1, {"temperature": 21.0}),
     ])
-    days = assemble_days(a, b, max_gap_hours=0, variables=("o3", "temperature"))
+    days, _ = assemble_days(a, b, max_gap_hours=0, variables=("o3", "temperature"))
     assert len(days) == 1
     o3, temperature = days.values["o3"][0], days.values["temperature"][0]
     assert (o3[0], temperature[0]) == (1.0, 20.0)
@@ -279,9 +281,9 @@ def test_assemble_joins_tables_on_timestamp():
 def test_assemble_later_value_wins_and_missing_never_erases():
     a = table([(Date(2016, 7, 1), 0, {"o3": 1.0}), (Date(2016, 7, 1), 1, {"o3": 2.0})])
     b = table([(Date(2016, 7, 1), 0, {"o3": 5.0}), (Date(2016, 7, 1), 1, {"o3": np.nan})])
-    days = assemble_days(a, b, max_gap_hours=0, variables=("o3",))
+    days, _ = assemble_days(a, b, max_gap_hours=0, variables=("o3",))
     assert days.values["o3"][0, :2].tolist() == [5.0, 2.0]
-    days = assemble_days(b, a, max_gap_hours=0, variables=("o3",))
+    days, _ = assemble_days(b, a, max_gap_hours=0, variables=("o3",))
     assert days.values["o3"][0, :2].tolist() == [1.0, 2.0]
 
 
@@ -300,13 +302,13 @@ def test_write_canonical_round_trip(tmp_path):
         values["rel_humidity"] = float(rng.uniform(0, 100))
         values["wind_direction"] = float(rng.uniform(0, 360))
         records.append((Date(2016, 7, 1), h, values))
-    days = assemble_days(table(records))
+    days, _ = assemble_days(table(records))
     path = tmp_path / "canonical.csv"
     write_canonical(days, path)
     assert path.read_text().splitlines()[0] == ",".join(CANONICAL_COLUMNS)
 
     parsed = parse_hourly_file(path, ALL_VARS)
-    days2 = assemble_days(parsed.records)
+    days2, _ = assemble_days(parsed.records)
     for var in ALL_VARS:
         np.testing.assert_array_equal(days.values[var][0], days2.values[var][0])
 

@@ -539,6 +539,30 @@ def test_verbose_logs_the_blas_setting_and_writes_it_nowhere(clean, tmp_path, mo
         assert [f.name for f in (tmp_path / out).iterdir() if b"blas" in f.read_bytes()] == []
 
 
+def test_verbose_holds_for_its_own_call_only(tmp_path, caplog):
+    """-v sets the level for the call it is given to: of a quiet, a -v and a
+    quiet call in one process, only the second logs the blas line. The
+    level is not set through caplog, which would set it for all three."""
+    logged = []
+    for n, flags in enumerate([[], ["-v"], []]):
+        caplog.clear()
+        assert main([*flags, "synth", "--out-dir", str(tmp_path / str(n)), "--n-days", "10"]) == 0
+        logged.append([(r.name, r.levelname) for r in caplog.records
+                       if r.getMessage().startswith("blas: ")])
+    assert logged == [[], [("ozolasso.cli", "DEBUG")], []]
+
+
+def test_the_cli_run_as_a_module_logs_under_its_package(tmp_path):
+    """Under python -m the module is __main__; its log lines still carry
+    the package's name, so a filter on ozolasso.* keeps them."""
+    proc = subprocess.run([sys.executable, "-m", "ozolasso.cli", "-v", "synth",
+                           "--out-dir", str(tmp_path), "--n-days", "10"],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.startswith("DEBUG ozolasso.cli: blas: ")
+            for line in proc.stderr.splitlines() if "blas:" in line] == [True]
+
+
 # constructor arguments of the exceptions that take more than a message
 SAMPLES = {
     DuplicateTimestampError: (Date(2015, 1, 1), 3),

@@ -89,9 +89,10 @@ def test_ridge_lambda_zero_equals_ols():
 
 def test_ridge_identity_design_value():
     X = np.eye(2)
-    y = np.array([1.0, 1.0])
-    fit = fit_ridge(DenseDesign(X), y, 0.5, fit_intercept=False)
-    np.testing.assert_allclose(fit.beta, [0.5, 0.5], atol=1e-12)  # Y / (1 + n*lam)
+    y = np.array([1.0, 3.0])
+    fit = fit_ridge(DenseDesign(X), y, 0.5)
+    np.testing.assert_allclose(fit.beta, [-0.5, 0.5], atol=1e-12)  # (Y - mean) / (1 + n*lam)
+    assert fit.beta0 == 2.0  # the mean of Y
 
 
 def test_ridge_path_matches_one_solve_per_lambda():
@@ -202,8 +203,6 @@ def test_lasso_config_validation():
         LassoConfig(lam=-1.0)
     with pytest.raises(SolverError):
         LassoConfig(lam=0.1, tol=0.0)
-    with pytest.raises(SolverError):
-        LassoConfig(lam=0.1, max_sweeps=0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(SolverError, match="lambda"):
             LassoConfig(lam=bad)
@@ -254,7 +253,7 @@ def test_kkt_certificate_at_convergence():
         assert fit.kkt_active_violation <= config.kkt_tol
 
 
-def test_objective_descends_with_the_sweep_budget():
+def test_objective_descends_with_the_sweep_budget(monkeypatch):
     """A fit cut short by the kink budget sits at the path's last kink
     allowed; along the path down to lambda the lambda-objective falls, so a
     larger budget never raises it."""
@@ -266,14 +265,15 @@ def test_objective_descends_with_the_sweep_budget():
     for design, dense in ((DenseDesign(X), X), (expanded, expanded.block(0, expanded.shape[1]))):
         objectives = []
         for budget in range(1, 12):
-            beta = fit_lasso(design, y, LassoConfig(lam=0.1, max_sweeps=budget)).beta
+            monkeypatch.setattr(solvers, "MAX_SWEEPS", budget)
+            beta = fit_lasso(design, y, LassoConfig(lam=0.1)).beta
             r = yc - dense @ beta
             objectives.append(float(r @ r / 30 + 0.1 * np.abs(beta).sum()))
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert objectives[-1] < objectives[0]
 
 
-def test_kkt_violations_match_a_dense_oracle():
+def test_kkt_violations_match_a_dense_oracle(monkeypatch):
     """On unconverged fits both violations are well above zero; each must
     equal the one computed from X'r/n formed densely from the fit's beta."""
     rng = np.random.default_rng(9)
@@ -284,7 +284,8 @@ def test_kkt_violations_match_a_dense_oracle():
         # a path cut at its first kink is still at beta = 0, with no active
         # coordinate to violate anything: the budgets start at two kinks
         for lam, sweeps in ((0.05, 2), (0.05, 3), (0.3, 2)):
-            fit = fit_lasso(design, y, LassoConfig(lam=lam, max_sweeps=sweeps))
+            monkeypatch.setattr(solvers, "MAX_SWEEPS", sweeps)
+            fit = fit_lasso(design, y, LassoConfig(lam=lam))
             corr = X.T @ (y - y.mean() - X @ fit.beta) / 30
             zero = fit.beta == 0
             zero_v = max(float(np.abs(corr[zero]).max()) - lam / 2, 0.0)
@@ -305,11 +306,12 @@ def test_warm_start_agrees_with_cold_start():
         assert np.abs(wfit.beta - cold.beta).max() < 1e-6
 
 
-def test_non_convergence_reported():
+def test_non_convergence_reported(monkeypatch):
     rng = np.random.default_rng(12)
     X = standardized_matrix(rng, 50, 30)
     y = rng.normal(size=50)
-    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.001, max_sweeps=1))
+    monkeypatch.setattr(solvers, "MAX_SWEEPS", 1)
+    fit = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.001))
     assert not fit.converged
     assert fit.sweeps_used == 1  # the path's first kink, at lambda_max
     assert np.all(fit.beta == 0.0)
@@ -372,7 +374,7 @@ def dense_certificate(X, y, beta, lam):
     return zero_v, active_v, float((primal - dual) / (yc @ yc / n))
 
 
-def test_duality_gap_matches_a_dense_oracle():
+def test_duality_gap_matches_a_dense_oracle(monkeypatch):
     """Certified fits and fits cut short by the kink budget, on dense and
     expanded designs."""
     rng = np.random.default_rng(17)
@@ -381,7 +383,8 @@ def test_duality_gap_matches_a_dense_oracle():
     for design in (DenseDesign(standardized_matrix(rng, 30, 40)), ExpandedDesign.fit(base)):
         X = design.block(0, design.shape[1])
         for lam, budget in ((0.05, 10_000), (0.3, 10_000), (0.05, 2), (0.3, 1)):
-            fit = fit_lasso(design, y, LassoConfig(lam=lam, max_sweeps=budget))
+            monkeypatch.setattr(solvers, "MAX_SWEEPS", budget)
+            fit = fit_lasso(design, y, LassoConfig(lam=lam))
             zero_v, active_v, gap = dense_certificate(X, y, fit.beta, lam)
             assert fit.gap == pytest.approx(gap, rel=1e-9, abs=1e-14)
             assert fit.kkt_zero_violation == pytest.approx(zero_v, rel=1e-9, abs=1e-14)
@@ -420,8 +423,8 @@ def test_gram_pass_within_its_bound_of_design_corr():
                 assert err.max() > 0.0  # the two products do round differently
 
 
-def test_kink_budget_stops_the_path():
-    """sweeps_used counts kinks. When max_sweeps kinks run out, the fit is
+def test_kink_budget_stops_the_path(monkeypatch):
+    """sweeps_used counts kinks. When MAX_SWEEPS kinks run out, the fit is
     the path's beta at the last kink allowed, certified exactly and not
     converged."""
     rng = np.random.default_rng(19)
@@ -437,10 +440,11 @@ def test_kink_budget_stops_the_path():
     assert sum(f.sweeps_used for f in path) == kinks  # the same kinks, counted per grid point
     assert np.abs(path[-1].beta - full.beta).max() < 1e-12
 
-    short = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.05, max_sweeps=3))
+    monkeypatch.setattr(solvers, "MAX_SWEEPS", 3)
+    short = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.05))
     assert short.sweeps_used == 3 and not short.converged
     assert short.active_set.size == 2  # three joins; the third column is still at 0
-    short_path = list(lasso_path(DenseDesign(X), y, grid, max_sweeps=3))
+    short_path = list(lasso_path(DenseDesign(X), y, grid))
     assert sum(f.sweeps_used for f in short_path) == 3
     stopped = [f for f in short_path if not f.converged]
     assert stopped and all(f.beta.tobytes() == short.beta.tobytes() for f in stopped)
@@ -452,7 +456,7 @@ def test_kink_budget_stops_the_path():
         assert f.gap == pytest.approx(gap, rel=1e-9, abs=1e-14)
 
 
-def test_converged_reads_the_certificate():
+def test_converged_reads_the_certificate(monkeypatch):
     """converged is the certificate's verdict, not the solver's: an exact
     fit whose KKT values (rounding, ~1e-16) exceed a tolerance set below
     them reports converged=False, on a single fit and along a path."""
@@ -461,13 +465,14 @@ def test_converged_reads_the_certificate():
     y = X[:, :4] @ rng.normal(size=4) + 0.3 * rng.normal(size=40)
     exact = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.1))
     assert exact.converged and 0.0 < exact.kkt_active_violation <= 1e-14
-    strict = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.1, tol=1e-30))
+    grid = np.geomspace(0.5, 0.1, 4)
+    assert all(f.converged for f in lasso_path(DenseDesign(X), y, grid))
+    monkeypatch.setattr(solvers, "TOL", 1e-30)
+    strict = fit_lasso(DenseDesign(X), y, LassoConfig(lam=0.1))
     assert strict.beta.tobytes() == exact.beta.tobytes()
     assert strict.sweeps_used == exact.sweeps_used
     assert not strict.converged
-    grid = np.geomspace(0.5, 0.1, 4)
-    assert all(f.converged for f in lasso_path(DenseDesign(X), y, grid))
-    assert not any(f.converged for f in lasso_path(DenseDesign(X), y, grid[1:], tol=1e-30))
+    assert not any(f.converged for f in lasso_path(DenseDesign(X), y, grid[1:]))
 
 
 def test_streamed_homotopy_screens_with_the_gram_pass(monkeypatch):
@@ -596,7 +601,7 @@ def test_carried_certificate_within_its_stated_bound():
     rng = np.random.default_rng(27)
     base = standardized_matrix(rng, 30, 8)
     y = base[:, 1] - base[:, 2] * base[:, 4] + 0.2 * rng.normal(size=30)
-    yc, _ = _center(y, True)
+    yc, _ = _center(y)
     grid = np.geomspace(1.0, 1e-4, 30)
     kkt_tol = LassoConfig(lam=1.0).kkt_tol
     for design in (DenseDesign(standardized_matrix(rng, 30, 70)), ExpandedDesign.fit(base)):
@@ -637,7 +642,7 @@ def test_lasso_path_rejects_an_ascending_grid():
         lasso_path(DenseDesign(X), np.arange(20.0), [0.1, 0.2])
 
 
-def test_fit_lasso_certificate_matches_a_full_pass():
+def test_fit_lasso_certificate_matches_a_full_pass(monkeypatch):
     """fit_lasso certifies from the active columns' chunks and a screened
     maximum over the rest; KKT, gap and converged must be the bits that a
     full design_corr pass over the same residual gives, on fits that
@@ -647,9 +652,10 @@ def test_fit_lasso_certificate_matches_a_full_pass():
     base[:, 5] = np.resize([1.0, -1.0], 50)  # a zero-variance square
     y = base[:, 0] * base[:, 1] - base[:, 2] + 0.3 * rng.normal(size=50)
     design = ExpandedDesign.fit(base)
-    yc, beta0 = _center(y, True)
+    yc, beta0 = _center(y)
     for lam, budget in ((0.02, 10_000), (0.1, 10_000), (0.3, 10_000), (0.02, 4), (0.1, 1)):
-        config = LassoConfig(lam=lam, max_sweeps=budget)
+        config = LassoConfig(lam=lam)
+        monkeypatch.setattr(solvers, "MAX_SWEEPS", budget)
         fit = fit_lasso(design, y, config)
         beta, r, kinks, *_ = next(_homotopy(design, yc, [lam], budget))
         corr = design_corr(design, r)
